@@ -192,9 +192,11 @@ def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignmen
 
 def parse_pharaoh(line: str) -> SentenceAlignment:
     links = set()
-    column = 1
+    offset = 0
     for token in line.split():
-        column = line.index(token) + 1
+        offset = line.index(token, offset)
+        column = offset + 1
+        offset += len(token)
         parts = token.split("-")
         if len(parts) != 2:
             raise FormatError(f"malformed alignment token {token!r} at column {column}")
@@ -213,8 +215,14 @@ def write_pharaoh(alignment: SentenceAlignment) -> str:
 
 
 def load_pharaoh(path: str) -> list[SentenceAlignment]:
+    alignments = []
     with open(path, encoding="utf-8") as fh:
-        return [parse_pharaoh(line.rstrip("\n")) for line in fh]
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                alignments.append(parse_pharaoh(line.rstrip("\n")))
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return alignments
 
 
 def save_model(model: TranslationModel, path: str) -> None:

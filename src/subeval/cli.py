@@ -26,7 +26,7 @@ from .markers import load_marked_text
 from .model import SubtitleDocument, pair_documents
 from .report import EvaluationReport, report_to_json, report_to_tsv
 from .srt import load_srt
-from .textproc import Scheme, attach_tags, load_conllu, tokenize
+from .textproc import Scheme, TokenizedUtterance, attach_tags, load_conllu, tokenize
 
 
 class UsageError(Exception):
@@ -71,6 +71,17 @@ EVAL_OPTIONS: dict[str, tuple[type, Any]] = {
     "exclude-trailing-eob": (bool, False),
     "segmentation": (bool, False),
     "no-diagonal-prior": (bool, False),
+}
+
+FORMATS = ("mustcinema", "srt")
+
+# `eval` options with a fixed set of values, checked before any file is
+# read.
+EVAL_CHOICES: dict[str, tuple[str, ...]] = {
+    "format": FORMATS,
+    "breaks": tuple(b.value for b in BreakSelection),
+    "aggregation": tuple(a.value for a in LengthAggregation),
+    "out": ("json", "tsv", "both"),
 }
 
 
@@ -136,36 +147,41 @@ def _add_eval_arguments(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, type=typ, default=None)
 
 
+def _validate_eval_options(opts: dict[str, Any]) -> None:
+    for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
+        if not opts[key]:
+            raise UsageError(f"--{key} is required")
+    for key, choices in EVAL_CHOICES.items():
+        if opts[key] not in choices:
+            raise UsageError(
+                f"--{key} must be {', '.join(choices[:-1])} or {choices[-1]}, "
+                f"got {opts[key]!r}"
+            )
+
+
 def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
-    if fmt == "mustcinema":
-        return load_marked_text(path, lenient=lenient)
     if fmt == "srt":
         return load_srt(path)
-    raise UsageError(f"unknown format {fmt!r} (expected mustcinema or srt)")
+    return load_marked_text(path, lenient=lenient)
 
 
-def _tag_document(doc: SubtitleDocument, pos_path: str, lang: str):
+def _mt_tokens(doc: SubtitleDocument, lang: str) -> list[TokenizedUtterance]:
+    return [tokenize(utt.text(), Scheme.MT_DETACHED, lang) for utt in doc.utterances]
+
+
+def _tag_document(
+    doc: SubtitleDocument, tokens: Sequence[TokenizedUtterance], pos_path: str
+):
     sentences = load_conllu(pos_path)
     if len(sentences) != len(doc.utterances):
         raise DataError(
             f"POS file {pos_path}: {len(sentences)} sentences for "
             f"{len(doc.utterances)} utterances"
         )
-    tagged = []
-    for utt, sentence in zip(doc.utterances, sentences):
-        tokens = tokenize(utt.text(), Scheme.MT_DETACHED, lang=lang)
-        tags = [upos for _, upos in sentence]
-        tagged.append(attach_tags(tokens, tags, utt_id=utt.id))
-    return tagged
-
-
-def _bitext_pairs_from_docs(captions, subtitles, caption_lang, subtitle_lang):
-    pairs = []
-    for cap, sub in zip(captions.utterances, subtitles.utterances):
-        src = tokenize(cap.text(), Scheme.MT_DETACHED, caption_lang).words()
-        tgt = tokenize(sub.text(), Scheme.MT_DETACHED, subtitle_lang).words()
-        pairs.append(align_mod.BitextPair(tuple(src), tuple(tgt)))
-    return pairs
+    return [
+        attach_tags(utt_tokens, [upos for _, upos in sentence], utt_id=utt.id)
+        for utt, utt_tokens, sentence in zip(doc.utterances, tokens, sentences)
+    ]
 
 
 def _bitext_pairs_from_file(path, caption_lang, subtitle_lang):
@@ -225,9 +241,7 @@ def _alignments_for_pairs(opts, system_pairs):
 
 def run_eval(args: argparse.Namespace) -> int:
     opts = _resolve_options(args)
-    for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
-        if not opts[key]:
-            raise UsageError(f"--{key} is required")
+    _validate_eval_options(opts)
     if opts["segmentation"] and (not opts["pos-captions"] or not opts["pos-subtitles"]):
         raise DataError("segmentation requires POS input")
     fmt, lenient = opts["format"], opts["lenient"]
@@ -243,18 +257,19 @@ def run_eval(args: argparse.Namespace) -> int:
 
     thresholds = ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"])
     aggregation = LengthAggregation(opts["aggregation"])
-    try:
-        breaks = BreakSelection(opts["breaks"])
-    except ValueError:
-        raise UsageError(f"--breaks must be eol, eob or both, got {opts['breaks']!r}")
+    breaks = BreakSelection(opts["breaks"])
     include_trailing = not opts["exclude-trailing-eob"]
+    # One MT tokenization per hypothesis utterance feeds tagging, the
+    # system bitext and lexical consistency.
+    mt_captions = _mt_tokens(captions_hyp, opts["caption-lang"])
+    mt_subtitles = _mt_tokens(subtitles_hyp, opts["subtitle-lang"])
     tagged_captions = (
-        _tag_document(captions_hyp, opts["pos-captions"], opts["caption-lang"])
+        _tag_document(captions_hyp, mt_captions, opts["pos-captions"])
         if opts["pos-captions"]
         else None
     )
     tagged_subtitles = (
-        _tag_document(subtitles_hyp, opts["pos-subtitles"], opts["subtitle-lang"])
+        _tag_document(subtitles_hyp, mt_subtitles, opts["pos-subtitles"])
         if opts["pos-subtitles"]
         else None
     )
@@ -276,15 +291,15 @@ def run_eval(args: argparse.Namespace) -> int:
     )
 
     pairs = pair_documents(captions_hyp, subtitles_hyp)
-    system_bitext = _bitext_pairs_from_docs(
-        captions_hyp, subtitles_hyp, opts["caption-lang"], opts["subtitle-lang"]
-    )
+    system_bitext = [
+        align_mod.BitextPair(tuple(cap.words()), tuple(sub.words()))
+        for cap, sub in zip(mt_captions, mt_subtitles)
+    ]
     alignments = _alignments_for_pairs(opts, system_bitext)
-    cons = consistency_mod.consistency_report(
+    cons = consistency_mod.consistency_report_from_tokens(
         pairs,
+        list(zip(mt_captions, mt_subtitles)),
         alignments,
-        caption_lang=opts["caption-lang"],
-        subtitle_lang=opts["subtitle-lang"],
         skip_unaligned=opts["skip-unaligned"],
     )
 
@@ -332,8 +347,6 @@ def run_eval(args: argparse.Namespace) -> int:
         chunks.append(report_to_json(report))
     if opts["out"] in ("tsv", "both"):
         chunks.append(report_to_tsv(report))
-    if opts["out"] not in ("json", "tsv", "both"):
-        raise UsageError(f"--out must be json, tsv or both, got {opts['out']!r}")
     output = "".join(chunks)
     if opts["out-file"]:
         with open(opts["out-file"], "w", encoding="utf-8") as fh:
@@ -480,7 +493,7 @@ def build_parser() -> _Parser:
     sig.add_argument("--hyp-a", required=True)
     sig.add_argument("--hyp-b", required=True)
     sig.add_argument("--ref", required=True)
-    sig.add_argument("--format", default="mustcinema")
+    sig.add_argument("--format", choices=FORMATS, default="mustcinema")
     sig.set_defaults(func=run_significance)
 
     validate = sub.add_parser("validate-lexical", help="metric vs manual annotation")

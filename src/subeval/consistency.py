@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .align import SentenceAlignment
 from .errors import DataError
-from .model import Utterance, UtterancePair
-from .textproc import Scheme, tokenize
+from .model import EOB, Utterance, UtterancePair
+from .textproc import Scheme, TokenizedUtterance, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -64,16 +64,21 @@ def block_index_map(
     utt: Utterance, scheme: Scheme = Scheme.MT_DETACHED, lang: str = "en"
 ) -> BlockIndexMap:
     """Block index of each non-break token, in token order."""
-    tokens = tokenize(utt.text(), scheme, lang=lang)
+    return _block_index_map(tokenize(utt.text(), scheme, lang=lang))
+
+
+def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
+    """Block index of each non-break token of a tokenized utterance; every
+    block, the last included, ends with an ``<eob>`` token."""
     mapping = []
     block = 0
     for token in tokens.tokens:
         if token.is_break:
-            if token.surface == "<eob>":
+            if token.surface == EOB:
                 block += 1
         else:
             mapping.append(block)
-    return BlockIndexMap(tuple(mapping), blocks=len(utt.blocks))
+    return BlockIndexMap(tuple(mapping), blocks=block)
 
 
 def _directional_consistency(
@@ -113,6 +118,15 @@ def _directional_consistency(
     return consistent / denominator, inconsistent
 
 
+def _tokenize_pair(
+    pair: UtterancePair, scheme: Scheme, caption_lang: str, subtitle_lang: str
+) -> tuple[TokenizedUtterance, TokenizedUtterance]:
+    return (
+        tokenize(pair.caption.text(), scheme, caption_lang),
+        tokenize(pair.subtitle.text(), scheme, subtitle_lang),
+    )
+
+
 def lexical_consistency_pair(
     pair: UtterancePair,
     align_c2s: SentenceAlignment,
@@ -128,15 +142,30 @@ def lexical_consistency_pair(
     `align_s2c` links subtitle token indices to caption token indices.
     Indices refer to break-stripped tokens under `scheme`.
     """
-    cap_map = block_index_map(pair.caption, scheme, caption_lang)
-    sub_map = block_index_map(pair.subtitle, scheme, subtitle_lang)
-    cap_words = tokenize(pair.caption.text(), scheme, caption_lang).words()
-    sub_words = tokenize(pair.subtitle.text(), scheme, subtitle_lang).words()
+    return _lexical_consistency_pair(
+        pair.id,
+        _tokenize_pair(pair, scheme, caption_lang, subtitle_lang),
+        align_c2s,
+        align_s2c,
+        skip_unaligned,
+    )
+
+
+def _lexical_consistency_pair(
+    pair_id: str,
+    tokens: tuple[TokenizedUtterance, TokenizedUtterance],
+    align_c2s: SentenceAlignment,
+    align_s2c: SentenceAlignment,
+    skip_unaligned: bool,
+) -> LexicalConsistencyPair:
+    cap_tokens, sub_tokens = tokens
+    cap_map = _block_index_map(cap_tokens)
+    sub_map = _block_index_map(sub_tokens)
     lex_c2s, bad_c = _directional_consistency(
-        cap_map, sub_map, align_c2s, cap_words, "caption", pair.id, skip_unaligned
+        cap_map, sub_map, align_c2s, cap_tokens.words(), "caption", pair_id, skip_unaligned
     )
     lex_s2c, bad_s = _directional_consistency(
-        sub_map, cap_map, align_s2c, sub_words, "subtitle", pair.id, skip_unaligned
+        sub_map, cap_map, align_s2c, sub_tokens.words(), "subtitle", pair_id, skip_unaligned
     )
     return LexicalConsistencyPair(
         lex_c2s=lex_c2s,
@@ -156,6 +185,20 @@ def corpus_lexical_consistency(
 ) -> tuple[float, list[LexicalConsistencyPair]]:
     """Unweighted mean of lex_pair over the corpus, plus per-pair
     diagnostics."""
+    return _corpus_lexical_consistency(
+        pairs,
+        [_tokenize_pair(p, scheme, caption_lang, subtitle_lang) for p in pairs],
+        alignments,
+        skip_unaligned,
+    )
+
+
+def _corpus_lexical_consistency(
+    pairs: Sequence[UtterancePair],
+    tokens: Sequence[tuple[TokenizedUtterance, TokenizedUtterance]],
+    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
+    skip_unaligned: bool,
+) -> tuple[float, list[LexicalConsistencyPair]]:
     if len(pairs) != len(alignments):
         raise DataError(
             f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}"
@@ -163,10 +206,8 @@ def corpus_lexical_consistency(
     if not pairs:
         raise DataError("empty pair list")
     per_pair = [
-        lexical_consistency_pair(
-            pair, c2s, s2c, scheme, caption_lang, subtitle_lang, skip_unaligned
-        )
-        for pair, (c2s, s2c) in zip(pairs, alignments)
+        _lexical_consistency_pair(pair.id, pair_tokens, c2s, s2c, skip_unaligned)
+        for pair, pair_tokens, (c2s, s2c) in zip(pairs, tokens, alignments, strict=True)
     ]
     return sum(p.lex_pair for p in per_pair) / len(per_pair), per_pair
 
@@ -250,8 +291,24 @@ def consistency_report(
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
-    lexical, per_pair = corpus_lexical_consistency(
-        pairs, alignments, scheme, caption_lang, subtitle_lang, skip_unaligned
+    return consistency_report_from_tokens(
+        pairs,
+        [_tokenize_pair(p, scheme, caption_lang, subtitle_lang) for p in pairs],
+        alignments,
+        skip_unaligned,
+    )
+
+
+def consistency_report_from_tokens(
+    pairs: Sequence[UtterancePair],
+    tokens: Sequence[tuple[TokenizedUtterance, TokenizedUtterance]],
+    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
+    skip_unaligned: bool = False,
+) -> ConsistencyReport:
+    """`consistency_report` with each pair's (caption, subtitle) tokens
+    given, in pair order."""
+    lexical, per_pair = _corpus_lexical_consistency(
+        pairs, tokens, alignments, skip_unaligned
     )
     return ConsistencyReport(
         structural=structural_consistency(pairs),

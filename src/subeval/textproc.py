@@ -7,9 +7,7 @@ reliably.
 
 from __future__ import annotations
 
-import functools
 import re
-import sys
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -119,16 +117,25 @@ def _tokenize_13a_span(span: str) -> list[str]:
     return norm.split()
 
 
-@functools.lru_cache(maxsize=1)
-def _detachable_punct_re() -> re.Pattern:
-    chars = []
-    for code in range(sys.maxunicode + 1):
+class _DetachablePunct(dict):
+    """`str.translate` table that pads detachable punctuation with spaces.
+
+    Detachable means Unicode category P* or S*, except ``. , ' ’``, which
+    the digit and apostrophe rules handle.  Each character is classified
+    the first time it is looked up, and the result is stored.
+    """
+
+    def __missing__(self, code: int):
         ch = chr(code)
-        if ch in ".,'’":
-            continue
-        if unicodedata.category(ch).startswith(("P", "S")):
-            chars.append(ch)
-    return re.compile("([" + re.escape("".join(chars)) + "])")
+        if ch not in ".,'’" and unicodedata.category(ch)[0] in "PS":
+            value = f" {ch} "
+        else:
+            value = code  # maps to itself; None would delete it
+        self[code] = value
+        return value
+
+
+_DETACH_TABLE = _DetachablePunct()
 
 
 _MT_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
@@ -137,8 +144,7 @@ _MT_APOS_EN_RE = re.compile(r"(\w)(['’])(\w)", re.UNICODE)
 
 
 def _tokenize_mt_span(span: str, lang: str) -> list[str]:
-    norm = f" {span} "
-    norm = _detachable_punct_re().sub(r" \1 ", norm)
+    norm = f" {span} ".translate(_DETACH_TABLE)
     norm = _MT_DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
     norm = _MT_DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
     if lang.startswith("fr") or lang.startswith("it"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import unicodedata
 from collections import defaultdict
 from functools import lru_cache
@@ -162,6 +163,40 @@ def corpus_bleu(hyp_lines: list[str], ref_lines: list[str], keep_breaks: bool = 
     else:
         bp = 1.0
     return 100.0 * bp * math.exp(log_sum / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# MT tokenization (one character class over every code point)
+
+
+@lru_cache(maxsize=1)
+def mt_detachable_re() -> re.Pattern:
+    """Every P*/S* code point except . , ' ’ as one regex class."""
+    chars = []
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        if ch in ".,'’":
+            continue
+        if unicodedata.category(ch).startswith(("P", "S")):
+            chars.append(ch)
+    return re.compile("([" + re.escape("".join(chars)) + "])")
+
+
+def mt_tokens(line: str, lang: str) -> list[str]:
+    tokens = []
+    for piece in re.split(r"(<eob>|<eol>)", line):
+        if piece in ("<eob>", "<eol>"):
+            tokens.append(piece)
+            continue
+        norm = mt_detachable_re().sub(r" \1 ", f" {piece} ")
+        norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
+        norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
+        if lang.startswith(("fr", "it")):
+            norm = re.sub(r"(\w)(['’])(\w)", r"\1\2 \3", norm)
+        else:
+            norm = re.sub(r"(\w)(['’])(\w)", r"\1 \2\3", norm)
+        tokens.extend(norm.split())
+    return tokens
 
 
 # ---------------------------------------------------------------------------

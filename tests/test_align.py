@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracles
@@ -7,6 +9,7 @@ from subeval.align import (
     SentenceAlignment,
     TranslationModel,
     load_model,
+    load_pharaoh,
     parse_pharaoh,
     save_model,
     train_aligner,
@@ -173,6 +176,18 @@ def test_parse_pharaoh_malformed():
         parse_pharaoh("0-x")
     with pytest.raises(FormatError, match="malformed alignment token"):
         parse_pharaoh("012")
+
+
+def test_parse_pharaoh_column_of_repeated_token():
+    with pytest.raises(FormatError, match="'1' at column 5"):
+        parse_pharaoh("1-2 1")
+
+
+def test_load_pharaoh_names_path_and_line(tmp_path):
+    path = tmp_path / "align.c2s"
+    path.write_text("0-0\n0-0 x-1\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: .*'x-1' at column 5"):
+        load_pharaoh(str(path))
 
 
 def test_parse_pharaoh_negative():

@@ -1,9 +1,13 @@
 import json
+import sys
+from collections import Counter
 
 import jsonschema
 import pytest
 
+from subeval import textproc
 from subeval.cli import main
+from subeval.textproc import Scheme
 
 try:
     from importlib.resources import files as resource_files
@@ -102,6 +106,53 @@ def test_eval_missing_required_flag(capsys):
     code = main(["eval", "--captions-hyp", "x"])
     assert code == 1
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt")],
+)
+def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
+    # A missing input file would exit 2; exit 1 shows the value was
+    # rejected before any file was read.
+    args = eval_args(micro_paths, flag, value)
+    args[args.index("--captions-hyp") + 1] = "/nonexistent/captions.hyp"
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_eval_tokenizes_each_hypothesis_utterance_once_under_mt(
+    micro_paths, micro_docs, monkeypatch, capsys
+):
+    original = textproc.tokenize
+    mt_texts = Counter()
+
+    def counting_tokenize(text, scheme, lang="en"):
+        if scheme is Scheme.MT_DETACHED:
+            mt_texts[text, lang] += 1
+        return original(text, scheme, lang)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("subeval") and getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    code = main(
+        eval_args(
+            micro_paths,
+            "--pos-captions", micro_paths["pos_captions"],
+            "--pos-subtitles", micro_paths["pos_subtitles"],
+            "--segmentation",
+        )
+    )
+    assert code == 0
+    capsys.readouterr()
+    expected = Counter(
+        [(utt.text(), "en") for utt in micro_docs["captions_hyp"]]
+        + [(utt.text(), "fr") for utt in micro_docs["subtitles_hyp"]]
+    )
+    assert mt_texts == expected
 
 
 def test_eval_missing_file(micro_paths, capsys):

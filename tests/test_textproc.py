@@ -1,5 +1,10 @@
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from subeval import textproc
 from subeval.errors import DataError, FormatError
 from subeval.textproc import (
     DEFAULT_CHUNK_CHINK,
@@ -24,6 +29,33 @@ def test_mt_detached_french_comma_and_break():
     assert surfaces("le capitalisme, <eob>", Scheme.MT_DETACHED, "fr") == [
         "le", "capitalisme", ",", "<eob>",
     ]
+
+
+def test_mt_detach_table_matches_regex_oracle_on_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = oracles.mt_detachable_re().sub(r" \1 ", text)
+    assert text.translate(textproc._DetachablePunct()) == expected
+
+
+_PUNCT = list(".,'’!?;:-()[]{}\"«»…—–¿¡·‹›„“”/\\")
+_SYMBOLS = list("$€£%+=<>@#&*|^~`°©§¶±×÷")
+_ELISION = ["l'", "L'", "d'", "qu'", "j’", "n’", "s'", "c'", "'", "’", "don't", "aujourd'hui"]
+_DIGITS = list("0123456789") + ["1,000", "3.14", ".5", "2,", "-7"]
+_WORDS = ["a", "le", "homme", "été", "ça", "x", " ", " ", "<eob>", "<eol>"]
+
+mt_text = st.lists(
+    st.one_of(
+        st.sampled_from(_PUNCT + _SYMBOLS + _ELISION + _DIGITS + _WORDS),
+        st.characters(categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sm", "Sc", "Sk", "So")),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mt_text, lang=st.sampled_from(["en", "fr"]))
+def test_mt_tokenize_matches_regex_oracle(text, lang):
+    assert surfaces(text, Scheme.MT_DETACHED, lang) == oracles.mt_tokens(text, lang)
 
 
 def test_whitespace_scheme():
