@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, open_utf8
 
 NULL_WORD = "<NULL>"
 
@@ -43,9 +43,6 @@ class SentenceAlignment:
                 raise DataError(
                     f"alignment link {i}-{j} out of bounds (utterance {context!r})"
                 )
-
-    def targets_of(self, source_index: int) -> set[int]:
-        return {j for i, j in self.links if i == source_index}
 
 
 @dataclass
@@ -141,7 +138,6 @@ def train_aligner(
     p0: float = 0.08,
     initial_tension: float = 4.0,
     update_tension: bool = True,
-    tension_step: float = 1.0,
     log_likelihoods: Optional[list[float]] = None,
 ) -> TranslationModel:
     """EM training.  `log_likelihoods` (if given) collects the corpus
@@ -162,7 +158,7 @@ def train_aligner(
             log_likelihoods.append(ll)
         model.table = _normalize_counts(counts)
         if use_diagonal_prior and update_tension:
-            model.tension = min(14.0, max(0.1, model.tension + tension_step * grad))
+            model.tension = min(14.0, max(0.1, model.tension + grad))
     return model
 
 
@@ -216,7 +212,7 @@ def write_pharaoh(alignment: SentenceAlignment) -> str:
 
 def load_pharaoh(path: str) -> list[SentenceAlignment]:
     alignments = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 alignments.append(parse_pharaoh(line.rstrip("\n")))
@@ -237,20 +233,24 @@ def save_model(model: TranslationModel, path: str) -> None:
 
 
 def load_model(path: str) -> TranslationModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
-            raise FormatError(f"bad model header in {path}")
-        tension = float(header[1])
-        p0 = float(header[3])
-        diagonal = bool(int(header[5]))
+            raise FormatError(f"{path}:1: bad model header")
+        try:
+            tension, p0, diagonal = float(header[1]), float(header[3]), bool(int(header[5]))
+        except ValueError:
+            raise FormatError(f"{path}:1: bad number in model header") from None
         table: dict[str, dict[str, float]] = {}
         for lineno, raw in enumerate(fh, start=2):
             parts = raw.rstrip("\n").split("\t")
             if len(parts) != 3:
-                raise FormatError(f"bad model row at line {lineno}")
+                raise FormatError(f"{path}:{lineno}: bad model row")
             src, tgt, prob = parts
-            table.setdefault(src, {})[tgt] = float(prob)
+            try:
+                table.setdefault(src, {})[tgt] = float(prob)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad probability {prob!r}") from None
     return TranslationModel(
         table=table, tension=tension, null_prob=p0, use_diagonal_prior=diagonal
     )
@@ -266,7 +266,7 @@ def parse_bitext_line(line: str, lineno: int) -> tuple[str, str]:
 def load_bitext(path: str) -> list[tuple[str, str]]:
     """One "src ||| tgt" pair per line."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

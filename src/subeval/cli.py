@@ -15,13 +15,12 @@ from . import align as align_mod
 from . import consistency as consistency_mod
 from . import quality as quality_mod
 from .conformity import (
-    BreakDirection,
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
     conformity_report,
 )
-from .errors import DataError, FormatError, SubevalError
+from .errors import DataError, FormatError, SubevalError, open_utf8
 from .markers import load_marked_text
 from .model import SubtitleDocument, pair_documents
 from .report import EvaluationReport, report_to_json, report_to_tsv
@@ -88,22 +87,22 @@ EVAL_CHOICES: dict[str, tuple[str, ...]] = {
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open_utf8(path) as fh:
+            lines = list(fh)
     except OSError as exc:
         raise FormatError(f"cannot read config file: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                key, _, value = line.partition(" ")
-            key, value = key.strip(), value.strip()
-            if key not in EVAL_OPTIONS:
-                raise FormatError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" in line:
+            key, _, value = line.partition("=")
+        else:
+            key, _, value = line.partition(" ")
+        key, value = key.strip(), value.strip()
+        if key not in EVAL_OPTIONS:
+            raise FormatError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -157,6 +156,9 @@ def _validate_eval_options(opts: dict[str, Any]) -> None:
                 f"--{key} must be {', '.join(choices[:-1])} or {choices[-1]}, "
                 f"got {opts[key]!r}"
             )
+    for key in ("max-cpl", "max-cps"):
+        if opts[key] <= 0:
+            raise UsageError(f"--{key} must be positive, got {opts[key]}")
 
 
 def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
@@ -193,6 +195,30 @@ def _bitext_pairs_from_file(path, caption_lang, subtitle_lang):
     return pairs
 
 
+def _train_models(opts, source_lang, target_lang, system_pairs=(), reverse=False):
+    """Train on --train-bitext, the optional --extra-bitext and
+    `system_pairs`: a source-to-target model, plus a target-to-source
+    one when `reverse` is set."""
+    corpus = []
+    for key in ("train-bitext", "extra-bitext"):
+        if opts[key]:
+            corpus += _bitext_pairs_from_file(opts[key], source_lang, target_lang)
+    corpus += system_pairs
+    corpora = [corpus]
+    if reverse:
+        corpora.append([align_mod.BitextPair(p.target, p.source) for p in corpus])
+    return [
+        align_mod.train_aligner(
+            pairs,
+            iterations=opts["iterations"],
+            use_diagonal_prior=not opts["no-diagonal-prior"],
+            p0=opts["p0"],
+            initial_tension=opts["tension"],
+        )
+        for pairs in corpora
+    ]
+
+
 def _alignments_for_pairs(opts, system_pairs):
     """Load Pharaoh alignments or train both directions and align."""
     if opts["align-c2s"] and opts["align-s2c"]:
@@ -208,25 +234,9 @@ def _alignments_for_pairs(opts, system_pairs):
         raise DataError(
             "consistency requires --align-c2s/--align-s2c or --train-bitext"
         )
-    training = _bitext_pairs_from_file(
-        opts["train-bitext"], opts["caption-lang"], opts["subtitle-lang"]
+    model_c2s, model_s2c = _train_models(
+        opts, opts["caption-lang"], opts["subtitle-lang"], system_pairs, reverse=True
     )
-    if opts["extra-bitext"]:
-        training += _bitext_pairs_from_file(
-            opts["extra-bitext"], opts["caption-lang"], opts["subtitle-lang"]
-        )
-    corpus_c2s = training + system_pairs
-    corpus_s2c = [
-        align_mod.BitextPair(p.target, p.source) for p in corpus_c2s
-    ]
-    kwargs = dict(
-        iterations=opts["iterations"],
-        use_diagonal_prior=not opts["no-diagonal-prior"],
-        p0=opts["p0"],
-        initial_tension=opts["tension"],
-    )
-    model_c2s = align_mod.train_aligner(corpus_c2s, **kwargs)
-    model_s2c = align_mod.train_aligner(corpus_s2c, **kwargs)
     alignments = []
     for pair in system_pairs:
         rev = align_mod.BitextPair(pair.target, pair.source)
@@ -357,18 +367,8 @@ def run_eval(args: argparse.Namespace) -> int:
 
 
 def run_align_train(args: argparse.Namespace) -> int:
-    training = _bitext_pairs_from_file(args.train_bitext, args.source_lang, args.target_lang)
-    if args.extra_bitext:
-        training += _bitext_pairs_from_file(
-            args.extra_bitext, args.source_lang, args.target_lang
-        )
-    model = align_mod.train_aligner(
-        training,
-        iterations=args.iterations,
-        use_diagonal_prior=not args.no_diagonal_prior,
-        p0=args.p0,
-        initial_tension=args.tension,
-    )
+    opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
+    [model] = _train_models(opts, args.source_lang, args.target_lang)
     align_mod.save_model(model, args.model_out)
     return 0
 
@@ -421,33 +421,39 @@ def run_significance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_floats(path: str) -> list[float]:
-    with open(path, encoding="utf-8") as fh:
-        return [float(line) for line in fh if line.strip()]
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "consistent": True,
+    "0": False, "false": False, "no": False, "inconsistent": False,
+}
 
 
-def _read_bools(path: str) -> list[bool]:
+def _read_values(path: str, parse, expected: str) -> list:
+    """One value per non-blank line; a line `parse` rejects is a
+    FormatError naming the path and line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip().lower()
+            line = raw.strip()
             if not line:
                 continue
-            if line in ("1", "true", "yes", "consistent"):
-                out.append(True)
-            elif line in ("0", "false", "no", "inconsistent"):
-                out.append(False)
-            else:
-                raise FormatError(f"{path} line {lineno}: expected a boolean, got {line!r}")
+            try:
+                out.append(parse(line))
+            except (KeyError, ValueError):
+                raise FormatError(
+                    f"{path}:{lineno}: expected {expected}, got {line!r}"
+                ) from None
     return out
 
 
 def run_validate_lexical(args: argparse.Namespace) -> int:
+    def read_bools(path):
+        return _read_values(path, lambda line: _BOOL_WORDS[line.lower()], "a boolean")
+
     mae, agreement = consistency_mod.validate_lexical_metric(
-        _read_floats(args.auto_scores),
-        _read_floats(args.manual_scores),
-        _read_bools(args.auto_judgements),
-        _read_bools(args.manual_judgements),
+        _read_values(args.auto_scores, float, "a number"),
+        _read_values(args.manual_scores, float, "a number"),
+        read_bools(args.auto_judgements),
+        read_bools(args.manual_judgements),
     )
     sys.stdout.write(
         json.dumps({"mae": mae, "agreement": agreement}, sort_keys=True) + "\n"
@@ -470,9 +476,9 @@ def build_parser() -> _Parser:
     train.add_argument("--train-bitext", required=True)
     train.add_argument("--extra-bitext")
     train.add_argument("--model-out", required=True)
-    train.add_argument("--iterations", type=int, default=5)
-    train.add_argument("--p0", type=float, default=0.08)
-    train.add_argument("--tension", type=float, default=4.0)
+    for key in ("iterations", "p0", "tension"):
+        typ, default = EVAL_OPTIONS[key]
+        train.add_argument(f"--{key}", type=typ, default=default)
     train.add_argument("--no-diagonal-prior", action="store_true")
     train.add_argument("--source-lang", default="en")
     train.add_argument("--target-lang", default="en")

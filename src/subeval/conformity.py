@@ -128,7 +128,6 @@ def segmentation_plausibility(
     include_trailing_eob: bool = True,
     direction: BreakDirection = BreakDirection.CONTENT_THEN_FUNCTION,
     breaks: BreakSelection = BreakSelection.BOTH,
-    chunk_chink_table=None,
 ) -> Optional[float]:
     """Fraction of break tokens placed plausibly.
 
@@ -165,12 +164,12 @@ def segmentation_plausibility(
                 if not include_trailing_eob:
                     continue
                 counted += 1
-                if classify_chunk_chink(prev_tag, chunk_chink_table) is WordClass.PUNCT:
+                if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
                     plausible += 1
                 continue
             counted += 1
-            prev_class = classify_chunk_chink(prev_tag, chunk_chink_table)
-            next_class = classify_chunk_chink(next_tag, chunk_chink_table)
+            prev_class = classify_chunk_chink(prev_tag)
+            next_class = classify_chunk_chink(next_tag)
             if prev_class is WordClass.PUNCT:
                 plausible += 1
             elif prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION:
@@ -192,7 +191,6 @@ def conformity_report(
     aggregation: LengthAggregation = LengthAggregation.PER_LINE,
     tagged: Optional[Sequence[TaggedUtterance]] = None,
     include_trailing_eob: bool = True,
-    direction: BreakDirection = BreakDirection.CONTENT_THEN_FUNCTION,
     breaks: BreakSelection = BreakSelection.BOTH,
 ) -> ConformityReport:
     """All conformity rates for one document; rates whose denominator is
@@ -215,7 +213,6 @@ def conformity_report(
         seg = segmentation_plausibility(
             tagged,
             include_trailing_eob=include_trailing_eob,
-            direction=direction,
             breaks=breaks,
         )
         n_breaks = sum(

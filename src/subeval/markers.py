@@ -10,11 +10,10 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .errors import FormatError
+from .errors import FormatError, open_utf8
 from .model import (
     EOB,
     EOL,
-    DocumentFormat,
     SubtitleBlock,
     SubtitleDocument,
     SubtitleLine,
@@ -87,7 +86,7 @@ def parse_marked_text(
     for i, raw in enumerate(raw_lines):
         utt_id = ids[i] if ids is not None else str(i)
         utterances.append(parse_utterance_text(raw, utt_id, i, lenient=lenient))
-    return SubtitleDocument(tuple(utterances), format=DocumentFormat.MARKED_TEXT)
+    return SubtitleDocument(tuple(utterances))
 
 
 def serialize_marked_text(doc: SubtitleDocument) -> str:
@@ -96,6 +95,6 @@ def serialize_marked_text(doc: SubtitleDocument) -> str:
     return "".join(utt.text() + "\n" for utt in doc.utterances)
 
 
-def load_marked_text(path: str, ids=None, lenient: bool = False) -> SubtitleDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse_marked_text(fh, ids=ids, lenient=lenient)
+def load_marked_text(path: str, lenient: bool = False) -> SubtitleDocument:
+    with open_utf8(path) as fh:
+        return parse_marked_text(fh, lenient=lenient)

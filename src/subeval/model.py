@@ -24,11 +24,6 @@ class BreakKind(Enum):
     LINE = EOL
 
 
-class DocumentFormat(Enum):
-    MARKED_TEXT = "mustcinema"
-    SRT = "srt"
-
-
 @dataclass(frozen=True)
 class SubtitleLine:
     text: str
@@ -141,7 +136,6 @@ class UtterancePair:
 @dataclass(frozen=True)
 class SubtitleDocument:
     utterances: tuple[Utterance, ...]
-    format: DocumentFormat = DocumentFormat.MARKED_TEXT
 
     def __post_init__(self):
         seen: set[str] = set()

@@ -218,10 +218,6 @@ def corpus_bleu(
     return bleu_from_stats(correct, total, hyp_len, ref_len)
 
 
-def _bleu_score_from_arrays(correct, total, hyp_len, ref_len) -> float:
-    return bleu_from_stats(list(correct), list(total), int(hyp_len), int(ref_len)).score
-
-
 def bootstrap_significance(
     hyp_a: Sequence[Utterance],
     hyp_b: Sequence[Utterance],
@@ -258,12 +254,12 @@ def bootstrap_significance(
 
         def score(arrays, idx) -> float:
             correct, total, hyp_len, ref_len = arrays
-            return _bleu_score_from_arrays(
-                correct[idx].sum(axis=0),
-                total[idx].sum(axis=0),
-                hyp_len[idx].sum(),
-                ref_len[idx].sum(),
-            )
+            return bleu_from_stats(
+                list(correct[idx].sum(axis=0)),
+                list(total[idx].sum(axis=0)),
+                int(hyp_len[idx].sum()),
+                int(ref_len[idx].sum()),
+            ).score
 
         higher_is_better = True
     elif metric == "wer":

@@ -1,8 +1,8 @@
 """SubRip (SRT) parsing and serialization.
 
 Each cue becomes one timed SubtitleBlock.  By default every cue is its
-own single-block utterance; a grouping map (utterance id -> cue index
-list) reconstructs multi-block utterances.
+own single-block utterance; `parse_srt`'s grouping map (utterance id ->
+cue index list) reconstructs multi-block utterances.
 """
 
 from __future__ import annotations
@@ -10,14 +10,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
 
-from .errors import FormatError
-from .model import (
-    DocumentFormat,
-    SubtitleBlock,
-    SubtitleDocument,
-    SubtitleLine,
-    Utterance,
-)
+from .errors import FormatError, open_utf8
+from .model import SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
 
 _TIMING_RE = re.compile(
     r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*$"
@@ -123,7 +117,7 @@ def parse_srt(
                     end_ms=max(b.end_ms for b in blocks),
                 )
             )
-    return SubtitleDocument(tuple(utterances), format=DocumentFormat.SRT)
+    return SubtitleDocument(tuple(utterances))
 
 
 def serialize_srt(doc: SubtitleDocument) -> str:
@@ -146,32 +140,6 @@ def serialize_srt(doc: SubtitleDocument) -> str:
     return "\n\n".join(out) + ("\n" if out else "")
 
 
-def load_grouping_map(path: str) -> dict[str, list[int]]:
-    """TSV grouping map: utterance_id <TAB> comma-separated cue indices."""
-    grouping: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"grouping map line {lineno}: expected 2 columns")
-            utt_id, cue_field = parts
-            try:
-                cue_indices = [int(piece) for piece in cue_field.split(",")]
-            except ValueError:
-                raise FormatError(
-                    f"grouping map line {lineno}: bad cue index list {cue_field!r}"
-                )
-            if utt_id in grouping:
-                raise FormatError(
-                    f"grouping map line {lineno}: duplicate utterance id {utt_id!r}"
-                )
-            grouping[utt_id] = cue_indices
-    return grouping
-
-
-def load_srt(path: str, grouping: Optional[Mapping[str, Sequence[int]]] = None) -> SubtitleDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse_srt(fh, grouping=grouping)
+def load_srt(path: str) -> SubtitleDocument:
+    with open_utf8(path) as fh:
+        return parse_srt(fh)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, open_utf8
 from .model import EOB, EOL, BreakKind
 
 UPOS_TAGS = frozenset(
@@ -240,7 +240,7 @@ def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[s
 
 
 def load_conllu(path: str) -> list[list[tuple[str, str]]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         return parse_conllu(fh)
 
 
@@ -268,66 +268,7 @@ def attach_tags(
     return TaggedUtterance(tuple(items))
 
 
-def classify_chunk_chink(
-    tag: str, table: Optional[dict[str, WordClass]] = None
-) -> WordClass:
-    table = table if table is not None else DEFAULT_CHUNK_CHINK
-    if tag not in table:
+def classify_chunk_chink(tag: str) -> WordClass:
+    if tag not in DEFAULT_CHUNK_CHINK:
         raise DataError(f"unknown UPOS {tag!r}")
-    return table[tag]
-
-
-def load_chunk_chink_table(path: str) -> dict[str, WordClass]:
-    """Override table: one "TAG class" pair per line, class in
-    {content, function, punct}."""
-    table = dict(DEFAULT_CHUNK_CHINK)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"chunk-chink table line {lineno}: expected 2 fields")
-            tag, cls = parts
-            if tag not in UPOS_TAGS:
-                raise FormatError(f"chunk-chink table line {lineno}: unknown UPOS {tag!r}")
-            try:
-                table[tag] = WordClass(cls.lower())
-            except ValueError:
-                raise FormatError(f"chunk-chink table line {lineno}: unknown class {cls!r}")
-    return table
-
-
-def load_lexicon(path: str) -> dict[str, str]:
-    """Fallback word -> UPOS lookup, TSV."""
-    lexicon: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"lexicon line {lineno}: expected 2 columns")
-            word, upos = parts
-            if upos not in UPOS_TAGS:
-                raise FormatError(f"lexicon line {lineno}: unknown UPOS {upos!r}")
-            lexicon[word] = upos
-    return lexicon
-
-
-def tag_with_lexicon(tokens: TokenizedUtterance, lexicon: dict[str, str]) -> list[str]:
-    """Tag the non-break tokens by lookup; OOV words get X, punctuation
-    tokens PUNCT."""
-    tags = []
-    for token in tokens.tokens:
-        if token.is_break:
-            continue
-        if token.surface in lexicon:
-            tags.append(lexicon[token.surface])
-        elif all(unicodedata.category(c).startswith("P") for c in token.surface):
-            tags.append("PUNCT")
-        else:
-            tags.append("X")
-    return tags
+    return DEFAULT_CHUNK_CHINK[tag]

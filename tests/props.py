@@ -17,7 +17,6 @@ from subeval.consistency import lexical_consistency_pair, structural_consistency
 from subeval.align import SentenceAlignment
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import (
-    DocumentFormat,
     SubtitleBlock,
     SubtitleDocument,
     SubtitleLine,
@@ -54,7 +53,7 @@ def random_document(rng: random.Random, max_utts: int = 4) -> SubtitleDocument:
             for _ in range(rng.randint(1, 3))
         )
         utterances.append(Utterance(id=str(i), blocks=blocks))
-    return SubtitleDocument(tuple(utterances), format=DocumentFormat.MARKED_TEXT)
+    return SubtitleDocument(tuple(utterances))
 
 
 def check_round_trip(n_cases: int = 1000, seed: int = 0) -> None:
@@ -251,7 +250,7 @@ def check_report_determinism(n_cases: int = 1000, seed: int = 6) -> None:
             docs.append(random_document(doc_rng, max_utts=2))
         # Equalize utterance counts so pairing works.
         n = min(len(d.utterances) for d in docs)
-        docs = [SubtitleDocument(d.utterances[:n], format=d.format) for d in docs]
+        docs = [SubtitleDocument(d.utterances[:n]) for d in docs]
         first = _report_for(*docs)
         second = _report_for(*docs)
         assert first == second

@@ -1,9 +1,14 @@
+import io
 import json
+import os
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subeval import textproc
 from subeval.cli import main
@@ -110,7 +115,10 @@ def test_eval_missing_required_flag(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt")],
+    [
+        ("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt"),
+        ("--max-cpl", "0"), ("--max-cps", "-1"),
+    ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
     # A missing input file would exit 2; exit 1 shows the value was
@@ -159,6 +167,68 @@ def test_eval_missing_file(micro_paths, capsys):
     args = eval_args(micro_paths)
     args[args.index("--captions-hyp") + 1] = "/nonexistent/captions.hyp"
     assert main(args) == 2
+
+
+def test_eval_non_utf8_input_names_file_and_line(micro_paths, tmp_path, capsys):
+    path = tmp_path / "captions.hyp"
+    with open(micro_paths["captions_hyp"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[2] = b"caf\xe9 <eob>\n"
+    path.write_bytes(b"".join(lines))
+    args = eval_args(micro_paths)
+    args[args.index("--captions-hyp") + 1] = str(path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: not valid UTF-8\n"
+
+
+# One mutation of one micro-corpus file per example.
+FUZZ_FILES = (
+    "captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref",
+    "pos_captions", "pos_subtitles", "align_c2s", "align_s2c",
+)
+
+
+def _mutate(data, mutation, at, junk):
+    lines = data.splitlines(keepends=True)
+    if mutation == "replace":
+        start = at % len(data)
+        return data[:start] + junk + data[start + len(junk):]
+    if mutation == "drop":
+        i = at % len(lines)
+        return b"".join(lines[:i] + lines[i + 1:])
+    if mutation == "duplicate":
+        i = at % len(lines)
+        return b"".join(lines[: i + 1] + lines[i:])
+    return data[: at % (len(data) + 1)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    key=st.sampled_from(FUZZ_FILES),
+    mutation=st.sampled_from(("replace", "drop", "duplicate", "truncate")),
+    at=st.integers(min_value=0, max_value=10**6),
+    junk=st.one_of(
+        st.binary(min_size=1, max_size=8),
+        st.text(min_size=1, max_size=8).map(str.encode),
+    ),
+)
+def test_eval_fuzzed_input_exits_with_contract_code(micro_paths, key, mutation, at, junk):
+    with open(micro_paths[key], "rb") as fh:
+        data = _mutate(fh.read(), mutation, at, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = dict(micro_paths)
+        paths[key] = os.path.join(tmp, os.path.basename(micro_paths[key]))
+        with open(paths[key], "wb") as fh:
+            fh.write(data)
+        args = eval_args(
+            paths,
+            "--pos-captions", paths["pos_captions"],
+            "--pos-subtitles", paths["pos_subtitles"],
+            "--segmentation",
+        )
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(args)
+    assert code in (0, 1, 2)
 
 
 def test_eval_config_file_merge(micro_paths, tmp_path, capsys):
@@ -266,6 +336,16 @@ def test_align_apply_missing_model(tmp_path, capsys):
     assert code == 2
 
 
+def test_align_apply_bad_model_number_names_file_and_line(tmp_path, capsys):
+    model = tmp_path / "model.tsv"
+    model.write_text("tension\t4.0\tp0\t0.08\tdiagonal\t1\na\tx\t0.5\na\ty\tlots\n")
+    bitext = tmp_path / "b.txt"
+    bitext.write_text("a ||| x\n")
+    code = main(["align", "apply", "--model", str(model), "--bitext", str(bitext)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {model}:3: bad probability 'lots'\n"
+
+
 def test_align_extra_bitext(toy_bitext, tmp_path):
     extra = tmp_path / "extra.txt"
     extra.write_text("c ||| z\n")
@@ -345,3 +425,24 @@ def test_validate_lexical_subcommand(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["mae"] == pytest.approx(0.1)
     assert result["agreement"] == pytest.approx(2 / 3)
+
+
+def test_validate_lexical_non_numeric_score_names_file_and_line(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("auto", "manual", "autoj", "manualj")}
+    paths["auto"].write_text("0.5\nhigh\n")
+    paths["manual"].write_text("0.7\n0.9\n")
+    paths["autoj"].write_text("1\n0\n")
+    paths["manualj"].write_text("1\n0\n")
+    code = main(
+        [
+            "validate-lexical",
+            "--auto-scores", str(paths["auto"]),
+            "--manual-scores", str(paths["manual"]),
+            "--auto-judgements", str(paths["autoj"]),
+            "--manual-judgements", str(paths["manualj"]),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['auto']}:2: expected a number, got 'high'\n"
+    )

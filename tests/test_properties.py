@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import props
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import (
-    DocumentFormat,
     SubtitleBlock,
     SubtitleDocument,
     SubtitleLine,
@@ -69,7 +68,6 @@ def documents(draw):
         tuple(
             Utterance(id=str(i), blocks=tuple(b)) for i, b in enumerate(utts)
         ),
-        format=DocumentFormat.MARKED_TEXT,
     )
 
 

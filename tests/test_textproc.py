@@ -16,7 +16,6 @@ from subeval.textproc import (
     classify_chunk_chink,
     normalize_for_wer,
     parse_conllu,
-    tag_with_lexicon,
     tokenize,
 )
 
@@ -150,12 +149,6 @@ def test_chunk_chink_partitions_all_17_tags():
     assert set(DEFAULT_CHUNK_CHINK) == UPOS_TAGS
     classes = {classify_chunk_chink(tag) for tag in UPOS_TAGS}
     assert classes == {WordClass.CONTENT, WordClass.FUNCTION, WordClass.PUNCT}
-
-
-def test_tag_with_lexicon_fallback():
-    toks = tokenize("the zorp . <eob>", Scheme.WHITESPACE)
-    tags = tag_with_lexicon(toks, {"the": "DET"})
-    assert tags == ["DET", "X", "PUNCT"]
 
 
 def test_token_break_flag_consistency():
