@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DataError, FormatError, open_utf8
+from .model import BREAKS
 
 NULL_WORD = "<NULL>"
 
@@ -29,7 +30,7 @@ class BitextPair:
         if not self.source or not self.target:
             raise DataError("bitext pair with an empty side")
         for word in self.source + self.target:
-            if word in ("<eob>", "<eol>"):
+            if word in BREAKS:
                 raise DataError("bitext must not contain break tokens")
 
 

@@ -86,11 +86,8 @@ EVAL_CHOICES: dict[str, tuple[str, ...]] = {
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        with open_utf8(path) as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read config file: {exc}")
+    with open_utf8(path) as fh:
+        lines = list(fh)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -374,10 +371,7 @@ def run_align_train(args: argparse.Namespace) -> int:
 
 
 def run_align_apply(args: argparse.Namespace) -> int:
-    try:
-        model = align_mod.load_model(args.model)
-    except OSError as exc:
-        raise DataError(f"cannot load model: {exc}")
+    model = align_mod.load_model(args.model)
     pairs = _bitext_pairs_from_file(args.bitext, args.source_lang, args.target_lang)
     lines = [
         align_mod.write_pharaoh(align_mod.viterbi_align(model, pair)) for pair in pairs
@@ -520,10 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SubevalError as exc:
+    except (OSError, SubevalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .model import BreakKind, SubtitleDocument
+from .model import BREAKS, EOB, EOL, SubtitleDocument
 from .textproc import TaggedUtterance, WordClass, classify_chunk_chink
 
 DEFAULT_MAX_CPL = 42
@@ -44,6 +44,14 @@ class BreakSelection(Enum):
     EOL = "eol"
     EOB = "eob"
     BOTH = "both"
+
+
+# The break tokens each selection counts.
+_SELECTED_BREAKS: dict[BreakSelection, frozenset[str]] = {
+    BreakSelection.EOL: frozenset({EOL}),
+    BreakSelection.EOB: frozenset({EOB}),
+    BreakSelection.BOTH: BREAKS,
+}
 
 
 @dataclass(frozen=True)
@@ -115,14 +123,6 @@ def reading_speed_conformity(
     return conforming / units
 
 
-def _break_matches(kind: BreakKind, selection: BreakSelection) -> bool:
-    if selection is BreakSelection.BOTH:
-        return True
-    if selection is BreakSelection.EOL:
-        return kind is BreakKind.LINE
-    return kind is BreakKind.BLOCK
-
-
 def segmentation_plausibility(
     tagged: Sequence[TaggedUtterance],
     include_trailing_eob: bool = True,
@@ -136,22 +136,23 @@ def segmentation_plausibility(
     (either order when `direction` allows).  An utterance-final break is
     plausible only after punctuation.
     """
+    selected = _SELECTED_BREAKS[breaks]
     plausible = 0
     counted = 0
     for utt_index, utt in enumerate(tagged):
         items = utt.items
         for pos, (token, _) in enumerate(items):
-            if not token.is_break or not _break_matches(token.break_kind, breaks):
+            if token not in selected:
                 continue
             prev_tag = None
             for back in range(pos - 1, -1, -1):
-                if not items[back][0].is_break:
+                if items[back][0] not in BREAKS:
                     prev_tag = items[back][1]
                     break
             next_tag = None
             has_next = False
             for fwd in range(pos + 1, len(items)):
-                if not items[fwd][0].is_break:
+                if items[fwd][0] not in BREAKS:
                     next_tag = items[fwd][1]
                     has_next = True
                     break
@@ -215,12 +216,8 @@ def conformity_report(
             include_trailing_eob=include_trailing_eob,
             breaks=breaks,
         )
-        n_breaks = sum(
-            1
-            for utt in tagged
-            for token, _ in utt.items
-            if token.is_break and _break_matches(token.break_kind, breaks)
-        )
+        selected = _SELECTED_BREAKS[breaks]
+        n_breaks = sum(1 for utt in tagged for token, _ in utt.items if token in selected)
     else:
         seg = None
         n_breaks = 0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .align import SentenceAlignment
 from .errors import DataError
-from .model import EOB, Utterance, UtterancePair
+from .model import EOB, EOL, Utterance, UtterancePair
 from .textproc import Scheme, TokenizedUtterance, tokenize
 
 log = logging.getLogger(__name__)
@@ -73,10 +73,9 @@ def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
     mapping = []
     block = 0
     for token in tokens.tokens:
-        if token.is_break:
-            if token.surface == EOB:
-                block += 1
-        else:
+        if token == EOB:
+            block += 1
+        elif token != EOL:
             mapping.append(block)
     return BlockIndexMap(tuple(mapping), blocks=block)
 

@@ -10,18 +10,13 @@ delimited by the literal token ``<eob>`` and lines inside a block by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .errors import DataError
 
 EOB = "<eob>"
 EOL = "<eol>"
-
-
-class BreakKind(Enum):
-    BLOCK = EOB
-    LINE = EOL
+BREAKS = frozenset({EOB, EOL})
 
 
 @dataclass(frozen=True)

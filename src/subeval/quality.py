@@ -130,7 +130,7 @@ def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
 def _bleu_tokens(utt: Utterance, keep_breaks: bool) -> list[str]:
     tokens = tokenize(utt.text(), Scheme.INTL13A)
     if keep_breaks:
-        return tokens.surfaces()
+        return list(tokens.tokens)
     return tokens.words()
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .errors import DataError, FormatError, open_utf8
-from .model import EOB, EOL, BreakKind
+from .model import BREAKS, EOB, EOL
 
 UPOS_TAGS = frozenset(
     {
@@ -60,41 +60,21 @@ DEFAULT_CHUNK_CHINK: dict[str, WordClass] = {
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    is_break: bool = False
-    break_kind: Optional[BreakKind] = None
-
-    def __post_init__(self):
-        if self.is_break != (self.surface in (EOB, EOL)):
-            raise DataError(f"inconsistent break flag for token {self.surface!r}")
-
-
-@dataclass(frozen=True)
 class TokenizedUtterance:
-    tokens: tuple[Token, ...]
-    scheme: Scheme
+    tokens: tuple[str, ...]
 
     def words(self) -> list[str]:
-        return [t.surface for t in self.tokens if not t.is_break]
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        return [t for t in self.tokens if t not in BREAKS]
 
 
 @dataclass(frozen=True)
 class TaggedUtterance:
-    items: tuple[tuple[Token, Optional[str]], ...]
+    """Tokens paired with their UPOS tags; break tokens carry None."""
 
-    def __post_init__(self):
-        for token, tag in self.items:
-            if token.is_break and tag is not None:
-                raise DataError("break token must not carry a POS tag")
-            if not token.is_break and tag is None:
-                raise DataError(f"word token {token.surface!r} is missing a POS tag")
+    items: tuple[tuple[str, Optional[str]], ...]
 
 
-_BREAK_SPLIT_RE = re.compile(r"(<eob>|<eol>)")
+_BREAK_SPLIT_RE = re.compile(f"({EOB}|{EOL})")
 
 _13A_PUNCT_RE = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
 _13A_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
@@ -156,20 +136,12 @@ def _tokenize_mt_span(span: str, lang: str) -> list[str]:
     return norm.split()
 
 
-def _make_token(surface: str) -> Token:
-    if surface == EOB:
-        return Token(surface, is_break=True, break_kind=BreakKind.BLOCK)
-    if surface == EOL:
-        return Token(surface, is_break=True, break_kind=BreakKind.LINE)
-    return Token(surface)
-
-
 def tokenize(text: str, scheme: Scheme, lang: str = "en") -> TokenizedUtterance:
     """Tokenize one utterance.  Break tokens are isolated in every scheme."""
-    tokens: list[Token] = []
+    tokens: list[str] = []
     for part in _BREAK_SPLIT_RE.split(text):
-        if part in (EOB, EOL):
-            tokens.append(_make_token(part))
+        if part in BREAKS:
+            tokens.append(part)
             continue
         if not part.strip():
             continue
@@ -179,8 +151,8 @@ def tokenize(text: str, scheme: Scheme, lang: str = "en") -> TokenizedUtterance:
             surfaces = _tokenize_13a_span(part)
         else:
             surfaces = _tokenize_mt_span(part, lang)
-        tokens.extend(Token(s) for s in surfaces)
-    return TokenizedUtterance(tuple(tokens), scheme)
+        tokens.extend(surfaces)
+    return TokenizedUtterance(tuple(tokens))
 
 
 def _strip_edge_punct(word: str) -> str:
@@ -195,10 +167,8 @@ def _strip_edge_punct(word: str) -> str:
 def normalize_for_wer(tokens: TokenizedUtterance) -> list[str]:
     """Lowercased, unpunctuated word sequence for WER scoring."""
     out = []
-    for token in tokens.tokens:
-        if token.is_break:
-            continue
-        word = _strip_edge_punct(token.surface)
+    for token in tokens.words():
+        word = _strip_edge_punct(token)
         if not word:
             continue
         out.append(word.lower())
@@ -250,7 +220,7 @@ def attach_tags(
     utt_id: str = "?",
 ) -> TaggedUtterance:
     """Attach a tag sequence positionally to the non-break tokens."""
-    n_words = sum(1 for t in tokens.tokens if not t.is_break)
+    n_words = sum(1 for t in tokens.tokens if t not in BREAKS)
     if n_words != len(tags):
         raise DataError(
             f"utterance {utt_id!r}: {n_words} word tokens but {len(tags)} tags"
@@ -258,7 +228,7 @@ def attach_tags(
     items = []
     it = iter(tags)
     for token in tokens.tokens:
-        if token.is_break:
+        if token in BREAKS:
             items.append((token, None))
         else:
             tag = next(it)

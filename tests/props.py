@@ -17,6 +17,7 @@ from subeval.consistency import lexical_consistency_pair, structural_consistency
 from subeval.align import SentenceAlignment
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import (
+    BREAKS,
     SubtitleBlock,
     SubtitleDocument,
     SubtitleLine,
@@ -84,7 +85,7 @@ def check_break_conservation(n_cases: int = 1000, seed: int = 1) -> None:
         text = " ".join(pieces)
         for scheme in Scheme:
             tokens = tokenize(text, scheme, lang=rng.choice(["en", "fr"]))
-            assert sum(1 for t in tokens.tokens if t.is_break) == expected, text
+            assert sum(1 for t in tokens.tokens if t in BREAKS) == expected, text
 
 
 def check_conformity_bounds_and_monotonicity(n_cases: int = 1000, seed: int = 2) -> None:

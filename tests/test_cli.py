@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from collections import Counter
@@ -163,10 +164,15 @@ def test_eval_tokenizes_each_hypothesis_utterance_once_under_mt(
     assert mt_texts == expected
 
 
-def test_eval_missing_file(micro_paths, capsys):
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_eval_missing_file(micro_paths, tmp_path, capsys, kind):
     args = eval_args(micro_paths)
-    args[args.index("--captions-hyp") + 1] = "/nonexistent/captions.hyp"
+    path = "/nonexistent/captions.hyp" if kind == "missing" else str(tmp_path)
+    args[args.index("--captions-hyp") + 1] = path
     assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_eval_non_utf8_input_names_file_and_line(micro_paths, tmp_path, capsys):
@@ -268,6 +274,30 @@ def test_eval_byte_identical_reruns(micro_paths, tmp_path):
     assert out.read_bytes() == first
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
+def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeypatch, capsys):
+    # Relative input names keep the config echo free of machine paths.
+    for path in micro_paths.values():
+        shutil.copy(path, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    names = {key: os.path.basename(path) for key, path in micro_paths.items()}
+    args = eval_args(
+        names,
+        "--pos-captions", names["pos_captions"],
+        "--pos-subtitles", names["pos_subtitles"],
+        "--segmentation",
+        "--out", "both",
+        "--out-file", "report.out",
+        "--diagnostics", "diag.jsonl",
+    )
+    assert main(args) == 0
+    for name in ("report.out", "diag.jsonl"):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 def test_eval_diagnostics_jsonl(micro_paths, tmp_path, capsys):
     diag = tmp_path / "diag.jsonl"
     code = main(eval_args(micro_paths, "--diagnostics", str(diag)))
@@ -327,13 +357,16 @@ def test_align_train_deterministic(toy_bitext, tmp_path):
     assert model_a.read_bytes() == model_b.read_bytes()
 
 
-def test_align_apply_missing_model(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_align_apply_missing_model(tmp_path, capsys, kind):
     bitext = tmp_path / "b.txt"
     bitext.write_text("a ||| x\n")
-    code = main(
-        ["align", "apply", "--model", str(tmp_path / "no.tsv"), "--bitext", str(bitext)]
-    )
+    model = tmp_path / "no.tsv" if kind == "missing" else tmp_path
+    code = main(["align", "apply", "--model", str(model), "--bitext", str(bitext)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_align_apply_bad_model_number_names_file_and_line(tmp_path, capsys):

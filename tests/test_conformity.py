@@ -210,3 +210,14 @@ def test_report_with_tags_counts_breaks():
     report = conformity_report(doc, tagged=tagged)
     assert report.segmentation_rate == 1.0
     assert report.breaks == 1
+
+
+@pytest.mark.parametrize(
+    "selection, expected",
+    [(BreakSelection.EOL, 1), (BreakSelection.EOB, 2), (BreakSelection.BOTH, 3)],
+)
+def test_report_break_count_follows_selection(selection, expected):
+    text = "we left <eol> early . <eob> it rained . <eob>"
+    doc = parse_marked_text(text + "\n")
+    tagged = [tag_text(text, ["PRON", "VERB", "ADV", "PUNCT", "PRON", "VERB", "PUNCT"])]
+    assert conformity_report(doc, tagged=tagged, breaks=selection).breaks == expected

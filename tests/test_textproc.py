@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from subeval import textproc
 from subeval.errors import DataError, FormatError
+from subeval.model import BREAKS
 from subeval.textproc import (
     DEFAULT_CHUNK_CHINK,
     Scheme,
-    Token,
     UPOS_TAGS,
     WordClass,
     attach_tags,
@@ -21,7 +21,7 @@ from subeval.textproc import (
 
 
 def surfaces(text, scheme, lang="en"):
-    return tokenize(text, scheme, lang).surfaces()
+    return list(tokenize(text, scheme, lang).tokens)
 
 
 def test_mt_detached_french_comma_and_break():
@@ -78,7 +78,7 @@ def test_break_count_preserved_by_all_schemes():
     text = "a,b <eol> c <eob> d.e <eob>"
     for scheme in Scheme:
         toks = tokenize(text, scheme)
-        assert sum(1 for t in toks.tokens if t.is_break) == 3
+        assert sum(1 for t in toks.tokens if t in BREAKS) == 3
 
 
 def test_normalize_for_wer_drops_breaks_and_punct():
@@ -149,8 +149,3 @@ def test_chunk_chink_partitions_all_17_tags():
     assert set(DEFAULT_CHUNK_CHINK) == UPOS_TAGS
     classes = {classify_chunk_chink(tag) for tag in UPOS_TAGS}
     assert classes == {WordClass.CONTENT, WordClass.FUNCTION, WordClass.PUNCT}
-
-
-def test_token_break_flag_consistency():
-    with pytest.raises(DataError):
-        Token("hello", is_break=True)
