@@ -9,12 +9,19 @@ co-occurring words and no randomness is involved.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError, FormatError, open_utf8
 from .model import BREAKS
+
+logger = logging.getLogger(__name__)
 
 NULL_WORD = "<NULL>"
 
@@ -60,76 +67,184 @@ class TranslationModel:
         return row.get(target_word, OOV_PROB)
 
 
-def _diagonal_weights(j: int, n: int, m: int, tension: float) -> list[float]:
+@functools.lru_cache(maxsize=1024)
+def _diagonal_prior(m: int, n: int, tension: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal prior of an m-word source and n-word target as two
+    read-only (m, n) arrays: the weight w[i, j] of source position i for
+    target position j, and h[i, j] - sum_i w[i, j] * h[i, j], the tension
+    gradient's term, where h[i, j] = -|(i + 1) / m - (j + 1) / n|."""
     # 1-based position ratios, as in the reparameterized model.
-    weights = [
-        math.exp(-tension * abs((i + 1) / m - (j + 1) / n)) for i in range(m)
-    ]
-    z = sum(weights)
-    return [w / z for w in weights]
+    distance = [[abs((i + 1) / m - (j + 1) / n) for j in range(n)] for i in range(m)]
+    raw = np.array([[math.exp(-tension * d) for d in row] for row in distance])
+    weights = raw / _sum_rows(raw)
+    h = -np.array(distance)
+    centred_h = h - _sum_rows(weights * h)
+    weights.flags.writeable = centred_h.flags.writeable = False
+    return weights, centred_h
 
 
-def _log_likelihood_and_counts(
-    corpus: Sequence[BitextPair],
-    model: TranslationModel,
-) -> tuple[float, dict[str, dict[str, float]], float]:
-    """One E-step: returns (log-likelihood, expected counts, tension
-    gradient per target token)."""
-    counts: dict[str, dict[str, float]] = {}
-    log_likelihood = 0.0
-    grad = 0.0
-    n_target_tokens = 0
-    for pair in corpus:
-        m, n = len(pair.source), len(pair.target)
-        n_target_tokens += n
-        for j, tgt in enumerate(pair.target):
-            if model.use_diagonal_prior:
-                weights = _diagonal_weights(j, n, m, model.tension)
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding one row at a time: the order a
+    Python loop adds in, which `ndarray.sum`'s pairwise summation is not."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
+def _left_sum(values) -> float:
+    """0.0 + v0 + v1 + ..., left to right; built-in `sum` compensates
+    float sums from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+class _Group(NamedTuple):
+    """The target tokens whose pairs have m source words, in corpus order."""
+
+    m: int
+    tokens: np.ndarray  # corpus position of each token
+    first_slot: np.ndarray  # corpus slot of each token's NULL slot
+    lengths: tuple[int, ...]  # distinct target lengths n, ascending
+    columns: np.ndarray  # column of each token's (n, j) in the lengths' priors side by side
+
+    def slots(self) -> np.ndarray:
+        """(m + 1, tokens) corpus slots: row 0 for NULL, row i + 1 for
+        source position i."""
+        return self.first_slot + np.arange(self.m + 1)[:, None]
+
+    def prior(self, tension: float) -> tuple[np.ndarray, np.ndarray]:
+        """`_diagonal_prior` of every token of the group, as (m, tokens) arrays."""
+        parts = [_diagonal_prior(self.m, n, tension) for n in self.lengths]
+        weights = np.concatenate([w for w, _ in parts], axis=1)
+        centred_h = np.concatenate([h for _, h in parts], axis=1)
+        return weights[:, self.columns], centred_h[:, self.columns]
+
+
+class _CooccurrenceIndex:
+    """A training corpus as integer arrays, built once per training run.
+
+    Each target token has one slot for NULL and one per source position,
+    and each slot holds the id of its (source word, target word) key.
+    Slots and key ids both follow corpus order: token by token, NULL
+    first, then the source words left to right, and a key's id is the
+    rank of its first slot.  `np.bincount` over the slots therefore adds
+    every expected count, and over the key ids every row total, in the
+    order a dict-based loop over the corpus would.
+    """
+
+    def __init__(self, corpus: Sequence[BitextPair]):
+        source_ids = {NULL_WORD: 0}
+        target_ids: dict[str, int] = {}
+        by_length: dict[int, tuple[list, list, list, list]] = {}
+        token_m = []
+        for pair in corpus:
+            m = len(pair.source)
+            first, sources, targets, lengths = by_length.setdefault(m, ([], [], [], []))
+            first.append(len(token_m))
+            sources.append([source_ids.setdefault(w, len(source_ids)) for w in pair.source])
+            targets += [target_ids.setdefault(w, len(target_ids)) for w in pair.target]
+            lengths.append(len(pair.target))
+            token_m.extend([m] * len(pair.target))
+        self.source_words = list(source_ids)
+        self.target_words = list(target_ids)
+        self.n_tokens = len(token_m)
+        token_m = np.array(token_m)
+        slot_start = np.cumsum(token_m + 1) - token_m - 1
+        n_slots = int(token_m.sum()) + self.n_tokens
+        del token_m
+
+        # Slot codes source id * |target vocabulary| + target id.
+        codes = np.empty(n_slots, dtype=np.int64)
+        self.groups = []
+        n_targets = len(self.target_words)
+        for m, (first, sources, targets, lengths) in sorted(by_length.items()):
+            lengths = np.array(lengths)
+            pair_of_token = np.repeat(np.arange(len(lengths)), lengths)
+            j = np.arange(len(targets)) - (np.cumsum(lengths) - lengths)[pair_of_token]
+            tokens = np.array(first)[pair_of_token] + j
+            n = lengths[pair_of_token]
+            distinct_n = np.unique(n)
+            n_start = np.cumsum(distinct_n) - distinct_n
+            group = _Group(m, tokens, slot_start[tokens], tuple(distinct_n.tolist()),
+                           n_start[np.searchsorted(distinct_n, n)] + j)
+            block = np.zeros((m + 1, len(targets)), dtype=np.int64)
+            block[1:] = np.array(sources, dtype=np.int64)[pair_of_token].T
+            block *= n_targets
+            block += np.array(targets)
+            codes[group.slots()] = block
+            self.groups.append(group)
+        del by_length, slot_start, block
+
+        # Distinct codes numbered by first slot.  A stable sort keeps equal
+        # codes in corpus order, so each run of one code starts at its
+        # first slot.  (np.unique with return_index and return_inverse
+        # would hold about six slot-sized arrays at once.)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        run_start = np.empty(n_slots, dtype=bool)
+        run_start[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
+        key_codes = codes[run_start]
+        del codes
+        key_of_run = np.empty(len(key_codes), dtype=np.intp)
+        key_of_run[np.argsort(order[run_start])] = np.arange(len(key_codes))
+        run = np.cumsum(run_start, dtype=np.intp)
+        run -= 1
+        del run_start
+        self.slot_keys = np.empty(n_slots, dtype=np.intp)
+        self.slot_keys[order] = key_of_run[run]
+        del order, run
+        self.key_source = np.empty(len(key_codes), dtype=np.intp)
+        self.key_target = np.empty(len(key_codes), dtype=np.intp)
+        self.key_source[key_of_run] = key_codes // n_targets
+        self.key_target[key_of_run] = key_codes % n_targets
+
+    def uniform(self) -> np.ndarray:
+        """t(target | source) uniform over each source's co-occurring targets."""
+        return 1.0 / np.bincount(self.key_source)[self.key_source]
+
+    def e_step(
+        self, prob: np.ndarray, p0: float, tension: Optional[float]
+    ) -> tuple[float, np.ndarray, float]:
+        """(log-likelihood, expected count per key, tension gradient per
+        target token) under t = `prob` per key; no diagonal prior when
+        `tension` is None."""
+        posterior = prob[self.slot_keys]
+        z = np.empty(self.n_tokens)
+        grad = np.zeros(self.n_tokens)
+        for group in self.groups:
+            slots = group.slots()
+            scores = posterior[slots]
+            scores[0] *= p0
+            if tension is None:
+                scores[1:] *= (1.0 - p0) * (1.0 / group.m)
             else:
-                weights = [1.0 / m] * m
-            scores = [model.null_prob * model.prob(tgt, NULL_WORD)]
-            for i, src in enumerate(pair.source):
-                scores.append(
-                    (1.0 - model.null_prob) * weights[i] * model.prob(tgt, src)
-                )
-            z = sum(scores)
-            log_likelihood += math.log(z)
-            posterior = [s / z for s in scores]
-            counts.setdefault(NULL_WORD, {}).setdefault(tgt, 0.0)
-            counts[NULL_WORD][tgt] += posterior[0]
-            for i, src in enumerate(pair.source):
-                counts.setdefault(src, {}).setdefault(tgt, 0.0)
-                counts[src][tgt] += posterior[i + 1]
-            if model.use_diagonal_prior:
-                h = [-abs((i + 1) / m - (j + 1) / n) for i in range(m)]
-                expected_h = sum(w * hi for w, hi in zip(weights, h))
-                grad += sum(
-                    posterior[i + 1] * (h[i] - expected_h) for i in range(m)
-                )
-    return log_likelihood, counts, grad / n_target_tokens
+                weights, centred_h = group.prior(tension)
+                scores[1:] *= (1.0 - p0) * weights
+            group_z = _sum_rows(scores)
+            scores /= group_z
+            posterior[slots] = scores
+            z[group.tokens] = group_z
+            if tension is not None:
+                grad[group.tokens] = _sum_rows(scores[1:] * centred_h)
+        counts = np.bincount(self.slot_keys, weights=posterior, minlength=len(self.key_source))
+        log_likelihood = _left_sum(map(math.log, z.tolist()))
+        return log_likelihood, counts, _left_sum(grad.tolist()) / self.n_tokens
 
-
-def _normalize_counts(counts: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
-    table = {}
-    for src, row in counts.items():
-        total = sum(row.values())
-        if total == 0.0:
-            # NULL gets no mass when p0 = 0; leave the row out entirely.
-            continue
-        table[src] = {tgt: c / total for tgt, c in row.items()}
-    return table
-
-
-def _uniform_init(corpus: Sequence[BitextPair]) -> dict[str, dict[str, float]]:
-    cooc: dict[str, set[str]] = {NULL_WORD: set()}
-    for pair in corpus:
-        cooc[NULL_WORD].update(pair.target)
-        for src in pair.source:
-            cooc.setdefault(src, set()).update(pair.target)
-    return {
-        src: {tgt: 1.0 / len(targets) for tgt in sorted(targets)}
-        for src, targets in cooc.items()
-    }
+    def table(self, prob: np.ndarray, rows: np.ndarray) -> dict[str, dict[str, float]]:
+        """`prob` as a dict of dicts, keeping the source rows where `rows`
+        is true."""
+        order = np.argsort(self.key_source, kind="stable")
+        ends = np.cumsum(np.bincount(self.key_source)).tolist()
+        targets = [self.target_words[t] for t in self.key_target[order].tolist()]
+        probs = prob[order].tolist()
+        table = {}
+        start = 0
+        for source, end, keep in zip(self.source_words, ends, rows.tolist()):
+            if keep:
+                table[source] = dict(zip(targets[start:end], probs[start:end]))
+            start = end
+        return table
 
 
 def train_aligner(
@@ -142,42 +257,58 @@ def train_aligner(
     log_likelihoods: Optional[list[float]] = None,
 ) -> TranslationModel:
     """EM training.  `log_likelihoods` (if given) collects the corpus
-    log-likelihood observed at the start of each iteration."""
+    log-likelihood observed at the start of each iteration; each
+    iteration's log-likelihood and tension are also logged at INFO."""
     if not corpus:
         raise DataError("empty corpus")
     if not (0.0 <= p0 < 1.0):
         raise DataError("p0 must be in [0, 1)")
-    model = TranslationModel(
-        table=_uniform_init(corpus),
-        tension=initial_tension,
+    index = _CooccurrenceIndex(corpus)
+    prob = index.uniform()
+    has_mass = np.ones(len(index.source_words), dtype=bool)
+    tension = initial_tension
+    for iteration in range(1, iterations + 1):
+        ll, counts, grad = index.e_step(
+            prob, p0, tension if use_diagonal_prior else None
+        )
+        if log_likelihoods is not None:
+            log_likelihoods.append(ll)
+        totals = np.bincount(index.key_source, weights=counts, minlength=len(has_mass))
+        # A row with no mass (NULL when p0 = 0) is left out of the table,
+        # so its keys score OOV_PROB.
+        has_mass = totals != 0.0
+        prob = np.full(len(counts), OOV_PROB)
+        np.divide(counts, totals[index.key_source], out=prob, where=has_mass[index.key_source])
+        if use_diagonal_prior and update_tension:
+            tension = min(14.0, max(0.1, tension + grad))
+        logger.info(
+            "EM iteration %d/%d: log-likelihood %.6f, tension %.6f",
+            iteration, iterations, ll, tension,
+        )
+    return TranslationModel(
+        table=index.table(prob, has_mass),
+        tension=tension,
         null_prob=p0,
         use_diagonal_prior=use_diagonal_prior,
     )
-    for _ in range(iterations):
-        ll, counts, grad = _log_likelihood_and_counts(corpus, model)
-        if log_likelihoods is not None:
-            log_likelihoods.append(ll)
-        model.table = _normalize_counts(counts)
-        if use_diagonal_prior and update_tension:
-            model.tension = min(14.0, max(0.1, model.tension + grad))
-    return model
 
 
 def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignment:
     """Best source link (or NULL, omitted) per target word; ties go to
     the smaller source index, NULL wins only strictly."""
     m, n = len(pair.source), len(pair.target)
+    if model.use_diagonal_prior:
+        weights = _diagonal_prior(m, n, model.tension)[0].T.tolist()
+    else:
+        weights = [[1.0 / m] * m] * n
+    scale = 1.0 - model.null_prob
     links = set()
-    for j, tgt in enumerate(pair.target):
-        if model.use_diagonal_prior:
-            weights = _diagonal_weights(j, n, m, model.tension)
-        else:
-            weights = [1.0 / m] * m
+    for j, (tgt, column) in enumerate(zip(pair.target, weights)):
         null_score = model.null_prob * model.prob(tgt, NULL_WORD)
         best_i = None
         best_score = -1.0
-        for i, src in enumerate(pair.source):
-            score = (1.0 - model.null_prob) * weights[i] * model.prob(tgt, src)
+        for i, (src, weight) in enumerate(zip(pair.source, column)):
+            score = scale * weight * model.prob(tgt, src)
             if score > best_score:
                 best_score = score
                 best_i = i

@@ -84,8 +84,9 @@ EVAL_CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """key -> (raw value, "<path>:<line>" where the file sets it)."""
+    values: dict[str, tuple[str, str]] = {}
     with open_utf8(path) as fh:
         lines = list(fh)
     for lineno, raw in enumerate(lines, start=1):
@@ -98,23 +99,23 @@ def _parse_config_file(path: str) -> dict[str, str]:
             key, _, value = line.partition(" ")
         key, value = key.strip(), value.strip()
         if key not in EVAL_OPTIONS:
-            raise FormatError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = value
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = (value, f"{path}:{lineno}")
     return values
 
 
-def _coerce(key: str, raw: str) -> Any:
+def _coerce(key: str, raw: str, where: str) -> Any:
     typ, _ = EVAL_OPTIONS[key]
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise FormatError(f"config key {key!r}: expected a boolean, got {raw!r}")
+        raise FormatError(f"{where}: key {key!r}: expected a boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError:
-        raise FormatError(f"config key {key!r}: bad value {raw!r}")
+        raise FormatError(f"{where}: key {key!r}: bad value {raw!r}")
 
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
@@ -127,7 +128,7 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
         if cli_value is not None:
             resolved[key] = cli_value
         elif key in config:
-            resolved[key] = _coerce(key, config[key])
+            resolved[key] = _coerce(key, *config[key])
         else:
             resolved[key] = default
     return resolved

@@ -3,7 +3,9 @@
 These deliberately avoid the library's code paths: they parse the raw
 marked-text lines themselves, count n-grams over string slices, run the
 edit-distance recursion with a memo table, and re-run EM with plain
-tuple-keyed dictionaries.
+tuple-keyed dictionaries.  The EM loop trainer is the exception: it is
+the dict-of-dicts implementation the library replaced, kept as its
+bit-exact reference.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ import sys
 import unicodedata
 from collections import defaultdict
 from functools import lru_cache
+from typing import Optional, Sequence
+
+from subeval.align import (
+    NULL_WORD,
+    BitextPair,
+    SentenceAlignment,
+    TranslationModel,
+)
+from subeval.errors import DataError
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +260,152 @@ def em_train(
             if row_totals[key[0]] > 0
         }
     return t
+
+
+# ---------------------------------------------------------------------------
+# EM alignment as the dict-of-dicts loop trainer computed it
+#
+# `em_train_loop` and `viterbi_loop` are the loop implementation that
+# `subeval.align` vectorised, kept as the bit-exact reference: the
+# vectorised trainer must give `==` tables, tension and log-likelihoods.
+# The one edit to the copied code is that every built-in `sum` over
+# floats is spelled `_left_sum`, the plain left-to-right addition that
+# `sum` performs up to CPython 3.11 (3.12 made it compensated), so the
+# reference means the same on every supported Python.
+
+
+def _left_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _diagonal_weights(j: int, n: int, m: int, tension: float) -> list[float]:
+    # 1-based position ratios, as in the reparameterized model.
+    weights = [
+        math.exp(-tension * abs((i + 1) / m - (j + 1) / n)) for i in range(m)
+    ]
+    z = _left_sum(weights)
+    return [w / z for w in weights]
+
+
+def _log_likelihood_and_counts(
+    corpus: Sequence[BitextPair],
+    model: TranslationModel,
+) -> tuple[float, dict[str, dict[str, float]], float]:
+    """One E-step: returns (log-likelihood, expected counts, tension
+    gradient per target token)."""
+    counts: dict[str, dict[str, float]] = {}
+    log_likelihood = 0.0
+    grad = 0.0
+    n_target_tokens = 0
+    for pair in corpus:
+        m, n = len(pair.source), len(pair.target)
+        n_target_tokens += n
+        for j, tgt in enumerate(pair.target):
+            if model.use_diagonal_prior:
+                weights = _diagonal_weights(j, n, m, model.tension)
+            else:
+                weights = [1.0 / m] * m
+            scores = [model.null_prob * model.prob(tgt, NULL_WORD)]
+            for i, src in enumerate(pair.source):
+                scores.append(
+                    (1.0 - model.null_prob) * weights[i] * model.prob(tgt, src)
+                )
+            z = _left_sum(scores)
+            log_likelihood += math.log(z)
+            posterior = [s / z for s in scores]
+            counts.setdefault(NULL_WORD, {}).setdefault(tgt, 0.0)
+            counts[NULL_WORD][tgt] += posterior[0]
+            for i, src in enumerate(pair.source):
+                counts.setdefault(src, {}).setdefault(tgt, 0.0)
+                counts[src][tgt] += posterior[i + 1]
+            if model.use_diagonal_prior:
+                h = [-abs((i + 1) / m - (j + 1) / n) for i in range(m)]
+                expected_h = _left_sum(w * hi for w, hi in zip(weights, h))
+                grad += _left_sum(
+                    posterior[i + 1] * (h[i] - expected_h) for i in range(m)
+                )
+    return log_likelihood, counts, grad / n_target_tokens
+
+
+def _normalize_counts(counts: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+    table = {}
+    for src, row in counts.items():
+        total = _left_sum(row.values())
+        if total == 0.0:
+            # NULL gets no mass when p0 = 0; leave the row out entirely.
+            continue
+        table[src] = {tgt: c / total for tgt, c in row.items()}
+    return table
+
+
+def _uniform_init(corpus: Sequence[BitextPair]) -> dict[str, dict[str, float]]:
+    cooc: dict[str, set[str]] = {NULL_WORD: set()}
+    for pair in corpus:
+        cooc[NULL_WORD].update(pair.target)
+        for src in pair.source:
+            cooc.setdefault(src, set()).update(pair.target)
+    return {
+        src: {tgt: 1.0 / len(targets) for tgt in sorted(targets)}
+        for src, targets in cooc.items()
+    }
+
+
+def em_train_loop(
+    corpus: Sequence[BitextPair],
+    iterations: int = 5,
+    use_diagonal_prior: bool = True,
+    p0: float = 0.08,
+    initial_tension: float = 4.0,
+    update_tension: bool = True,
+    log_likelihoods: Optional[list[float]] = None,
+) -> TranslationModel:
+    """EM training.  `log_likelihoods` (if given) collects the corpus
+    log-likelihood observed at the start of each iteration."""
+    if not corpus:
+        raise DataError("empty corpus")
+    if not (0.0 <= p0 < 1.0):
+        raise DataError("p0 must be in [0, 1)")
+    model = TranslationModel(
+        table=_uniform_init(corpus),
+        tension=initial_tension,
+        null_prob=p0,
+        use_diagonal_prior=use_diagonal_prior,
+    )
+    for _ in range(iterations):
+        ll, counts, grad = _log_likelihood_and_counts(corpus, model)
+        if log_likelihoods is not None:
+            log_likelihoods.append(ll)
+        model.table = _normalize_counts(counts)
+        if use_diagonal_prior and update_tension:
+            model.tension = min(14.0, max(0.1, model.tension + grad))
+    return model
+
+
+def viterbi_loop(model: TranslationModel, pair: BitextPair) -> SentenceAlignment:
+    """Best source link (or NULL, omitted) per target word; ties go to
+    the smaller source index, NULL wins only strictly."""
+    m, n = len(pair.source), len(pair.target)
+    links = set()
+    for j, tgt in enumerate(pair.target):
+        if model.use_diagonal_prior:
+            weights = _diagonal_weights(j, n, m, model.tension)
+        else:
+            weights = [1.0 / m] * m
+        null_score = model.null_prob * model.prob(tgt, NULL_WORD)
+        best_i = None
+        best_score = -1.0
+        for i, src in enumerate(pair.source):
+            score = (1.0 - model.null_prob) * weights[i] * model.prob(tgt, src)
+            if score > best_score:
+                best_score = score
+                best_i = i
+        if null_score > best_score:
+            continue
+        links.add((best_i, j))
+    return SentenceAlignment(frozenset(links))
 
 
 # ---------------------------------------------------------------------------

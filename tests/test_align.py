@@ -1,10 +1,14 @@
+import logging
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from subeval.align import (
     NULL_WORD,
+    OOV_PROB,
     BitextPair,
     SentenceAlignment,
     TranslationModel,
@@ -98,6 +102,70 @@ def test_em_matches_brute_force_oracle_diagonal():
     for (src, tgt), prob in expected.items():
         key = NULL_WORD if src is None else src
         assert model.prob(tgt, key) == pytest.approx(prob, rel=1e-9)
+
+
+_words = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4)
+_bitext = st.lists(
+    st.builds(
+        BitextPair,
+        _words.map(tuple),
+        _words.map(lambda ws: tuple(w.upper() for w in ws)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpus=_bitext,
+    diagonal=st.booleans(),
+    p0=st.sampled_from([0.0, 0.08, 0.5]),
+    update_tension=st.booleans(),
+    iterations=st.integers(0, 4),
+    tension=st.sampled_from([0.1, 4.0, 14.0]),
+)
+@example(  # m = 1 and a word repeated within each side
+    corpus=[pair("a", "A A"), pair("b a b", "B A")],
+    diagonal=True, p0=0.0, update_tension=True, iterations=4, tension=4.0,
+)
+def test_em_and_viterbi_match_loop_oracle_exactly(
+    corpus, diagonal, p0, update_tension, iterations, tension
+):
+    options = dict(
+        iterations=iterations,
+        use_diagonal_prior=diagonal,
+        p0=p0,
+        initial_tension=tension,
+        update_tension=update_tension,
+    )
+    lls, expected_lls = [], []
+    model = train_aligner(corpus, log_likelihoods=lls, **options)
+    expected = oracles.em_train_loop(corpus, log_likelihoods=expected_lls, **options)
+    assert model.table == expected.table
+    assert model.tension == expected.tension
+    assert lls == expected_lls
+    for test_pair in corpus + [pair("a d", "D C A")]:
+        assert viterbi_align(model, test_pair).links == oracles.viterbi_loop(expected, test_pair).links
+
+
+def test_zero_mass_null_row_dropped_without_zero_division():
+    corpus = [pair("a b", "A B"), pair("b", "B")]
+    with np.errstate(divide="raise", invalid="raise"):
+        model = train_aligner(corpus, iterations=3, p0=0.0)
+    assert NULL_WORD not in model.table
+    assert model.prob("A", NULL_WORD) == OOV_PROB
+
+
+def test_training_logs_each_iteration(caplog):
+    lls = []
+    with caplog.at_level(logging.INFO, logger="subeval.align"):
+        model = train_aligner(TOY_CORPUS, iterations=3, log_likelihoods=lls)
+    messages = [r.getMessage() for r in caplog.records if r.name == "subeval.align"]
+    assert len(messages) == 3
+    for iteration, (message, ll) in enumerate(zip(messages, lls), start=1):
+        assert message.startswith(f"EM iteration {iteration}/3: log-likelihood {ll:.6f}, tension ")
+    assert messages[-1].endswith(f"tension {model.tension:.6f}")
 
 
 def test_tension_clamped_and_updated():

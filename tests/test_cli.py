@@ -265,6 +265,22 @@ def test_eval_config_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("no-such-option = 1", "unknown key 'no-such-option'"),
+        ("lenient = maybe", "key 'lenient': expected a boolean, got 'maybe'"),
+        ("max-cpl = wide", "key 'max-cpl': bad value 'wide'"),
+    ],
+)
+def test_eval_config_error_names_file_and_line(tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"# settings\n\nsystem-name = x\n{line}\n")
+    code = main(["eval", "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config}:4: {message}\n"
+
+
 def test_eval_byte_identical_reruns(micro_paths, tmp_path):
     out = tmp_path / "report.json"
     args = eval_args(micro_paths, "--out", "both", "--out-file", str(out))
@@ -296,6 +312,18 @@ def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeyp
     for name in ("report.out", "diag.jsonl"):
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_align_train_and_apply_match_golden(tmp_path):
+    bitext = os.path.join(GOLDEN, "bitext.txt")
+    model, out = tmp_path / "model.tsv", tmp_path / "align.out"
+    assert main(["align", "train", "--train-bitext", bitext, "--model-out", str(model)]) == 0
+    assert main(
+        ["align", "apply", "--model", str(model), "--bitext", bitext, "--out-file", str(out)]
+    ) == 0
+    for path in (model, out):
+        with open(os.path.join(GOLDEN, path.name), "rb") as fh:
+            assert path.read_bytes() == fh.read(), path.name
 
 
 def test_eval_diagnostics_jsonl(micro_paths, tmp_path, capsys):
