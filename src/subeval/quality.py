@@ -7,7 +7,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,30 +52,32 @@ class SignificanceResult:
 def edit_operations(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
     """Levenshtein operations (S, D, I) turning `ref` into `hyp`, unit
     costs, ties resolved toward substitutions."""
-    n, m = len(ref), len(hyp)
-    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-    dp[:, 0] = np.arange(n + 1)
-    dp[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        prev = dp[i - 1]
-        cur = dp[i]
-        ref_word = ref[i - 1]
-        for j in range(1, m + 1):
-            if ref_word == hyp[j - 1]:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
+    rows = [list(range(len(hyp) + 1))]
+    for i, ref_word in enumerate(ref, 1):
+        prev = rows[-1]
+        cur = [i]
+        for j, hyp_word in enumerate(hyp):
+            cost = prev[j]
+            if ref_word != hyp_word:
+                if prev[j + 1] < cost:
+                    cost = prev[j + 1]
+                if cur[j] < cost:
+                    cost = cur[j]
+                cost += 1
+            cur.append(cost)
+        rows.append(cur)
     subs = dels = ins = 0
-    i, j = n, m
+    i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
+        cost = rows[i][j]
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and cost == rows[i - 1][j - 1]:
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
+        elif i > 0 and j > 0 and cost == rows[i - 1][j - 1] + 1:
             subs += 1
             i -= 1
             j -= 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+        elif i > 0 and cost == rows[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:
@@ -87,23 +90,38 @@ def _wer_words(utt: Utterance) -> list[str]:
     return normalize_for_wer(tokenize(utt.text(), Scheme.WHITESPACE))
 
 
-def wer_segment_stats(
-    hyp: Sequence[Utterance], ref: Sequence[Utterance]
-) -> list[tuple[int, int, int, int]]:
-    """Per-utterance (S, D, I, reference_length) after WER normalization."""
+def _check_count(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> None:
     if len(hyp) != len(ref):
         raise DataError(f"utterance count mismatch: {len(hyp)} vs {len(ref)}")
-    stats = []
-    for h, r in zip(hyp, ref):
-        hyp_words = _wer_words(h)
-        ref_words = _wer_words(r)
-        if not ref_words and hyp_words:
+
+
+def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[tuple[int, int, int, int]]:
+    """(S, D, I, reference_length) of each hypothesis against one
+    reference, which is normalized once."""
+    ref_words = _wer_words(ref)
+    return [(*edit_operations(_wer_words(h), ref_words), len(ref_words)) for h in hyps]
+
+
+def _warn_empty_references(
+    edits_and_lengths: Iterable[Sequence[int]], ref: Sequence[Utterance]
+) -> None:
+    # Against an empty reference every edit is an insertion, so edits
+    # mean the hypothesis had words.
+    for (edits, ref_len), r in zip(edits_and_lengths, ref):
+        if ref_len == 0 and edits:
             log.warning(
                 "utterance %s: empty reference after normalization; "
                 "hypothesis words counted as insertions", r.id,
             )
-        s, d, i = edit_operations(hyp_words, ref_words)
-        stats.append((s, d, i, len(ref_words)))
+
+
+def wer_segment_stats(
+    hyp: Sequence[Utterance], ref: Sequence[Utterance]
+) -> list[tuple[int, int, int, int]]:
+    """Per-utterance (S, D, I, reference_length) after WER normalization."""
+    _check_count(hyp, ref)
+    stats = [_wer_segment((h,), r)[0] for h, r in zip(hyp, ref)]
+    _warn_empty_references([(s + d + i, n) for s, d, i, n in stats], ref)
     return stats
 
 
@@ -111,11 +129,7 @@ def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
     """Corpus WER on unpunctuated, lowercased text, breaks removed."""
     if not ref:
         raise DataError("empty corpus")
-    stats = wer_segment_stats(hyp, ref)
-    subs = sum(s for s, _, _, _ in stats)
-    dels = sum(d for _, d, _, _ in stats)
-    ins = sum(i for _, _, i, _ in stats)
-    ref_len = sum(n for _, _, _, n in stats)
+    subs, dels, ins, ref_len = map(sum, zip(*wer_segment_stats(hyp, ref)))
     if ref_len == 0:
         raise DataError("reference corpus is empty after normalization")
     return WerBreakdown(
@@ -134,13 +148,33 @@ def _bleu_tokens(utt: Utterance, keep_breaks: bool) -> list[str]:
     return tokens.words()
 
 
-def _ngram_counts(words: Sequence[str]) -> list[Counter]:
-    counts = []
-    for n in range(1, NGRAM_ORDER + 1):
-        counts.append(
-            Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+def _ngram_counts(words: Sequence[str]) -> Counter:
+    """Counts of every 1- to 4-gram, keyed by tuple: a key's length is
+    its order."""
+    return Counter(
+        chain.from_iterable(
+            zip(*(words[i:] for i in range(n))) for n in range(1, NGRAM_ORDER + 1)
         )
-    return counts
+    )
+
+
+def _bleu_segment(
+    hyps: Sequence[Utterance], ref: Utterance, keep_breaks: bool
+) -> list[tuple[list[int], list[int], int, int]]:
+    """(correct[4], total[4], hyp_len, ref_len) of each hypothesis
+    against one reference, which is tokenized and counted once."""
+    ref_words = _bleu_tokens(ref, keep_breaks)
+    ref_counts = _ngram_counts(ref_words)
+    stats = []
+    for hyp in hyps:
+        hyp_words = _bleu_tokens(hyp, keep_breaks)
+        hyp_counts = _ngram_counts(hyp_words)
+        correct = [0] * NGRAM_ORDER
+        for gram in hyp_counts.keys() & ref_counts.keys():
+            correct[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
+        total = [max(len(hyp_words) - n, 0) for n in range(NGRAM_ORDER)]
+        stats.append((correct, total, len(hyp_words), len(ref_words)))
+    return stats
 
 
 def bleu_segment_stats(
@@ -148,25 +182,8 @@ def bleu_segment_stats(
 ) -> list[tuple[list[int], list[int], int, int]]:
     """Per-utterance (correct[4], total[4], hyp_len, ref_len) sufficient
     statistics under 13a tokenization."""
-    if len(hyp) != len(ref):
-        raise DataError(f"utterance count mismatch: {len(hyp)} vs {len(ref)}")
-    stats = []
-    for h, r in zip(hyp, ref):
-        hyp_words = _bleu_tokens(h, keep_breaks)
-        ref_words = _bleu_tokens(r, keep_breaks)
-        hyp_ngrams = _ngram_counts(hyp_words)
-        ref_ngrams = _ngram_counts(ref_words)
-        correct = []
-        total = []
-        for n in range(NGRAM_ORDER):
-            matched = sum(
-                min(count, ref_ngrams[n][gram])
-                for gram, count in hyp_ngrams[n].items()
-            )
-            correct.append(matched)
-            total.append(sum(hyp_ngrams[n].values()))
-        stats.append((correct, total, len(hyp_words), len(ref_words)))
-    return stats
+    _check_count(hyp, ref)
+    return [_bleu_segment((h,), r, keep_breaks)[0] for h, r in zip(hyp, ref)]
 
 
 def bleu_from_stats(
@@ -238,82 +255,62 @@ def bootstrap_significance(
         raise DataError(f"need at least 2 segments, got {n}")
     if resamples < 1:
         raise DataError("resamples must be positive")
+    if metric not in ("bleu", "wer"):
+        raise DataError(f"unknown metric {metric!r}")
+    _check_count(hyp_a, ref)
+    _check_count(hyp_b, ref)
+    # WER is negated so that higher is better for both metrics.  Negation
+    # is exact, so every comparison and difference below is unchanged.
     if metric == "bleu":
-        stats_a = bleu_segment_stats(hyp_a, ref, keep_breaks=keep_breaks)
-        stats_b = bleu_segment_stats(hyp_b, ref, keep_breaks=keep_breaks)
+        width = 2 * NGRAM_ORDER + 2
 
-        def pack(stats):
-            correct = np.array([seg[0] for seg in stats], dtype=np.int64)
-            total = np.array([seg[1] for seg in stats], dtype=np.int64)
-            hyp_len = np.array([seg[2] for seg in stats], dtype=np.int64)
-            ref_len = np.array([seg[3] for seg in stats], dtype=np.int64)
-            return correct, total, hyp_len, ref_len
+        def row(a: Utterance, b: Utterance, r: Utterance) -> list[int]:
+            stats = _bleu_segment((a, b), r, keep_breaks)
+            return [x for correct, total, *lengths in stats for x in (*correct, *total, *lengths)]
 
-        arrays_a = pack(stats_a)
-        arrays_b = pack(stats_b)
+        def score(sums: list[int]) -> float:
+            return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9]).score
 
-        def score(arrays, idx) -> float:
-            correct, total, hyp_len, ref_len = arrays
-            return bleu_from_stats(
-                list(correct[idx].sum(axis=0)),
-                list(total[idx].sum(axis=0)),
-                int(hyp_len[idx].sum()),
-                int(ref_len[idx].sum()),
-            ).score
+    else:
+        width = 2
 
-        higher_is_better = True
-    elif metric == "wer":
-        stats_a = wer_segment_stats(hyp_a, ref)
-        stats_b = wer_segment_stats(hyp_b, ref)
+        def row(a: Utterance, b: Utterance, r: Utterance) -> list[int]:
+            return [x for s, d, i, ref_len in _wer_segment((a, b), r) for x in (s + d + i, ref_len)]
 
-        def pack(stats):
-            edits = np.array([s + d + i for s, d, i, _ in stats], dtype=np.int64)
-            ref_len = np.array([n_ref for _, _, _, n_ref in stats], dtype=np.int64)
-            return edits, ref_len
-
-        arrays_a = pack(stats_a)
-        arrays_b = pack(stats_b)
-
-        def score(arrays, idx) -> float:
-            edits, ref_len = arrays
-            total_ref = ref_len[idx].sum()
+        def score(sums: list[int]) -> float:
+            edits, total_ref = sums
             if total_ref == 0:
                 raise DataError("resample has empty reference")
-            return 100.0 * edits[idx].sum() / total_ref
+            return -100.0 * edits / total_ref
 
-        higher_is_better = False
-    else:
-        raise DataError(f"unknown metric {metric!r}")
-
-    full_idx = np.arange(n)
-    full_a = score(arrays_a, full_idx)
-    full_b = score(arrays_b, full_idx)
-    if higher_is_better:
-        a_is_better = full_a >= full_b
-    else:
-        a_is_better = full_a <= full_b
-    better = (arrays_a, "A") if a_is_better else (arrays_b, "B")
-    worse = (arrays_b, "B") if a_is_better else (arrays_a, "A")
+    # One row per segment: A's statistics, then B's.
+    both = np.empty((n, 2 * width), dtype=np.int64)
+    for i, segment in enumerate(zip(hyp_a, hyp_b, ref)):
+        both[i] = row(*segment)
+    if metric == "wer":
+        _warn_empty_references(both[:, :2].tolist(), ref)
+        _warn_empty_references(both[:, 2:].tolist(), ref)
+    full = both.sum(axis=0).tolist()
+    a_is_better = score(full[:width]) >= score(full[width:])
+    # Better system first, one row per statistic.  Integer sums are exact,
+    # so a resample's sums do not depend on the order of addition.
+    both = np.ascontiguousarray((both if a_is_better else np.roll(both, width, axis=1)).T)
 
     rng = np.random.default_rng(seed)
     wins_against = 0
     delta_sum = 0.0
     for _ in range(resamples):
         idx = rng.integers(0, n, size=n)
-        better_score = score(better[0], idx)
-        worse_score = score(worse[0], idx)
-        if higher_is_better:
-            if worse_score >= better_score:
-                wins_against += 1
-            delta_sum += better_score - worse_score
-        else:
-            if worse_score <= better_score:
-                wins_against += 1
-            delta_sum += worse_score - better_score
+        sums = (both @ np.bincount(idx, minlength=n)).tolist()
+        better_score = score(sums[:width])
+        worse_score = score(sums[width:])
+        if worse_score >= better_score:
+            wins_against += 1
+        delta_sum += better_score - worse_score
     return SignificanceResult(
         p_value=wins_against / resamples,
         resamples=resamples,
         delta_mean=delta_sum / resamples,
         seed=seed,
-        better_system=better[1],
+        better_system="A" if a_is_better else "B",
     )

@@ -76,7 +76,8 @@ class TaggedUtterance:
 
 _BREAK_SPLIT_RE = re.compile(f"({EOB}|{EOL})")
 
-_13A_PUNCT_RE = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+# 13a pads these 29 ASCII characters, the space among them, with spaces.
+_13A_PUNCT_TABLE = str.maketrans({ch: f" {ch} " for ch in "{|}~[\\]^_` !\"#$%&()*+:;<=>?@/"})
 _13A_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
 _13A_DOT_COMMA_RIGHT_RE = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH_RE = re.compile(r"([0-9])(-)")
@@ -89,8 +90,7 @@ def _tokenize_13a_span(span: str) -> list[str]:
     norm = norm.replace("&amp;", "&")
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
-    norm = f" {norm} "
-    norm = _13A_PUNCT_RE.sub(r" \1 ", norm)
+    norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
     norm = _13A_DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
     norm = _13A_DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
     norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)

@@ -445,6 +445,20 @@ def test_significance_self_comparison(micro_paths, capsys):
     assert result["seed"] == 42
 
 
+def test_significance_matches_golden(capsys):
+    # significance.{a,b,ref}.srt are `perfbench/gen.py --workload
+    # significance-srt --seed 7 --scale 0.015` (150 cues); bleu.json and
+    # wer.json are what the CLI printed before the bootstrap scored each
+    # reference once and resampled with count vectors.
+    docs = {name: os.path.join(GOLDEN, f"significance.{name}.srt") for name in ("a", "b", "ref")}
+    for metric in ("bleu", "wer"):
+        args = ["significance", "--metric", metric, "--resamples", "1000", "--seed", "3"]
+        args += ["--hyp-a", docs["a"], "--hyp-b", docs["b"], "--ref", docs["ref"], "--format", "srt"]
+        assert main(args) == 0
+        with open(os.path.join(GOLDEN, f"{metric}.json"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read(), metric
+
+
 def test_significance_zero_resamples_is_usage_error(micro_paths, capsys):
     code = main(
         [

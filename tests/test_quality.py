@@ -1,17 +1,21 @@
+import logging
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
+from subeval.model import SubtitleBlock, SubtitleLine, Utterance
 from subeval.quality import (
     bleu_segment_stats,
     bootstrap_significance,
     corpus_bleu,
     edit_operations,
     wer,
+    wer_segment_stats,
 )
 
 
@@ -89,6 +93,18 @@ def test_edit_operations_match_oracle_distance():
         hyp = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
         s, d, i = edit_operations(hyp, ref)
         assert s + d + i == oracles.edit_distance(hyp, ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    hyp=st.lists(st.sampled_from("abc"), max_size=12),
+    ref=st.lists(st.sampled_from("abc"), max_size=12),
+)
+@example(hyp=[], ref=[])
+@example(hyp=[], ref=list("aab"))
+@example(hyp=list("aab"), ref=[])
+def test_edit_operations_match_matrix_oracle(hyp, ref):
+    assert edit_operations(hyp, ref) == oracles.edit_operations_matrix(hyp, ref)
 
 
 def test_corpus_wer_matches_oracle(micro_docs, micro_raw):
@@ -245,3 +261,111 @@ def test_bleu_segment_stats_sum_to_corpus(micro_docs):
     stats = bleu_segment_stats(hyp, ref)
     assert len(stats) == len(ref)
     assert sum(seg[3] for seg in stats) > 0
+
+
+# ---------------------------------------------------------------------------
+# Bootstrap against the numpy-matrix implementation it replaced
+
+_PIECES = [
+    "a", "b", "the", "cat", "Cat", "sat", "Hello,", "world!", "1,000", "3.14",
+    "x-y", "2-3", "(so)", "&amp;", "&quot;hi&quot;", "<skipped>", "don't", "...", "é",
+]
+
+
+def utterance(uid, pieces):
+    """An utterance from text pieces; `<eob>` and `<eol>` start a new
+    block or line, so adjacent breaks make empty lines."""
+    blocks = [[[]]]
+    for piece in pieces:
+        if piece == "<eob>":
+            blocks.append([[]])
+        elif piece == "<eol>":
+            blocks[-1].append([])
+        else:
+            blocks[-1][-1].append(piece)
+    return Utterance(
+        uid,
+        tuple(SubtitleBlock(tuple(SubtitleLine(" ".join(line)) for line in lines)) for lines in blocks),
+    )
+
+
+@st.composite
+def _significance_case(draw):
+    n = draw(st.integers(2, 30))
+    corpus = st.lists(
+        st.lists(st.sampled_from(_PIECES + ["<eob>", "<eol>"]), max_size=8), min_size=n, max_size=n
+    )
+    ref = draw(corpus)
+    hyp_a = draw(corpus)
+    hyp_b = hyp_a if draw(st.booleans()) else draw(corpus)
+    return [[utterance(f"u{i}", pieces) for i, pieces in enumerate(doc)] for doc in (hyp_a, hyp_b, ref)]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_significance_case(),
+    metric=st.sampled_from(["bleu", "wer"]),
+    keep_breaks=st.booleans(),
+    resamples=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_matches_numpy_oracle_exactly(case, metric, keep_breaks, resamples, seed):
+    hyp_a, hyp_b, ref = case
+    kwargs = dict(metric=metric, resamples=resamples, seed=seed, keep_breaks=keep_breaks)
+    got = _outcome(bootstrap_significance, hyp_a, hyp_b, ref, **kwargs)
+    want = _outcome(oracles.bootstrap_numpy, hyp_a, hyp_b, ref, **kwargs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.p_value, got.delta_mean, got.better_system) == (
+            want.p_value, want.delta_mean, want.better_system,
+        )
+        assert (got.resamples, got.seed) == (want.resamples, want.seed)
+    for hyp in (hyp_a, hyp_b):
+        assert bleu_segment_stats(hyp, ref, keep_breaks) == oracles.bleu_segment_stats(
+            hyp, ref, keep_breaks
+        )
+        assert wer_segment_stats(hyp, ref) == oracles.wer_segment_stats(hyp, ref)
+
+
+@pytest.mark.parametrize(
+    "sizes, metric, resamples, message",
+    [
+        ((1, 3, 1), "chrf", 0, "need at least 2 segments, got 1"),
+        ((2, 3, 2), "chrf", 0, "resamples must be positive"),
+        ((2, 3, 2), "chrf", 1, "unknown metric 'chrf'"),
+        ((3, 4, 2), "wer", 1, "utterance count mismatch: 3 vs 2"),
+        ((2, 4, 3), "bleu", 1, "utterance count mismatch: 2 vs 3"),
+        ((2, 3, 2), "bleu", 1, "utterance count mismatch: 3 vs 2"),
+        ((2, 1, 2), "wer", 1, "utterance count mismatch: 1 vs 2"),
+    ],
+)
+def test_bootstrap_errors_in_oracle_order(sizes, metric, resamples, message):
+    hyp_a, hyp_b, ref = ([utterance(f"u{i}", ["a", "b"]) for i in range(k)] for k in sizes)
+    for fn in (bootstrap_significance, oracles.bootstrap_numpy):
+        with pytest.raises(DataError) as info:
+            fn(hyp_a, hyp_b, ref, metric=metric, resamples=resamples)
+        assert str(info.value) == message
+
+
+def test_bootstrap_wer_warns_for_a_then_b(caplog):
+    ref = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a b", "...", "c", "!"])]
+    hyp_a = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a b", "x", "c", "y z"])]
+    hyp_b = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a", "w", "c d", "v"])]
+    outcomes, messages = [], []
+    for fn in (bootstrap_significance, oracles.bootstrap_numpy):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            outcomes.append(_outcome(fn, hyp_a, hyp_b, ref, metric="wer", resamples=20, seed=1))
+        messages.append([record.getMessage() for record in caplog.records])
+    warning = "utterance {}: empty reference after normalization; hypothesis words counted as insertions"
+    assert messages[0] == [warning.format(uid) for uid in ("u1", "u3", "u1", "u3")]
+    assert messages[1] == messages[0]
+    assert outcomes[0] == outcomes[1]

@@ -1,3 +1,4 @@
+import string
 import sys
 
 import pytest
@@ -55,6 +56,32 @@ mt_text = st.lists(
 @given(text=mt_text, lang=st.sampled_from(["en", "fr"]))
 def test_mt_tokenize_matches_regex_oracle(text, lang):
     assert surfaces(text, Scheme.MT_DETACHED, lang) == oracles.mt_tokens(text, lang)
+
+
+def test_13a_punct_table_matches_regex_oracle_on_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = oracles._13A_PUNCT_RE.sub(r" \1 ", text)
+    assert text.translate(textproc._13A_PUNCT_TABLE) == expected
+
+
+_13A_PIECES = [
+    "<skipped>", "&quot;", "&amp;", "&lt;", "&gt;", "&", ";", "1,000", "3.14", "2-3", "a-b",
+    ".5", "5.", "..", ",,", "x", "Hello", "don't", "é", " ", "  ", "\t",
+]
+
+text_13a = st.lists(
+    st.one_of(
+        st.sampled_from(_13A_PIECES + list(string.punctuation + string.digits)),
+        st.characters(),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=text_13a)
+def test_13a_tokenize_matches_regex_oracle(text):
+    assert textproc._tokenize_13a_span(text) == oracles._tokenize_13a_span(text)
 
 
 def test_whitespace_scheme():
