@@ -18,7 +18,6 @@ from subeval.consistency import (
 )
 from subeval.markers import load_marked_text
 from subeval.model import pair_documents
-from subeval.textproc import Scheme
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "..", "tests", "data", "paper_example")
@@ -33,8 +32,8 @@ align_s2c = load_pharaoh(os.path.join(DATA, "align.s2c"))[0]
 
 # Every non-break token belongs to a block; the map is what the
 # lexical metric compares across sides.
-cap_map = block_index_map(pair.caption, Scheme.MT_DETACHED, "en")
-sub_map = block_index_map(pair.subtitle, Scheme.MT_DETACHED, "fr")
+cap_map = block_index_map(pair.caption, "en")
+sub_map = block_index_map(pair.subtitle, "fr")
 print(f"caption : {cap_map.words} tokens in {cap_map.blocks} blocks")
 print(f"subtitle: {sub_map.words} tokens in {sub_map.blocks} blocks")
 

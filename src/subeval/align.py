@@ -45,13 +45,6 @@ class BitextPair:
 class SentenceAlignment:
     links: frozenset[tuple[int, int]]
 
-    def validate(self, pair: BitextPair, context: str = "?") -> None:
-        for i, j in self.links:
-            if not (0 <= i < len(pair.source)) or not (0 <= j < len(pair.target)):
-                raise DataError(
-                    f"alignment link {i}-{j} out of bounds (utterance {context!r})"
-                )
-
 
 @dataclass
 class TranslationModel:
@@ -81,6 +74,12 @@ def _diagonal_prior(m: int, n: int, tension: float) -> tuple[np.ndarray, np.ndar
     centred_h = h - _sum_rows(weights * h)
     weights.flags.writeable = centred_h.flags.writeable = False
     return weights, centred_h
+
+
+def _prior_tension(use_diagonal_prior: bool, tension: float) -> float:
+    """The tension the aligner scores with.  Without the diagonal prior it
+    is 0: every weight is then exp(0) / m = 1 / m, IBM Model 1."""
+    return tension if use_diagonal_prior else 0.0
 
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -204,29 +203,24 @@ class _CooccurrenceIndex:
         return 1.0 / np.bincount(self.key_source)[self.key_source]
 
     def e_step(
-        self, prob: np.ndarray, p0: float, tension: Optional[float]
+        self, prob: np.ndarray, p0: float, tension: float
     ) -> tuple[float, np.ndarray, float]:
         """(log-likelihood, expected count per key, tension gradient per
-        target token) under t = `prob` per key; no diagonal prior when
-        `tension` is None."""
+        target token) under t = `prob` per key."""
         posterior = prob[self.slot_keys]
         z = np.empty(self.n_tokens)
         grad = np.zeros(self.n_tokens)
         for group in self.groups:
             slots = group.slots()
             scores = posterior[slots]
+            weights, centred_h = group.prior(tension)
             scores[0] *= p0
-            if tension is None:
-                scores[1:] *= (1.0 - p0) * (1.0 / group.m)
-            else:
-                weights, centred_h = group.prior(tension)
-                scores[1:] *= (1.0 - p0) * weights
+            scores[1:] *= (1.0 - p0) * weights
             group_z = _sum_rows(scores)
             scores /= group_z
             posterior[slots] = scores
             z[group.tokens] = group_z
-            if tension is not None:
-                grad[group.tokens] = _sum_rows(scores[1:] * centred_h)
+            grad[group.tokens] = _sum_rows(scores[1:] * centred_h)
         counts = np.bincount(self.slot_keys, weights=posterior, minlength=len(self.key_source))
         log_likelihood = _left_sum(map(math.log, z.tolist()))
         return log_likelihood, counts, _left_sum(grad.tolist()) / self.n_tokens
@@ -268,9 +262,7 @@ def train_aligner(
     has_mass = np.ones(len(index.source_words), dtype=bool)
     tension = initial_tension
     for iteration in range(1, iterations + 1):
-        ll, counts, grad = index.e_step(
-            prob, p0, tension if use_diagonal_prior else None
-        )
+        ll, counts, grad = index.e_step(prob, p0, _prior_tension(use_diagonal_prior, tension))
         if log_likelihoods is not None:
             log_likelihoods.append(ll)
         totals = np.bincount(index.key_source, weights=counts, minlength=len(has_mass))
@@ -296,11 +288,8 @@ def train_aligner(
 def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignment:
     """Best source link (or NULL, omitted) per target word; ties go to
     the smaller source index, NULL wins only strictly."""
-    m, n = len(pair.source), len(pair.target)
-    if model.use_diagonal_prior:
-        weights = _diagonal_prior(m, n, model.tension)[0].T.tolist()
-    else:
-        weights = [[1.0 / m] * m] * n
+    tension = _prior_tension(model.use_diagonal_prior, model.tension)
+    weights = _diagonal_prior(len(pair.source), len(pair.target), tension)[0].T.tolist()
     scale = 1.0 - model.null_prob
     links = set()
     for j, (tgt, column) in enumerate(zip(pair.target, weights)):

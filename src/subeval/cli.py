@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import align as align_mod
 from . import consistency as consistency_mod
@@ -144,19 +145,39 @@ def _add_eval_arguments(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, type=typ, default=None)
 
 
-def _validate_eval_options(opts: dict[str, Any]) -> None:
+# Numeric options: name -> (test the value must pass, what it must be).
+# Each test is written so that NaN fails it.
+_NUMBER_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "iterations": (lambda v: v >= 0, "non-negative"),
+    "p0": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "tension": (math.isfinite, "finite"),
+    "max-cpl": (lambda v: v > 0, "positive"),
+    "max-cps": (lambda v: v > 0, "positive"),
+}
+
+
+def _validate_options(opts: dict[str, Any]) -> None:
+    """Usage checks on the options of `eval` or `align train`, made
+    before any file is read.  Each check applies to the options present."""
     for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
-        if not opts[key]:
+        if key in opts and not opts[key]:
             raise UsageError(f"--{key} is required")
     for key, choices in EVAL_CHOICES.items():
-        if opts[key] not in choices:
+        if key in opts and opts[key] not in choices:
             raise UsageError(
                 f"--{key} must be {', '.join(choices[:-1])} or {choices[-1]}, "
                 f"got {opts[key]!r}"
             )
-    for key in ("max-cpl", "max-cps"):
-        if opts[key] <= 0:
-            raise UsageError(f"--{key} must be positive, got {opts[key]}")
+    for key, (valid, what) in _NUMBER_RULES.items():
+        if key in opts and not valid(opts[key]):
+            raise UsageError(f"--{key} must be {what}, got {opts[key]}")
+    if "align-c2s" in opts:
+        if bool(opts["align-c2s"]) != bool(opts["align-s2c"]):
+            raise UsageError("--align-c2s and --align-s2c must be given together")
+        if not opts["align-c2s"] and not opts["train-bitext"]:
+            raise UsageError(
+                "consistency requires --align-c2s/--align-s2c or --train-bitext"
+            )
 
 
 def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
@@ -219,7 +240,7 @@ def _train_models(opts, source_lang, target_lang, system_pairs=(), reverse=False
 
 def _alignments_for_pairs(opts, system_pairs):
     """Load Pharaoh alignments or train both directions and align."""
-    if opts["align-c2s"] and opts["align-s2c"]:
+    if opts["align-c2s"]:
         c2s = align_mod.load_pharaoh(opts["align-c2s"])
         s2c = align_mod.load_pharaoh(opts["align-s2c"])
         if len(c2s) != len(system_pairs) or len(s2c) != len(system_pairs):
@@ -228,10 +249,6 @@ def _alignments_for_pairs(opts, system_pairs):
                 f"for {len(system_pairs)} pairs"
             )
         return list(zip(c2s, s2c))
-    if not opts["train-bitext"]:
-        raise DataError(
-            "consistency requires --align-c2s/--align-s2c or --train-bitext"
-        )
     model_c2s, model_s2c = _train_models(
         opts, opts["caption-lang"], opts["subtitle-lang"], system_pairs, reverse=True
     )
@@ -249,7 +266,7 @@ def _alignments_for_pairs(opts, system_pairs):
 
 def run_eval(args: argparse.Namespace) -> int:
     opts = _resolve_options(args)
-    _validate_eval_options(opts)
+    _validate_options(opts)
     if opts["segmentation"] and (not opts["pos-captions"] or not opts["pos-subtitles"]):
         raise DataError("segmentation requires POS input")
     fmt, lenient = opts["format"], opts["lenient"]
@@ -331,41 +348,35 @@ def run_eval(args: argparse.Namespace) -> int:
     if opts["diagnostics"]:
         with open(opts["diagnostics"], "w", encoding="utf-8") as fh:
             for pair, result in zip(pairs, cons.per_pair):
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": pair.id,
-                            "blocks_c": len(pair.caption.blocks),
-                            "blocks_s": len(pair.subtitle.blocks),
-                            "lex_c2s": result.lex_c2s,
-                            "lex_s2c": result.lex_s2c,
-                            "lex_pair": result.lex_pair,
-                            "inconsistent_tokens": [
-                                list(t) for t in result.inconsistent_tokens
-                            ],
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                record = {
+                    "id": pair.id,
+                    "blocks_c": len(pair.caption.blocks),
+                    "blocks_s": len(pair.subtitle.blocks),
+                    **vars(result),
+                }
+                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
     chunks = []
     if opts["out"] in ("json", "both"):
         chunks.append(report_to_json(report))
     if opts["out"] in ("tsv", "both"):
         chunks.append(report_to_tsv(report))
-    output = "".join(chunks)
-    if opts["out-file"]:
-        with open(opts["out-file"], "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    _emit("".join(chunks), opts["out-file"])
     return 0
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write `text` to the file at `path`, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def run_align_train(args: argparse.Namespace) -> int:
     opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
+    _validate_options(opts)
     [model] = _train_models(opts, args.source_lang, args.target_lang)
     align_mod.save_model(model, args.model_out)
     return 0
@@ -377,12 +388,7 @@ def run_align_apply(args: argparse.Namespace) -> int:
     lines = [
         align_mod.write_pharaoh(align_mod.viterbi_align(model, pair)) for pair in pairs
     ]
-    output = "".join(line + "\n" for line in lines)
-    if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
+    _emit("".join(line + "\n" for line in lines), args.out_file)
     return 0
 
 
@@ -400,19 +406,7 @@ def run_significance(args: argparse.Namespace) -> int:
         resamples=args.resamples,
         seed=args.seed,
     )
-    sys.stdout.write(
-        json.dumps(
-            {
-                "p_value": result.p_value,
-                "delta_mean": result.delta_mean,
-                "resamples": result.resamples,
-                "seed": result.seed,
-                "better_system": result.better_system,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    sys.stdout.write(json.dumps(vars(result), sort_keys=True) + "\n")
     return 0
 
 

@@ -35,11 +35,6 @@ class TimingMode(Enum):
     PER_UTTERANCE = "utterance"
 
 
-class BreakDirection(Enum):
-    CONTENT_THEN_FUNCTION = "content-then-function"
-    EITHER_ORDER = "either-order"
-
-
 class BreakSelection(Enum):
     EOL = "eol"
     EOB = "eob"
@@ -64,6 +59,10 @@ class ConformityReport:
     breaks: int
 
 
+def _rate(hits: int, units: int) -> Optional[float]:
+    return hits / units if units else None
+
+
 def length_conformity(
     doc: SubtitleDocument,
     thresholds: ConformityThresholds = ConformityThresholds(),
@@ -83,9 +82,7 @@ def length_conformity(
                 units += 1
                 if all(line.char_count() <= thresholds.max_cpl for line in block.lines):
                     conforming += 1
-    if units == 0:
-        return None
-    return conforming / units
+    return _rate(conforming, units)
 
 
 def reading_speed_conformity(
@@ -118,72 +115,65 @@ def reading_speed_conformity(
             units += 1
             if utt.char_count() / utt.duration_s() <= thresholds.max_cps:
                 conforming += 1
-    if units == 0:
-        return None
-    return conforming / units
+    return _rate(conforming, units)
+
+
+def _break_counts(
+    tagged: Sequence[TaggedUtterance], include_trailing_eob: bool, breaks: BreakSelection
+) -> tuple[int, int, int]:
+    """(plausible, judged, selected) break counts, in one walk per utterance.
+
+    A run of selected breaks shares its neighbouring words, so it is
+    judged as a whole when the next word arrives, or at the end of the
+    utterance.  Tags are classified only beside a selected break.
+    """
+    selected = _SELECTED_BREAKS[breaks]
+    plausible = judged = n_selected = 0
+    for utt_index, utt in enumerate(tagged):
+        prev_tag = None
+        run = 0  # selected breaks since the last word
+        for token, tag in utt.items:
+            if token in BREAKS:
+                if token in selected:
+                    if prev_tag is None:
+                        raise DataError(
+                            "break without a preceding word token "
+                            f"(utterance index {utt_index})"
+                        )
+                    run += 1
+                    n_selected += 1
+                continue
+            if run:
+                prev_class = classify_chunk_chink(prev_tag)
+                next_class = classify_chunk_chink(tag)
+                judged += run
+                if prev_class is WordClass.PUNCT or (
+                    prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION
+                ):
+                    plausible += run
+                run = 0
+            prev_tag = tag
+        # An utterance-final run is plausible only after punctuation.
+        if run and include_trailing_eob:
+            judged += run
+            if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
+                plausible += run
+    return plausible, judged, n_selected
 
 
 def segmentation_plausibility(
     tagged: Sequence[TaggedUtterance],
     include_trailing_eob: bool = True,
-    direction: BreakDirection = BreakDirection.CONTENT_THEN_FUNCTION,
     breaks: BreakSelection = BreakSelection.BOTH,
 ) -> Optional[float]:
     """Fraction of break tokens placed plausibly.
 
     A break is plausible when the nearest preceding word is punctuation,
-    or when it separates a content word from a following function word
-    (either order when `direction` allows).  An utterance-final break is
-    plausible only after punctuation.
+    or when it separates a content word from a following function word.
+    An utterance-final break is plausible only after punctuation.
     """
-    selected = _SELECTED_BREAKS[breaks]
-    plausible = 0
-    counted = 0
-    for utt_index, utt in enumerate(tagged):
-        items = utt.items
-        for pos, (token, _) in enumerate(items):
-            if token not in selected:
-                continue
-            prev_tag = None
-            for back in range(pos - 1, -1, -1):
-                if items[back][0] not in BREAKS:
-                    prev_tag = items[back][1]
-                    break
-            next_tag = None
-            has_next = False
-            for fwd in range(pos + 1, len(items)):
-                if items[fwd][0] not in BREAKS:
-                    next_tag = items[fwd][1]
-                    has_next = True
-                    break
-            if prev_tag is None:
-                raise DataError(
-                    f"break without a preceding word token (utterance index {utt_index})"
-                )
-            if not has_next:
-                # Utterance-final break.
-                if not include_trailing_eob:
-                    continue
-                counted += 1
-                if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
-                    plausible += 1
-                continue
-            counted += 1
-            prev_class = classify_chunk_chink(prev_tag)
-            next_class = classify_chunk_chink(next_tag)
-            if prev_class is WordClass.PUNCT:
-                plausible += 1
-            elif prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION:
-                plausible += 1
-            elif (
-                direction is BreakDirection.EITHER_ORDER
-                and prev_class is WordClass.FUNCTION
-                and next_class is WordClass.CONTENT
-            ):
-                plausible += 1
-    if counted == 0:
-        return None
-    return plausible / counted
+    plausible, judged, _ = _break_counts(tagged, include_trailing_eob, breaks)
+    return _rate(plausible, judged)
 
 
 def conformity_report(
@@ -210,21 +200,13 @@ def conformity_report(
     else:
         speed = None
         timed_units = 0
+    plausible = judged = n_breaks = 0
     if tagged is not None:
-        seg = segmentation_plausibility(
-            tagged,
-            include_trailing_eob=include_trailing_eob,
-            breaks=breaks,
-        )
-        selected = _SELECTED_BREAKS[breaks]
-        n_breaks = sum(1 for utt in tagged for token, _ in utt.items if token in selected)
-    else:
-        seg = None
-        n_breaks = 0
+        plausible, judged, n_breaks = _break_counts(tagged, include_trailing_eob, breaks)
     return ConformityReport(
         length_rate=length_conformity(doc, thresholds, aggregation),
         reading_speed_rate=speed,
-        segmentation_rate=seg,
+        segmentation_rate=_rate(plausible, judged),
         lines=lines,
         timed_units=timed_units,
         breaks=n_breaks,

@@ -5,7 +5,8 @@ Lexical consistency matches blocks positionally (i-th caption block to
 i-th subtitle block).  A token is consistent when at least one of its
 alignment links lands in the same-index block on the other side;
 unaligned tokens are inconsistent unless `skip_unaligned` excludes them
-from the denominator.
+from the denominator.  Alignment link indices count the break-stripped
+MT tokens (`Scheme.MT_DETACHED`) of each side.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ def structural_consistency(pairs: Sequence[UtterancePair]) -> float:
     return same / len(pairs)
 
 
-def block_index_map(
-    utt: Utterance, scheme: Scheme = Scheme.MT_DETACHED, lang: str = "en"
-) -> BlockIndexMap:
-    """Block index of each non-break token, in token order."""
-    return _block_index_map(tokenize(utt.text(), scheme, lang=lang))
+def block_index_map(utt: Utterance, lang: str = "en") -> BlockIndexMap:
+    """Block index of each non-break MT token, in token order."""
+    return _block_index_map(tokenize(utt.text(), Scheme.MT_DETACHED, lang))
 
 
 def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
@@ -118,11 +117,11 @@ def _directional_consistency(
 
 
 def _tokenize_pair(
-    pair: UtterancePair, scheme: Scheme, caption_lang: str, subtitle_lang: str
+    pair: UtterancePair, caption_lang: str, subtitle_lang: str
 ) -> tuple[TokenizedUtterance, TokenizedUtterance]:
     return (
-        tokenize(pair.caption.text(), scheme, caption_lang),
-        tokenize(pair.subtitle.text(), scheme, subtitle_lang),
+        tokenize(pair.caption.text(), Scheme.MT_DETACHED, caption_lang),
+        tokenize(pair.subtitle.text(), Scheme.MT_DETACHED, subtitle_lang),
     )
 
 
@@ -130,7 +129,6 @@ def lexical_consistency_pair(
     pair: UtterancePair,
     align_c2s: SentenceAlignment,
     align_s2c: SentenceAlignment,
-    scheme: Scheme = Scheme.MT_DETACHED,
     caption_lang: str = "en",
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
@@ -139,11 +137,11 @@ def lexical_consistency_pair(
 
     `align_c2s` links caption token indices to subtitle token indices;
     `align_s2c` links subtitle token indices to caption token indices.
-    Indices refer to break-stripped tokens under `scheme`.
+    Indices count break-stripped MT tokens.
     """
     return _lexical_consistency_pair(
         pair.id,
-        _tokenize_pair(pair, scheme, caption_lang, subtitle_lang),
+        _tokenize_pair(pair, caption_lang, subtitle_lang),
         align_c2s,
         align_s2c,
         skip_unaligned,
@@ -177,7 +175,6 @@ def _lexical_consistency_pair(
 def corpus_lexical_consistency(
     pairs: Sequence[UtterancePair],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    scheme: Scheme = Scheme.MT_DETACHED,
     caption_lang: str = "en",
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
@@ -186,7 +183,7 @@ def corpus_lexical_consistency(
     diagnostics."""
     return _corpus_lexical_consistency(
         pairs,
-        [_tokenize_pair(p, scheme, caption_lang, subtitle_lang) for p in pairs],
+        [_tokenize_pair(p, caption_lang, subtitle_lang) for p in pairs],
         alignments,
         skip_unaligned,
     )
@@ -243,12 +240,11 @@ def char_ratio(pairs: Sequence[UtterancePair]) -> float:
 def subtitle_block_judgements(
     pair: UtterancePair,
     result: LexicalConsistencyPair,
-    scheme: Scheme = Scheme.MT_DETACHED,
     subtitle_lang: str = "en",
 ) -> list[bool]:
     """Per subtitle block: True when every token of the block is
     consistent."""
-    sub_map = block_index_map(pair.subtitle, scheme, subtitle_lang)
+    sub_map = block_index_map(pair.subtitle, subtitle_lang)
     bad_blocks = {
         sub_map.word_to_block[index]
         for side, index, _ in result.inconsistent_tokens
@@ -285,14 +281,13 @@ def validate_lexical_metric(
 def consistency_report(
     pairs: Sequence[UtterancePair],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    scheme: Scheme = Scheme.MT_DETACHED,
     caption_lang: str = "en",
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
     return consistency_report_from_tokens(
         pairs,
-        [_tokenize_pair(p, scheme, caption_lang, subtitle_lang) for p in pairs],
+        [_tokenize_pair(p, caption_lang, subtitle_lang) for p in pairs],
         alignments,
         skip_unaligned,
     )

@@ -6,22 +6,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-TSV_COLUMNS = [
-    "system",
-    "wer",
-    "bleu",
-    "length_captions",
-    "length_subtitles",
-    "read_speed_captions",
-    "read_speed_subtitles",
-    "segment_captions",
-    "segment_subtitles",
-    "struc",
-    "lex",
-    "line_count",
-    "char_ratio",
-]
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -41,41 +25,6 @@ class EvaluationReport:
     config_echo: dict[str, Any]
 
 
-def _round(value: Optional[float], digits: int = 4) -> Optional[float]:
-    if value is None:
-        return None
-    return round(value, digits)
-
-
-def report_to_dict(report: EvaluationReport) -> dict[str, Any]:
-    return {
-        "system": report.system_name,
-        "wer": _round(report.wer),
-        "bleu": _round(report.bleu),
-        "length": {
-            "captions": _round(report.length_captions),
-            "subtitles": _round(report.length_subtitles),
-        },
-        "reading_speed": {
-            "captions": _round(report.reading_speed_captions),
-            "subtitles": _round(report.reading_speed_subtitles),
-        },
-        "segmentation": {
-            "captions": _round(report.segmentation_captions),
-            "subtitles": _round(report.segmentation_subtitles),
-        },
-        "structural": _round(report.structural),
-        "lexical": _round(report.lexical),
-        "line_count": _round(report.line_count),
-        "char_ratio": _round(report.char_ratio),
-        "config": report.config_echo,
-    }
-
-
-def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-
-
 def _fmt_rate(value: Optional[float]) -> str:
     if value is None:
         return "-"
@@ -88,20 +37,42 @@ def _fmt_score(value: Optional[float]) -> str:
     return f"{value:.2f}"
 
 
+# One row per metric: (report field, dotted JSON key path, TSV column,
+# TSV formatter).  JSON values are rounded to 4 digits.
+_METRICS = [
+    ("wer", "wer", "wer", _fmt_score),
+    ("bleu", "bleu", "bleu", _fmt_score),
+    ("length_captions", "length.captions", "length_captions", _fmt_rate),
+    ("length_subtitles", "length.subtitles", "length_subtitles", _fmt_rate),
+    ("reading_speed_captions", "reading_speed.captions", "read_speed_captions", _fmt_rate),
+    ("reading_speed_subtitles", "reading_speed.subtitles", "read_speed_subtitles", _fmt_rate),
+    ("segmentation_captions", "segmentation.captions", "segment_captions", _fmt_rate),
+    ("segmentation_subtitles", "segmentation.subtitles", "segment_subtitles", _fmt_rate),
+    ("structural", "structural", "struc", _fmt_rate),
+    ("lexical", "lexical", "lex", _fmt_rate),
+    ("line_count", "line_count", "line_count", _fmt_rate),
+    ("char_ratio", "char_ratio", "char_ratio", _fmt_score),
+]
+
+TSV_COLUMNS = ["system"] + [column for _, _, column, _ in _METRICS]
+
+
+def report_to_dict(report: EvaluationReport) -> dict[str, Any]:
+    out: dict[str, Any] = {"system": report.system_name, "config": report.config_echo}
+    for field, path, _, _ in _METRICS:
+        *parents, key = path.split(".")
+        node = out
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        value = getattr(report, field)
+        node[key] = None if value is None else round(value, 4)
+    return out
+
+
+def report_to_json(report: EvaluationReport) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
 def report_to_tsv(report: EvaluationReport) -> str:
-    row = [
-        report.system_name,
-        _fmt_score(report.wer),
-        _fmt_score(report.bleu),
-        _fmt_rate(report.length_captions),
-        _fmt_rate(report.length_subtitles),
-        _fmt_rate(report.reading_speed_captions),
-        _fmt_rate(report.reading_speed_subtitles),
-        _fmt_rate(report.segmentation_captions),
-        _fmt_rate(report.segmentation_subtitles),
-        _fmt_rate(report.structural),
-        _fmt_rate(report.lexical),
-        _fmt_rate(report.line_count),
-        _fmt_score(report.char_ratio),
-    ]
+    row = [report.system_name] + [fmt(getattr(report, field)) for field, _, _, fmt in _METRICS]
     return "\t".join(TSV_COLUMNS) + "\n" + "\t".join(row) + "\n"

@@ -78,8 +78,9 @@ _BREAK_SPLIT_RE = re.compile(f"({EOB}|{EOL})")
 
 # 13a pads these 29 ASCII characters, the space among them, with spaces.
 _13A_PUNCT_TABLE = str.maketrans({ch: f" {ch} " for ch in "{|}~[\\]^_` !\"#$%&()*+:;<=>?@/"})
-_13A_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
-_13A_DOT_COMMA_RIGHT_RE = re.compile(r"([\.,])([^0-9])")
+# Both tokenizers pad `.` and `,` with a space on each side not next to a digit.
+_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
+_DOT_COMMA_RIGHT_RE = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH_RE = re.compile(r"([0-9])(-)")
 
 
@@ -91,8 +92,8 @@ def _tokenize_13a_span(span: str) -> list[str]:
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
-    norm = _13A_DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-    norm = _13A_DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
     norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)
     return norm.split()
 
@@ -118,15 +119,13 @@ class _DetachablePunct(dict):
 _DETACH_TABLE = _DetachablePunct()
 
 
-_MT_DOT_COMMA_LEFT_RE = re.compile(r"([^0-9])([\.,])")
-_MT_DOT_COMMA_RIGHT_RE = re.compile(r"([\.,])([^0-9])")
 _MT_APOS_EN_RE = re.compile(r"(\w)(['’])(\w)", re.UNICODE)
 
 
 def _tokenize_mt_span(span: str, lang: str) -> list[str]:
     norm = f" {span} ".translate(_DETACH_TABLE)
-    norm = _MT_DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-    norm = _MT_DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
     if lang.startswith("fr") or lang.startswith("it"):
         # Elision attaches left: l'homme -> l' homme
         norm = _MT_APOS_EN_RE.sub(r"\1\2 \3", norm)

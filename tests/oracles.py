@@ -5,20 +5,23 @@ marked-text lines themselves, count n-grams over string slices, run the
 edit-distance recursion with a memo table, and re-run EM with plain
 tuple-keyed dictionaries.  The exceptions are implementations the
 library replaced, kept as its bit-exact references: the EM loop trainer
-(dict of dicts), the regex 13a tokenizer, and the numpy-matrix edit
-distance, segment statistics and bootstrap.
+(dict of dicts), the regex 13a tokenizer, the numpy-matrix edit
+distance, segment statistics and bootstrap, the per-break segmentation
+scan, and the per-field report writers.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import re
 import sys
 import unicodedata
 from collections import Counter, defaultdict
+from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +31,19 @@ from subeval.align import (
     SentenceAlignment,
     TranslationModel,
 )
+from subeval.conformity import BreakSelection
 from subeval.errors import DataError
-from subeval.model import Utterance
+from subeval.model import BREAKS, EOB, EOL, Utterance
 from subeval.quality import NGRAM_ORDER, SignificanceResult, bleu_from_stats
-from subeval.textproc import Scheme, normalize_for_wer, tokenize
+from subeval.report import EvaluationReport
+from subeval.textproc import (
+    Scheme,
+    TaggedUtterance,
+    WordClass,
+    classify_chunk_chink,
+    normalize_for_wer,
+    tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -682,3 +694,175 @@ def bootstrap_numpy(
         seed=seed,
         better_system=better[1],
     )
+
+
+# ---------------------------------------------------------------------------
+# Segmentation plausibility (the break walk the library replaced)
+#
+# The library judges each run of selected breaks in one pass per
+# utterance; this is the per-break back/forward scan it replaced, with
+# the `direction` option it dropped, kept as its reference.
+
+class BreakDirection(Enum):
+    CONTENT_THEN_FUNCTION = "content-then-function"
+    EITHER_ORDER = "either-order"
+
+
+# The break tokens each selection counts.
+_SELECTED_BREAKS: dict[BreakSelection, frozenset[str]] = {
+    BreakSelection.EOL: frozenset({EOL}),
+    BreakSelection.EOB: frozenset({EOB}),
+    BreakSelection.BOTH: BREAKS,
+}
+
+
+def segmentation_plausibility(
+    tagged: Sequence[TaggedUtterance],
+    include_trailing_eob: bool = True,
+    direction: BreakDirection = BreakDirection.CONTENT_THEN_FUNCTION,
+    breaks: BreakSelection = BreakSelection.BOTH,
+) -> Optional[float]:
+    """Fraction of break tokens placed plausibly.
+
+    A break is plausible when the nearest preceding word is punctuation,
+    or when it separates a content word from a following function word
+    (either order when `direction` allows).  An utterance-final break is
+    plausible only after punctuation.
+    """
+    selected = _SELECTED_BREAKS[breaks]
+    plausible = 0
+    counted = 0
+    for utt_index, utt in enumerate(tagged):
+        items = utt.items
+        for pos, (token, _) in enumerate(items):
+            if token not in selected:
+                continue
+            prev_tag = None
+            for back in range(pos - 1, -1, -1):
+                if items[back][0] not in BREAKS:
+                    prev_tag = items[back][1]
+                    break
+            next_tag = None
+            has_next = False
+            for fwd in range(pos + 1, len(items)):
+                if items[fwd][0] not in BREAKS:
+                    next_tag = items[fwd][1]
+                    has_next = True
+                    break
+            if prev_tag is None:
+                raise DataError(
+                    f"break without a preceding word token (utterance index {utt_index})"
+                )
+            if not has_next:
+                # Utterance-final break.
+                if not include_trailing_eob:
+                    continue
+                counted += 1
+                if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
+                    plausible += 1
+                continue
+            counted += 1
+            prev_class = classify_chunk_chink(prev_tag)
+            next_class = classify_chunk_chink(next_tag)
+            if prev_class is WordClass.PUNCT:
+                plausible += 1
+            elif prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION:
+                plausible += 1
+            elif (
+                direction is BreakDirection.EITHER_ORDER
+                and prev_class is WordClass.FUNCTION
+                and next_class is WordClass.CONTENT
+            ):
+                plausible += 1
+    if counted == 0:
+        return None
+    return plausible / counted
+
+
+# ---------------------------------------------------------------------------
+# Report serialization (the per-field writers the library replaced)
+#
+# The library writes the report from one metric table; these are the
+# hand-written dict and TSV row it replaced, kept as their reference.
+
+TSV_COLUMNS = [
+    "system",
+    "wer",
+    "bleu",
+    "length_captions",
+    "length_subtitles",
+    "read_speed_captions",
+    "read_speed_subtitles",
+    "segment_captions",
+    "segment_subtitles",
+    "struc",
+    "lex",
+    "line_count",
+    "char_ratio",
+]
+
+
+def _round(value: Optional[float], digits: int = 4) -> Optional[float]:
+    if value is None:
+        return None
+    return round(value, digits)
+
+
+def report_to_dict(report: EvaluationReport) -> dict[str, Any]:
+    return {
+        "system": report.system_name,
+        "wer": _round(report.wer),
+        "bleu": _round(report.bleu),
+        "length": {
+            "captions": _round(report.length_captions),
+            "subtitles": _round(report.length_subtitles),
+        },
+        "reading_speed": {
+            "captions": _round(report.reading_speed_captions),
+            "subtitles": _round(report.reading_speed_subtitles),
+        },
+        "segmentation": {
+            "captions": _round(report.segmentation_captions),
+            "subtitles": _round(report.segmentation_subtitles),
+        },
+        "structural": _round(report.structural),
+        "lexical": _round(report.lexical),
+        "line_count": _round(report.line_count),
+        "char_ratio": _round(report.char_ratio),
+        "config": report.config_echo,
+    }
+
+
+def report_to_json(report: EvaluationReport) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def _fmt_rate(value: Optional[float]) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.2f}".lstrip("0") or ".00"
+
+
+def _fmt_score(value: Optional[float]) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.2f}"
+
+
+def report_to_tsv(report: EvaluationReport) -> str:
+    row = [
+        report.system_name,
+        _fmt_score(report.wer),
+        _fmt_score(report.bleu),
+        _fmt_rate(report.length_captions),
+        _fmt_rate(report.length_subtitles),
+        _fmt_rate(report.reading_speed_captions),
+        _fmt_rate(report.reading_speed_subtitles),
+        _fmt_rate(report.segmentation_captions),
+        _fmt_rate(report.segmentation_subtitles),
+        _fmt_rate(report.structural),
+        _fmt_rate(report.lexical),
+        _fmt_rate(report.line_count),
+        _fmt_score(report.char_ratio),
+    ]
+    return "\t".join(TSV_COLUMNS) + "\n" + "\t".join(row) + "\n"

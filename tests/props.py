@@ -135,8 +135,8 @@ def check_lex_pair_identity(n_cases: int = 1000, seed: int = 3) -> None:
     rng = random.Random(seed)
     for _ in range(n_cases):
         pair = _random_pair(rng)
-        n_cap = len(tokenize(pair.caption.text(), Scheme.WHITESPACE).words())
-        n_sub = len(tokenize(pair.subtitle.text(), Scheme.WHITESPACE).words())
+        n_cap = len(tokenize(pair.caption.text(), Scheme.MT_DETACHED).words())
+        n_sub = len(tokenize(pair.subtitle.text(), Scheme.MT_DETACHED).words())
         c2s = SentenceAlignment(
             frozenset(
                 (rng.randrange(n_cap), rng.randrange(n_sub))
@@ -149,7 +149,7 @@ def check_lex_pair_identity(n_cases: int = 1000, seed: int = 3) -> None:
                 for _ in range(rng.randint(0, n_cap + n_sub))
             )
         )
-        result = lexical_consistency_pair(pair, c2s, s2c, scheme=Scheme.WHITESPACE)
+        result = lexical_consistency_pair(pair, c2s, s2c)
         bad_c = sum(1 for side, _, _ in result.inconsistent_tokens if side == "caption")
         bad_s = sum(1 for side, _, _ in result.inconsistent_tokens if side == "subtitle")
         assert math.isclose(result.lex_c2s, 1 - bad_c / n_cap, rel_tol=1e-12)
@@ -214,13 +214,13 @@ def _report_for(captions_hyp, captions_ref, subtitles_hyp, subtitles_ref) -> str
     pairs = pair_documents(captions_hyp, subtitles_hyp)
     identity = []
     for pair in pairs:
-        n_cap = len(tokenize(pair.caption.text(), Scheme.WHITESPACE).words())
-        n_sub = len(tokenize(pair.subtitle.text(), Scheme.WHITESPACE).words())
+        n_cap = len(tokenize(pair.caption.text(), Scheme.MT_DETACHED).words())
+        n_sub = len(tokenize(pair.subtitle.text(), Scheme.MT_DETACHED).words())
         links = SentenceAlignment(frozenset((i, i) for i in range(min(n_cap, n_sub))))
         identity.append((links, links))
     from subeval.consistency import consistency_report
 
-    cons = consistency_report(pairs, identity, scheme=Scheme.WHITESPACE)
+    cons = consistency_report(pairs, identity)
     report = EvaluationReport(
         system_name="prop",
         wer=wer(captions_hyp.utterances, captions_ref.utterances).wer,

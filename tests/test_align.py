@@ -268,12 +268,6 @@ def test_pharaoh_round_trip():
     assert write_pharaoh(parse_pharaoh(line)) == "0-0 1-2 3-1"
 
 
-def test_alignment_bounds_validation():
-    alignment = parse_pharaoh("0-0 5-0")
-    with pytest.raises(DataError, match="out of bounds"):
-        alignment.validate(pair("a b", "x"), context="u3")
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 

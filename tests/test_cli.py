@@ -118,7 +118,9 @@ def test_eval_missing_required_flag(capsys):
     "flag, value",
     [
         ("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt"),
-        ("--max-cpl", "0"), ("--max-cps", "-1"),
+        ("--max-cpl", "0"), ("--max-cps", "-1"), ("--max-cps", "nan"),
+        ("--iterations", "-2"), ("--tension", "nan"), ("--tension", "inf"),
+        ("--p0", "1.5"), ("--p0", "nan"),
     ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
@@ -131,6 +133,32 @@ def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, 
     assert err.startswith(f"usage error: {flag} must be ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _without(args, flag):
+    """`args` less `flag` and its value."""
+    at = args.index(flag)
+    return args[:at] + args[at + 2:]
+
+
+@pytest.mark.parametrize(
+    "dropped, message",
+    [
+        (["--align-s2c"], "--align-c2s and --align-s2c must be given together"),
+        (["--align-c2s"], "--align-c2s and --align-s2c must be given together"),
+        (
+            ["--align-c2s", "--align-s2c"],
+            "consistency requires --align-c2s/--align-s2c or --train-bitext",
+        ),
+    ],
+)
+def test_eval_alignment_source_is_checked_before_reading(micro_paths, capsys, dropped, message):
+    args = eval_args(micro_paths)
+    for flag in dropped:
+        args = _without(args, flag)
+    args[args.index("--captions-hyp") + 1] = "/nonexistent/captions.hyp"
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_eval_tokenizes_each_hypothesis_utterance_once_under_mt(
@@ -314,16 +342,28 @@ def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeyp
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-def test_align_train_and_apply_match_golden(tmp_path):
+def _check_align_golden(tmp_path, model_name, out_name, *train_flags):
     bitext = os.path.join(GOLDEN, "bitext.txt")
-    model, out = tmp_path / "model.tsv", tmp_path / "align.out"
-    assert main(["align", "train", "--train-bitext", bitext, "--model-out", str(model)]) == 0
+    model, out = tmp_path / model_name, tmp_path / out_name
+    assert main(
+        ["align", "train", "--train-bitext", bitext, "--model-out", str(model), *train_flags]
+    ) == 0
     assert main(
         ["align", "apply", "--model", str(model), "--bitext", bitext, "--out-file", str(out)]
     ) == 0
     for path in (model, out):
         with open(os.path.join(GOLDEN, path.name), "rb") as fh:
             assert path.read_bytes() == fh.read(), path.name
+
+
+def test_align_train_and_apply_match_golden(tmp_path):
+    _check_align_golden(tmp_path, "model.tsv", "align.out")
+
+
+def test_align_train_and_apply_without_prior_match_golden(tmp_path):
+    # IBM Model 1: the diagonal prior at tension 0; the model file still
+    # records the unused tension.
+    _check_align_golden(tmp_path, "model.flat.tsv", "align.flat.out", "--no-diagonal-prior")
 
 
 def test_eval_diagnostics_jsonl(micro_paths, tmp_path, capsys):
@@ -383,6 +423,22 @@ def test_align_train_deterministic(toy_bitext, tmp_path):
             ["align", "train", "--train-bitext", toy_bitext, "--model-out", str(path)]
         ) == 0
     assert model_a.read_bytes() == model_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--iterations", "-1"), ("--tension", "nan"), ("--tension", "inf"), ("--p0", "1.5"),
+     ("--p0", "-0.1")],
+)
+def test_align_train_invalid_value_is_usage_error_before_reading(tmp_path, capsys, flag, value):
+    model = tmp_path / "model.tsv"
+    args = ["align", "train", "--train-bitext", "/nonexistent/bitext.txt",
+            "--model-out", str(model), flag, value]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be ")
+    assert err.count("\n") == 1
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

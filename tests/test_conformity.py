@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from subeval.conformity import (
-    BreakDirection,
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
@@ -13,8 +14,8 @@ from subeval.conformity import (
 )
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
-from subeval.model import SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
-from subeval.textproc import Scheme, attach_tags, tokenize
+from subeval.model import BREAKS, SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
+from subeval.textproc import UPOS_TAGS, Scheme, TaggedUtterance, attach_tags, tokenize
 
 
 def doc_of_lines(*line_lengths):
@@ -136,10 +137,6 @@ def test_break_content_then_function_plausible():
 def test_break_function_then_content_needs_either_order():
     tagged = tag_text("he walked to <eol> Paris", ["PRON", "VERB", "ADP", "PROPN"])
     assert segmentation_plausibility([tagged]) == 0.0
-    assert (
-        segmentation_plausibility([tagged], direction=BreakDirection.EITHER_ORDER)
-        == 1.0
-    )
 
 
 def test_trailing_eob_counted_and_needs_punct():
@@ -181,6 +178,40 @@ def test_sentence_final_breaks_after_periods_rate_one():
         tag_text("we agree . <eob>", ["PRON", "VERB", "PUNCT"]),
     ]
     assert segmentation_plausibility(docs) == 1.0
+
+
+# Words carry a UPOS tag, a tag outside UPOS, or none; breaks carry None
+# or, built directly, a tag that must be ignored.  Most utterances start
+# with a word, so that most draws reach a rate rather than an error.
+_WORD = st.tuples(st.sampled_from(["w", "x"]), st.sampled_from(sorted(UPOS_TAGS) + ["FOO", None]))
+_BREAK = st.tuples(st.sampled_from(sorted(BREAKS)), st.sampled_from([None, "PUNCT", "FOO"]))
+_UTTERANCE = st.builds(
+    lambda lead, rest: TaggedUtterance(tuple(lead + rest)),
+    st.sampled_from([0, 1, 1, 1]).flatmap(lambda n: st.lists(_WORD, min_size=n, max_size=n)),
+    st.lists(st.one_of(_WORD, _BREAK), max_size=8),
+)
+_TAGGED = st.lists(_UTTERANCE, max_size=4)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TAGGED, st.sampled_from(list(BreakSelection)), st.booleans())
+def test_segmentation_matches_scan_oracle(tagged, breaks, include_trailing_eob):
+    def outcome(fn):
+        try:
+            return fn(tagged, include_trailing_eob=include_trailing_eob, breaks=breaks)
+        except DataError as exc:
+            return f"DataError: {exc}"
+
+    expected = outcome(oracles.segmentation_plausibility)
+    assert outcome(segmentation_plausibility) == expected
+    if not str(expected).startswith("DataError"):
+        report = conformity_report(
+            SubtitleDocument(()), tagged=tagged,
+            include_trailing_eob=include_trailing_eob, breaks=breaks,
+        )
+        assert report.segmentation_rate == expected
+        selected = oracles._SELECTED_BREAKS[breaks]
+        assert report.breaks == sum(t in selected for utt in tagged for t, _ in utt.items)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from subeval.consistency import (
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
 from subeval.model import UtterancePair, pair_documents
-from subeval.textproc import Scheme
 
 
 def make_pair(caption_text, subtitle_text, utt_id="0"):
@@ -72,14 +71,14 @@ def test_block_index_map_single_block():
 
 def test_block_index_map_french_subtitle(paper_example):
     pair, _, _ = paper_example
-    result = block_index_map(pair.subtitle, Scheme.MT_DETACHED, "fr")
+    result = block_index_map(pair.subtitle, "fr")
     assert result.words == 23
     assert result.word_to_block == tuple([0] * 8 + [1] * 11 + [2] * 4)
 
 
 def test_block_index_map_english_caption(paper_example):
     pair, _, _ = paper_example
-    result = block_index_map(pair.caption, Scheme.MT_DETACHED, "en")
+    result = block_index_map(pair.caption, "en")
     assert result.words == 22
     assert result.word_to_block == tuple([0] * 7 + [1] * 10 + [2] * 5)
 
