@@ -13,6 +13,7 @@ from .align import (
     parse_pharaoh,
     train_aligner,
     viterbi_align,
+    viterbi_align_corpus,
     write_pharaoh,
 )
 from .conformity import (

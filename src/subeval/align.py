@@ -10,11 +10,12 @@ co-occurring words and no randomness is involved.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,18 +47,102 @@ class SentenceAlignment:
     links: frozenset[tuple[int, int]]
 
 
-@dataclass
 class TranslationModel:
-    table: dict[str, dict[str, float]]
-    tension: float = 4.0
-    null_prob: float = 0.08
-    use_diagonal_prior: bool = True
+    """The lexical translation table t(target | source) and the aligner's
+    parameters.
+
+    The table is held in model-file order.  `source_ids` and `target_ids`
+    map the sorted source and target vocabularies to their ranks, and the
+    row of source s is entries `offsets[s]:offsets[s + 1]` of `targets`
+    (target ids, ascending) and `probs`.  Every (source, target) pair
+    outside the table, a missing NULL row's included, scores OOV_PROB.
+    `table` is a dict of dicts built on demand; assigning one replaces
+    the arrays.
+    """
+
+    def __init__(
+        self,
+        table: dict[str, dict[str, float]],
+        tension: float = 4.0,
+        null_prob: float = 0.08,
+        use_diagonal_prior: bool = True,
+    ):
+        self.table = table
+        self.tension = tension
+        self.null_prob = null_prob
+        self.use_diagonal_prior = use_diagonal_prior
+
+    @property
+    def table(self) -> dict[str, dict[str, float]]:
+        words = list(self.target_ids)
+        targets = [words[t] for t in self.targets.tolist()]
+        probs = self.probs.tolist()
+        bounds = self.offsets.tolist()
+        return {
+            source: dict(zip(targets[start:end], probs[start:end]))
+            for source, start, end in zip(self.source_ids, bounds, bounds[1:])
+        }
+
+    @table.setter
+    def table(self, table: dict[str, dict[str, float]]) -> None:
+        target_ids: dict[str, int] = {}
+        sources, targets, probs = [], [], []
+        for source, row in enumerate(table.values()):
+            sources += [source] * len(row)
+            targets += [target_ids.setdefault(word, len(target_ids)) for word in row]
+            probs += row.values()
+        self._set_entries(list(table), sources, list(target_ids), targets, probs)
+
+    def _set_entries(self, source_words, sources, target_words, targets, probs) -> None:
+        """Hold the entries (sources[k], targets[k]) -> probs[k], given as
+        ids into `source_words` and `target_words`, in model-file order.
+        Of entries with the same words the last one wins."""
+        source_words, sources = _sorted_vocabulary(source_words, sources)
+        target_words, targets = _sorted_vocabulary(target_words, targets)
+        self.source_ids = dict(zip(source_words, range(len(source_words))))
+        self.target_ids = dict(zip(target_words, range(len(target_words))))
+        # Keys source id * (|target vocabulary| + 1) + target id increase
+        # with (source id, target id), so one searchsorted finds any batch.
+        # The stride leaves room for the target id of an unknown word.
+        stride = len(target_words) + 1
+        keys = sources * stride + targets
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        keys = keys[last]
+        self.offsets = np.searchsorted(keys, np.arange(len(source_words) + 1) * stride)
+        self.targets = keys % stride
+        # A sentinel above every key ends `_keys`, and OOV_PROB ends
+        # `_probs`, of which `probs` is a view.
+        self._keys = np.append(keys, np.iinfo(np.int64).max)
+        self._probs = np.append(np.asarray(probs, dtype=np.float64)[order][last], OOV_PROB)
+        self.probs = self._probs[:-1]
+
+    def _lookup(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """t(target | source) for arrays of source and target ids, where
+        the id one past a vocabulary's last is a word outside it."""
+        codes = sources * (len(self.target_ids) + 1) + targets
+        at = self._keys.searchsorted(codes)
+        at[self._keys[at] != codes] = -1
+        return self._probs[at]
 
     def prob(self, target_word: str, source_word: str) -> float:
-        row = self.table.get(source_word)
-        if row is None:
-            return OOV_PROB
-        return row.get(target_word, OOV_PROB)
+        source = self.source_ids.get(source_word, len(self.source_ids))
+        target = self.target_ids.get(target_word, len(self.target_ids))
+        return float(self._lookup(np.array([source]), np.array([target]))[0])
+
+
+def _sorted_vocabulary(words: Sequence[str], ids) -> tuple[list[str], np.ndarray]:
+    """The words of `words` that `ids` use, sorted, and `ids` renumbered
+    to their ranks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    used = np.flatnonzero(np.bincount(ids, minlength=len(words)))
+    used_words = [words[i] for i in used.tolist()]
+    order = sorted(range(len(used_words)), key=used_words.__getitem__)
+    rank = np.zeros(len(words), dtype=np.int64)
+    rank[used[order]] = np.arange(len(order))
+    return [used_words[i] for i in order], rank[ids]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -119,6 +204,38 @@ class _Group(NamedTuple):
         return weights[:, self.columns], centred_h[:, self.columns]
 
 
+def _group_by_source_length(
+    id_pairs: Iterable[tuple[list[int], list[int]]],
+) -> Iterator[tuple[_Group, np.ndarray, np.ndarray]]:
+    """Group the target tokens of a corpus by source length m.  Each pair
+    comes as (source ids, target word ids), where the source ids are
+    NULL's and then the source words'.  Yields, for each m ascending, the
+    `_Group`, the (m + 1, tokens) source ids of its tokens' slots and its
+    tokens' target ids.  Tokens are numbered in corpus order, and each
+    has m + 1 slots: NULL first, then the source positions left to right."""
+    by_length: dict[int, tuple[list, list, list, list, list]] = {}
+    n_tokens = n_slots = 0
+    for sources, targets in id_pairs:
+        m, n = len(sources) - 1, len(targets)
+        tokens, first_slot, lengths, group_sources, group_targets = by_length.setdefault(
+            m, ([], [], [], [], [])
+        )
+        tokens.extend(range(n_tokens, n_tokens + n))
+        first_slot.extend(range(n_slots, n_slots + n * (m + 1), m + 1))
+        lengths.append(n)
+        group_sources.append(sources)
+        group_targets += targets
+        n_tokens += n
+        n_slots += n * (m + 1)
+    for m, (tokens, first_slot, lengths, sources, targets) in sorted(by_length.items()):
+        distinct_n = sorted(set(lengths))
+        n_start = dict(zip(distinct_n, itertools.accumulate(distinct_n, initial=0)))
+        columns = [c for n in lengths for c in range(n_start[n], n_start[n] + n)]
+        group = _Group(m, np.array(tokens), np.array(first_slot), tuple(distinct_n), np.array(columns))
+        yield (group, np.repeat(np.array(sources, dtype=np.int64), lengths, axis=0).T,
+               np.array(targets, dtype=np.int64))
+
+
 class _CooccurrenceIndex:
     """A training corpus as integer arrays, built once per training run.
 
@@ -134,45 +251,26 @@ class _CooccurrenceIndex:
     def __init__(self, corpus: Sequence[BitextPair]):
         source_ids = {NULL_WORD: 0}
         target_ids: dict[str, int] = {}
-        by_length: dict[int, tuple[list, list, list, list]] = {}
-        token_m = []
-        for pair in corpus:
-            m = len(pair.source)
-            first, sources, targets, lengths = by_length.setdefault(m, ([], [], [], []))
-            first.append(len(token_m))
-            sources.append([source_ids.setdefault(w, len(source_ids)) for w in pair.source])
-            targets += [target_ids.setdefault(w, len(target_ids)) for w in pair.target]
-            lengths.append(len(pair.target))
-            token_m.extend([m] * len(pair.target))
+        id_pairs = [
+            ([0] + [source_ids.setdefault(w, len(source_ids)) for w in pair.source],
+             [target_ids.setdefault(w, len(target_ids)) for w in pair.target])
+            for pair in corpus
+        ]
         self.source_words = list(source_ids)
         self.target_words = list(target_ids)
-        self.n_tokens = len(token_m)
-        token_m = np.array(token_m)
-        slot_start = np.cumsum(token_m + 1) - token_m - 1
-        n_slots = int(token_m.sum()) + self.n_tokens
-        del token_m
+        self.n_tokens = sum(len(targets) for _, targets in id_pairs)
+        n_slots = sum(len(sources) * len(targets) for sources, targets in id_pairs)
 
         # Slot codes source id * |target vocabulary| + target id.
         codes = np.empty(n_slots, dtype=np.int64)
         self.groups = []
         n_targets = len(self.target_words)
-        for m, (first, sources, targets, lengths) in sorted(by_length.items()):
-            lengths = np.array(lengths)
-            pair_of_token = np.repeat(np.arange(len(lengths)), lengths)
-            j = np.arange(len(targets)) - (np.cumsum(lengths) - lengths)[pair_of_token]
-            tokens = np.array(first)[pair_of_token] + j
-            n = lengths[pair_of_token]
-            distinct_n = np.unique(n)
-            n_start = np.cumsum(distinct_n) - distinct_n
-            group = _Group(m, tokens, slot_start[tokens], tuple(distinct_n.tolist()),
-                           n_start[np.searchsorted(distinct_n, n)] + j)
-            block = np.zeros((m + 1, len(targets)), dtype=np.int64)
-            block[1:] = np.array(sources, dtype=np.int64)[pair_of_token].T
-            block *= n_targets
-            block += np.array(targets)
-            codes[group.slots()] = block
+        for group, sources, targets in _group_by_source_length(id_pairs):
+            sources *= n_targets
+            sources += targets
+            codes[group.slots()] = sources
             self.groups.append(group)
-        del by_length, slot_start, block
+        del id_pairs, sources
 
         # Distinct codes numbered by first slot.  A stable sort keeps equal
         # codes in corpus order, so each run of one code starts at its
@@ -225,21 +323,6 @@ class _CooccurrenceIndex:
         log_likelihood = _left_sum(map(math.log, z.tolist()))
         return log_likelihood, counts, _left_sum(grad.tolist()) / self.n_tokens
 
-    def table(self, prob: np.ndarray, rows: np.ndarray) -> dict[str, dict[str, float]]:
-        """`prob` as a dict of dicts, keeping the source rows where `rows`
-        is true."""
-        order = np.argsort(self.key_source, kind="stable")
-        ends = np.cumsum(np.bincount(self.key_source)).tolist()
-        targets = [self.target_words[t] for t in self.key_target[order].tolist()]
-        probs = prob[order].tolist()
-        table = {}
-        start = 0
-        for source, end, keep in zip(self.source_words, ends, rows.tolist()):
-            if keep:
-                table[source] = dict(zip(targets[start:end], probs[start:end]))
-            start = end
-        return table
-
 
 def train_aligner(
     corpus: Sequence[BitextPair],
@@ -257,6 +340,10 @@ def train_aligner(
         raise DataError("empty corpus")
     if not (0.0 <= p0 < 1.0):
         raise DataError("p0 must be in [0, 1)")
+    if iterations < 0:
+        raise DataError("iterations must be non-negative")
+    if not math.isfinite(initial_tension):
+        raise DataError("initial tension must be finite")
     index = _CooccurrenceIndex(corpus)
     prob = index.uniform()
     has_mass = np.ones(len(index.source_words), dtype=bool)
@@ -277,34 +364,51 @@ def train_aligner(
             "EM iteration %d/%d: log-likelihood %.6f, tension %.6f",
             iteration, iterations, ll, tension,
         )
-    return TranslationModel(
-        table=index.table(prob, has_mass),
-        tension=tension,
-        null_prob=p0,
-        use_diagonal_prior=use_diagonal_prior,
-    )
+    kept = has_mass[index.key_source]
+    entries = (index.source_words, index.key_source[kept],
+               index.target_words, index.key_target[kept], prob[kept])
+    del index, prob  # the slot-level arrays, before the model's are built
+    model = TranslationModel({}, tension, p0, use_diagonal_prior)
+    model._set_entries(*entries)
+    return model
+
+
+def viterbi_align_corpus(
+    model: TranslationModel, corpus: Sequence[BitextPair]
+) -> list[SentenceAlignment]:
+    """The Viterbi alignment of each pair: every target word links to its
+    best source position, or to NULL (no link).  Ties go to the smaller
+    source index, and NULL wins only strictly.  The target tokens are
+    scored one source length at a time, with the E-step's products."""
+    source_ids, target_ids = model.source_ids, model.target_ids
+    unknown_source, unknown_target = len(source_ids), len(target_ids)
+    null = source_ids.get(NULL_WORD, unknown_source)
+    tension = _prior_tension(model.use_diagonal_prior, model.tension)
+    best = np.empty(sum(len(pair.target) for pair in corpus), dtype=np.int64)
+    for group, sources, targets in _group_by_source_length(
+        ([null] + [source_ids.get(w, unknown_source) for w in pair.source],
+         [target_ids.get(w, unknown_target) for w in pair.target])
+        for pair in corpus
+    ):
+        scores = model._lookup(sources, targets)
+        scores[0] *= model.null_prob
+        scores[1:] *= (1.0 - model.null_prob) * group.prior(tension)[0]
+        source = scores[1:].argmax(axis=0)
+        source[scores[0] > scores[1:].max(axis=0)] = -1
+        best[group.tokens] = source
+    best = best.tolist()
+    alignments = []
+    end = 0
+    for pair in corpus:
+        start, end = end, end + len(pair.target)
+        links = frozenset((i, j) for j, i in enumerate(best[start:end]) if i >= 0)
+        alignments.append(SentenceAlignment(links))
+    return alignments
 
 
 def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignment:
-    """Best source link (or NULL, omitted) per target word; ties go to
-    the smaller source index, NULL wins only strictly."""
-    tension = _prior_tension(model.use_diagonal_prior, model.tension)
-    weights = _diagonal_prior(len(pair.source), len(pair.target), tension)[0].T.tolist()
-    scale = 1.0 - model.null_prob
-    links = set()
-    for j, (tgt, column) in enumerate(zip(pair.target, weights)):
-        null_score = model.null_prob * model.prob(tgt, NULL_WORD)
-        best_i = None
-        best_score = -1.0
-        for i, (src, weight) in enumerate(zip(pair.source, column)):
-            score = scale * weight * model.prob(tgt, src)
-            if score > best_score:
-                best_score = score
-                best_i = i
-        if null_score > best_score:
-            continue
-        links.add((best_i, j))
-    return SentenceAlignment(frozenset(links))
+    """`viterbi_align_corpus` of one pair."""
+    return viterbi_align_corpus(model, [pair])[0]
 
 
 def parse_pharaoh(line: str) -> SentenceAlignment:
@@ -342,18 +446,42 @@ def load_pharaoh(path: str) -> list[SentenceAlignment]:
     return alignments
 
 
+# Rows per write of `save_model` and characters per read of `load_model`:
+# blocks keep the text of a large model out of memory at once.
+_SAVE_BLOCK_ROWS = 1 << 14
+_LOAD_BLOCK_CHARS = 1 << 20
+# Every byte but the model file's cell and row separators.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def save_model(model: TranslationModel, path: str) -> None:
+    """One row per entry, sorted by source and then target word, each
+    probability as its `repr`."""
+    source_words = list(model.source_ids)
+    target_words = list(model.target_ids)
+    sources = np.repeat(np.arange(len(source_words)), np.diff(model.offsets))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"tension\t{model.tension!r}\tp0\t{model.null_prob!r}"
             f"\tdiagonal\t{int(model.use_diagonal_prior)}\n"
         )
-        for src in sorted(model.table):
-            for tgt in sorted(model.table[src]):
-                fh.write(f"{src}\t{tgt}\t{model.table[src][tgt]!r}\n")
+        for start in range(0, len(sources), _SAVE_BLOCK_ROWS):
+            block = slice(start, start + _SAVE_BLOCK_ROWS)
+            cells = [None, "\t", None, "\t", None, "\n"] * len(sources[block])
+            cells[0::6] = map(source_words.__getitem__, sources[block].tolist())
+            cells[2::6] = map(target_words.__getitem__, model.targets[block].tolist())
+            cells[4::6] = map(float.__repr__, model.probs[block].tolist())
+            fh.write("".join(cells))
 
 
 def load_model(path: str) -> TranslationModel:
+    """Rows may come in any order; of rows with the same source and
+    target word the last one wins."""
+    source_ids: dict[str, int] = {}
+    target_ids: dict[str, int] = {}
+    sources: list[int] = []
+    targets: list[int] = []
+    probs: list[float] = []
     with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
@@ -362,19 +490,60 @@ def load_model(path: str) -> TranslationModel:
             tension, p0, diagonal = float(header[1]), float(header[3]), bool(int(header[5]))
         except ValueError:
             raise FormatError(f"{path}:1: bad number in model header") from None
-        table: dict[str, dict[str, float]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: bad model row")
-            src, tgt, prob = parts
+        lineno = 2
+        for text in _line_blocks(fh):
+            cells = text.replace("\n", "\t").split("\t")
+            cells.pop()
+            rows = len(cells) // 3
             try:
-                table.setdefault(src, {})[tgt] = float(prob)
+                # Every row has three cells: the tabs and newlines, in
+                # file order, read tab, tab, newline once per row.
+                if text.encode().translate(None, _NOT_SEPARATORS) != b"\t\t\n" * rows:
+                    raise ValueError
+                probs += map(float, cells[2::3])
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad probability {prob!r}") from None
-    return TranslationModel(
-        table=table, tension=tension, null_prob=p0, use_diagonal_prior=diagonal
-    )
+                raise _model_row_error(path, lineno, text) from None
+            sources += _word_ids(source_ids, cells[0::3])
+            targets += _word_ids(target_ids, cells[1::3])
+            lineno += rows
+    model = TranslationModel({}, tension, p0, diagonal)
+    model._set_entries(list(source_ids), sources, list(target_ids), targets, probs)
+    return model
+
+
+def _word_ids(ids: dict[str, int], words: list[str]) -> Iterator[int]:
+    """The id of each of `words`, numbering new words from len(ids) on."""
+    for word in dict.fromkeys(words):
+        ids.setdefault(word, len(ids))
+    return map(ids.__getitem__, words)
+
+
+def _line_blocks(fh) -> Iterator[str]:
+    """The rest of `fh` as blocks of whole lines, each block ending in a
+    newline (added to a last line that has none)."""
+    tail = ""
+    for block in iter(functools.partial(fh.read, _LOAD_BLOCK_CHARS), ""):
+        block = tail + block
+        end = block.rfind("\n") + 1
+        tail = block[end:]
+        if end:
+            yield block[:end]
+    if tail:
+        yield tail + "\n"
+
+
+def _model_row_error(path: str, lineno: int, text: str) -> FormatError:
+    """The error of the first malformed row of `text`, whose first line
+    is line `lineno`; looked for only once parsing has failed."""
+    for lineno, line in enumerate(text.split("\n"), start=lineno):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            return FormatError(f"{path}:{lineno}: bad model row")
+        try:
+            float(parts[2])
+        except ValueError:
+            return FormatError(f"{path}:{lineno}: bad probability {parts[2]!r}")
+    raise AssertionError("no malformed model row")
 
 
 def parse_bitext_line(line: str, lineno: int) -> tuple[str, str]:

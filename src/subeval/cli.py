@@ -252,16 +252,13 @@ def _alignments_for_pairs(opts, system_pairs):
     model_c2s, model_s2c = _train_models(
         opts, opts["caption-lang"], opts["subtitle-lang"], system_pairs, reverse=True
     )
-    alignments = []
-    for pair in system_pairs:
-        rev = align_mod.BitextPair(pair.target, pair.source)
-        alignments.append(
-            (
-                align_mod.viterbi_align(model_c2s, pair),
-                align_mod.viterbi_align(model_s2c, rev),
-            )
+    reverse = [align_mod.BitextPair(pair.target, pair.source) for pair in system_pairs]
+    return list(
+        zip(
+            align_mod.viterbi_align_corpus(model_c2s, system_pairs),
+            align_mod.viterbi_align_corpus(model_s2c, reverse),
         )
-    return alignments
+    )
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -385,10 +382,8 @@ def run_align_train(args: argparse.Namespace) -> int:
 def run_align_apply(args: argparse.Namespace) -> int:
     model = align_mod.load_model(args.model)
     pairs = _bitext_pairs_from_file(args.bitext, args.source_lang, args.target_lang)
-    lines = [
-        align_mod.write_pharaoh(align_mod.viterbi_align(model, pair)) for pair in pairs
-    ]
-    _emit("".join(line + "\n" for line in lines), args.out_file)
+    alignments = align_mod.viterbi_align_corpus(model, pairs)
+    _emit("".join(align_mod.write_pharaoh(a) + "\n" for a in alignments), args.out_file)
     return 0
 
 

@@ -21,7 +21,7 @@ class ConformityThresholds:
     max_cps: float = DEFAULT_MAX_CPS
 
     def __post_init__(self):
-        if self.max_cpl <= 0 or self.max_cps <= 0:
+        if not self.max_cpl > 0 or not self.max_cps > 0:
             raise DataError("conformity thresholds must be positive")
 
 

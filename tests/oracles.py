@@ -866,3 +866,38 @@ def report_to_tsv(report: EvaluationReport) -> str:
         _fmt_score(report.char_ratio),
     ]
     return "\t".join(TSV_COLUMNS) + "\n" + "\t".join(row) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Model-file loader (the row-by-row loop the library replaced)
+#
+# The library parses the model file in blocks of whole lines, with one
+# split into cells and one float parse per block, into sorted arrays.
+# This is the row loop it replaced, copied unchanged apart from its name:
+# the reference for every table it builds and every error it reports.
+
+from subeval.errors import FormatError, open_utf8  # noqa: E402
+
+
+def load_model_loop(path: str) -> TranslationModel:
+    with open_utf8(path) as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
+            raise FormatError(f"{path}:1: bad model header")
+        try:
+            tension, p0, diagonal = float(header[1]), float(header[3]), bool(int(header[5]))
+        except ValueError:
+            raise FormatError(f"{path}:1: bad number in model header") from None
+        table: dict[str, dict[str, float]] = {}
+        for lineno, raw in enumerate(fh, start=2):
+            parts = raw.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: bad model row")
+            src, tgt, prob = parts
+            try:
+                table.setdefault(src, {})[tgt] = float(prob)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad probability {prob!r}") from None
+    return TranslationModel(
+        table=table, tension=tension, null_prob=p0, use_diagonal_prior=diagonal
+    )

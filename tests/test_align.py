@@ -327,3 +327,152 @@ def test_monotone_corpus_f1_at_least_09():
     recall = tp / (tp + fn)
     f1 = 2 * precision * recall / (precision + recall)
     assert f1 >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# Library checks on training options
+
+
+def test_negative_iterations_rejected():
+    with pytest.raises(DataError, match="iterations must be non-negative"):
+        train_aligner(TOY_CORPUS, iterations=-1)
+
+
+@pytest.mark.parametrize("tension", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_initial_tension_rejected(tension):
+    with pytest.raises(DataError, match="initial tension must be finite"):
+        train_aligner(TOY_CORPUS, initial_tension=tension)
+
+
+# ---------------------------------------------------------------------------
+# The array model against the loop oracles: corpus Viterbi, model file
+# round trip, and the loader contract
+
+import os  # noqa: E402
+import tempfile  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import subeval.align as align_module  # noqa: E402
+from subeval.align import viterbi_align_corpus  # noqa: E402
+
+
+def _dict_model(table, tension, null_prob, use_diagonal_prior):
+    """A model that `oracles.viterbi_loop` can score by dict lookups alone."""
+    return SimpleNamespace(
+        tension=tension,
+        null_prob=null_prob,
+        use_diagonal_prior=use_diagonal_prior,
+        prob=lambda target, source: table.get(source, {}).get(target, OOV_PROB),
+    )
+
+
+_probabilities = st.one_of(st.sampled_from([0.25, 0.5, 1e-12, OOV_PROB]), st.floats(0.0, 1.0))
+# Sources a-c and NULL, targets A-C; the corpus also draws d and e (D and
+# E), which no table holds.
+_tables = st.dictionaries(
+    st.sampled_from(["a", "b", "c", NULL_WORD]),
+    st.dictionaries(st.sampled_from(["A", "B", "C"]), _probabilities, min_size=1),
+)
+_oov_words = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5)
+_oov_bitext = st.lists(
+    st.builds(
+        BitextPair,
+        _oov_words.map(tuple),
+        _oov_words.map(lambda ws: tuple(w.upper() for w in ws)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=_tables,
+    corpus=_oov_bitext,
+    null_prob=st.sampled_from([0.0, 0.08, 0.5]),
+    tension=st.sampled_from([0.1, 4.0, 14.0]),
+    diagonal=st.booleans(),
+    save_rows=st.sampled_from([1, 2, 1 << 14]),
+    load_chars=st.sampled_from([3, 10, 1 << 20]),
+)
+@example(  # tied sources, no NULL row, p0 = 0
+    table={"a": {"A": 0.5}, "b": {"A": 0.5}},
+    corpus=[pair("a b", "A E"), pair("b a e", "A")],
+    null_prob=0.0, tension=4.0, diagonal=False, save_rows=1, load_chars=3,
+)
+def test_array_model_matches_loop_oracles(
+    table, corpus, null_prob, tension, diagonal, save_rows, load_chars
+):
+    model = TranslationModel(table, tension=tension, null_prob=null_prob, use_diagonal_prior=diagonal)
+    assert model.table == table
+    reference = _dict_model(table, tension, null_prob, diagonal)
+    expected = [oracles.viterbi_loop(reference, p).links for p in corpus]
+    assert [a.links for a in viterbi_align_corpus(model, corpus)] == expected
+    assert [viterbi_align(model, p).links for p in corpus] == expected
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(align_module, "_SAVE_BLOCK_ROWS", save_rows), \
+            mock.patch.object(align_module, "_LOAD_BLOCK_CHARS", load_chars):
+        first, second = os.path.join(tmp, "first.tsv"), os.path.join(tmp, "second.tsv")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        with open(first, "rb") as fh_first, open(second, "rb") as fh_second:
+            assert fh_first.read() == fh_second.read()
+        assert loaded.table == model.table == oracles.load_model_loop(first).table
+    assert (loaded.tension, loaded.null_prob, loaded.use_diagonal_prior) == (
+        tension, null_prob, diagonal
+    )
+
+
+_HEADER = "tension\t4.0\tp0\t0.08\tdiagonal\t1\n"
+
+
+def _load_outcome(load, path):
+    """The table and parameters `load` reads from `path`, or its error."""
+    try:
+        model = load(str(path))
+    except FormatError as exc:
+        return str(exc)
+    return model.table, model.tension, model.null_prob, model.use_diagonal_prior
+
+
+@pytest.mark.parametrize("block_chars", [4, 1 << 20])
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("b\tB\t0.5\na\tB\t0.25\na\tA\t0.25\n", id="unsorted-rows"),
+        pytest.param("a\tA\t0.5\na\tB\t0.5\na\tA\t0.75\n", id="duplicate-rows"),
+        pytest.param("a\tA\t0.5\n\na\tB\t0.5\n", id="blank-line"),
+        pytest.param("a\tA\t0.5\na\tB\t0.5\n\n", id="blank-last-line"),
+        pytest.param("a\tA\t0.5\na\t0.5\n", id="two-cells"),
+        pytest.param("a\tA\t0.5\na\tB\t0.5\t1\n", id="four-cells"),
+        pytest.param("a\tA\t0.5\na\tB\tx\n", id="bad-probability"),
+        pytest.param("a\tA\tx\nb\n", id="bad-probability-then-bad-row"),
+        pytest.param("a\nb\tA\tx\n", id="bad-row-then-bad-probability"),
+        pytest.param("a\tA\t0.5\na\tB\t0.5", id="no-final-newline"),
+        pytest.param("a\tA\t0.5\r\na\tB\t0.5\r\n", id="crlf"),
+        pytest.param("", id="header-only"),
+        pytest.param("é\tÉ\t 1_0.5 \nß\t€\t1e-300\n", id="non-ascii-and-float-syntax"),
+    ],
+)
+def test_load_model_matches_row_loop(tmp_path, monkeypatch, body, block_chars):
+    monkeypatch.setattr(align_module, "_LOAD_BLOCK_CHARS", block_chars)
+    path = tmp_path / "model.tsv"
+    path.write_bytes((_HEADER + body).encode("utf-8"))
+    assert _load_outcome(load_model, path) == _load_outcome(oracles.load_model_loop, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(["a", "B", "\t", "\n", "\r\n", "\r", "0.5", "1e-3", "x", ""])),
+    block_chars=st.sampled_from([1, 4, 1 << 20]),
+)
+def test_load_model_matches_row_loop_on_any_body(pieces, block_chars):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(align_module, "_LOAD_BLOCK_CHARS", block_chars):
+        path = os.path.join(tmp, "model.tsv")
+        with open(path, "wb") as fh:
+            fh.write((_HEADER + "".join(pieces)).encode("utf-8"))
+        assert _load_outcome(load_model, path) == _load_outcome(oracles.load_model_loop, path)

@@ -342,6 +342,32 @@ def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeyp
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
+def test_eval_with_trained_aligner_matches_golden(micro_paths, tmp_path, monkeypatch):
+    # Both aligner directions are trained on the micro bitext plus the
+    # system pairs, then each applied to every system pair.
+    for key in ("captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref"):
+        shutil.copy(micro_paths[key], tmp_path)
+    shutil.copy(os.path.join(os.path.dirname(micro_paths["captions_ref"]), "bitext.txt"), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = [
+        "eval",
+        "--captions-hyp", "captions.hyp",
+        "--captions-ref", "captions.ref",
+        "--subtitles-hyp", "subtitles.hyp",
+        "--subtitles-ref", "subtitles.ref",
+        "--caption-lang", "en",
+        "--subtitle-lang", "fr",
+        "--train-bitext", "bitext.txt",
+        "--out", "both",
+        "--out-file", "report.trained.out",
+        "--diagnostics", "diag.trained.jsonl",
+    ]
+    assert main(args) == 0
+    for name in ("report.trained.out", "diag.trained.jsonl"):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 def _check_align_golden(tmp_path, model_name, out_name, *train_flags):
     bitext = os.path.join(GOLDEN, "bitext.txt")
     model, out = tmp_path / model_name, tmp_path / out_name

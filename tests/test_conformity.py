@@ -72,6 +72,12 @@ def test_thresholds_must_be_positive():
         ConformityThresholds(max_cps=-1.0)
 
 
+@pytest.mark.parametrize("field", ["max_cpl", "max_cps"])
+def test_nan_threshold_rejected(field):
+    with pytest.raises(DataError, match="must be positive"):
+        ConformityThresholds(**{field: float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # Reading speed
 
