@@ -56,8 +56,8 @@ good_tagged = attach_tags(good, ["PRON", "VERB", "SCONJ", "PRON", "VERB", "PUNCT
 print("bad split    :", segmentation_plausibility([bad_tagged]))
 print("good split   :", segmentation_plausibility([good_tagged]))
 
-# conformity_report bundles all three rates and their denominators,
-# and degrades gracefully: without timing the speed rate is None,
+# conformity_report bundles all three rates and the selected break
+# count, and degrades gracefully: without timing the speed rate is None,
 # without tags the segmentation rate is None.
 untimed = SubtitleDocument(
     (Utterance(id="0", blocks=(SubtitleBlock((SubtitleLine("Hi there."),)),)),)

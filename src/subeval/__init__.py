@@ -40,7 +40,6 @@ from .model import (
     SubtitleLine,
     Utterance,
     UtterancePair,
-    block_char_count,
     pair_documents,
 )
 from .quality import bootstrap_significance, corpus_bleu, wer

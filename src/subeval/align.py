@@ -481,7 +481,7 @@ def load_model(path: str) -> TranslationModel:
     target_ids: dict[str, int] = {}
     sources: list[int] = []
     targets: list[int] = []
-    probs: list[float] = []
+    blocks: list[np.ndarray] = []  # the probabilities of each block of rows
     with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
@@ -500,13 +500,17 @@ def load_model(path: str) -> TranslationModel:
                 # file order, read tab, tab, newline once per row.
                 if text.encode().translate(None, _NOT_SEPARATORS) != b"\t\t\n" * rows:
                     raise ValueError
-                probs += map(float, cells[2::3])
+                probs = np.fromiter(map(float, cells[2::3]), np.float64, rows)
+                if not ((probs >= 0.0) & (probs <= 1.0)).all():
+                    raise ValueError
             except ValueError:
                 raise _model_row_error(path, lineno, text) from None
+            blocks.append(probs)
             sources += _word_ids(source_ids, cells[0::3])
             targets += _word_ids(target_ids, cells[1::3])
             lineno += rows
     model = TranslationModel({}, tension, p0, diagonal)
+    probs = np.concatenate([np.empty(0), *blocks])
     model._set_entries(list(source_ids), sources, list(target_ids), targets, probs)
     return model
 
@@ -533,24 +537,20 @@ def _line_blocks(fh) -> Iterator[str]:
 
 
 def _model_row_error(path: str, lineno: int, text: str) -> FormatError:
-    """The error of the first malformed row of `text`, whose first line
-    is line `lineno`; looked for only once parsing has failed."""
+    """The error of the first bad row of `text`, malformed or with a
+    probability outside [0, 1], whose first line is line `lineno`; looked
+    for only once parsing has failed."""
     for lineno, line in enumerate(text.split("\n"), start=lineno):
         parts = line.split("\t")
         if len(parts) != 3:
             return FormatError(f"{path}:{lineno}: bad model row")
         try:
-            float(parts[2])
+            prob = float(parts[2])
         except ValueError:
+            prob = math.nan
+        if not 0.0 <= prob <= 1.0:
             return FormatError(f"{path}:{lineno}: bad probability {parts[2]!r}")
-    raise AssertionError("no malformed model row")
-
-
-def parse_bitext_line(line: str, lineno: int) -> tuple[str, str]:
-    if "|||" not in line:
-        raise FormatError(f"bitext line {lineno}: missing ||| separator")
-    src, tgt = line.split("|||", 1)
-    return src.strip(), tgt.strip()
+    raise AssertionError("no bad model row")
 
 
 def load_bitext(path: str) -> list[tuple[str, str]]:
@@ -561,5 +561,8 @@ def load_bitext(path: str) -> list[tuple[str, str]]:
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            pairs.append(parse_bitext_line(line, lineno))
+            if "|||" not in line:
+                raise FormatError(f"{path}:{lineno}: missing ||| separator")
+            src, tgt = line.split("|||", 1)
+            pairs.append((src.strip(), tgt.strip()))
     return pairs

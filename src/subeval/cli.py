@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import re
 import sys
 from typing import Any, Callable, Optional, Sequence
 
@@ -75,15 +75,6 @@ EVAL_OPTIONS: dict[str, tuple[type, Any]] = {
 
 FORMATS = ("mustcinema", "srt")
 
-# `eval` options with a fixed set of values, checked before any file is
-# read.
-EVAL_CHOICES: dict[str, tuple[str, ...]] = {
-    "format": FORMATS,
-    "breaks": tuple(b.value for b in BreakSelection),
-    "aggregation": tuple(a.value for a in LengthAggregation),
-    "out": ("json", "tsv", "both"),
-}
-
 
 def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (raw value, "<path>:<line>" where the file sets it)."""
@@ -145,32 +136,47 @@ def _add_eval_arguments(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, type=typ, default=None)
 
 
-# Numeric options: name -> (test the value must pass, what it must be).
-# Each test is written so that NaN fails it.
-_NUMBER_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
+    return choices.__contains__, f"{', '.join(choices[:-1])} or {choices[-1]}"
+
+
+# Options with a constrained value: name -> (test the value must pass,
+# what it must be).  A rule holds for every subcommand with the option;
+# each test is written so that NaN fails it.
+_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "format": _one_of(*FORMATS),
+    "breaks": _one_of(*(b.value for b in BreakSelection)),
+    "aggregation": _one_of(*(a.value for a in LengthAggregation)),
+    "out": _one_of("json", "tsv", "both"),
+    "metric": _one_of("bleu", "wer"),
     "iterations": (lambda v: v >= 0, "non-negative"),
     "p0": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "tension": (math.isfinite, "finite"),
+    "tension": (lambda v: 0.1 <= v <= 14.0, "in [0.1, 14]"),  # EM's clamp
     "max-cpl": (lambda v: v > 0, "positive"),
     "max-cps": (lambda v: v > 0, "positive"),
+    "resamples": (lambda v: v >= 1, "a positive integer"),
+    "seed": (lambda v: v >= 0, "non-negative"),
 }
+
+# What no option value may hold: a NUL, which no path can, or a lone
+# surrogate, which cannot be written out as UTF-8.
+_NOT_TEXT = re.compile("[\x00\ud800-\udfff]")
 
 
 def _validate_options(opts: dict[str, Any]) -> None:
-    """Usage checks on the options of `eval` or `align train`, made
-    before any file is read.  Each check applies to the options present."""
+    """The usage checks of every subcommand, made before any file is
+    read.  Each check applies to the options present."""
     for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
         if key in opts and not opts[key]:
             raise UsageError(f"--{key} is required")
-    for key, choices in EVAL_CHOICES.items():
-        if key in opts and opts[key] not in choices:
-            raise UsageError(
-                f"--{key} must be {', '.join(choices[:-1])} or {choices[-1]}, "
-                f"got {opts[key]!r}"
-            )
-    for key, (valid, what) in _NUMBER_RULES.items():
+    for key, value in opts.items():
+        if isinstance(value, str) and _NOT_TEXT.search(value):
+            raise UsageError(f"--{key} must be UTF-8 text without NUL, got {value!r}")
+    for key, (valid, what) in _RULES.items():
         if key in opts and not valid(opts[key]):
-            raise UsageError(f"--{key} must be {what}, got {opts[key]}")
+            raise UsageError(f"--{key} must be {what}, got {opts[key]!r}")
+    if opts.get("segmentation") and not (opts["pos-captions"] and opts["pos-subtitles"]):
+        raise UsageError("--segmentation requires --pos-captions and --pos-subtitles")
     if "align-c2s" in opts:
         if bool(opts["align-c2s"]) != bool(opts["align-s2c"]):
             raise UsageError("--align-c2s and --align-s2c must be given together")
@@ -184,10 +190,6 @@ def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
     if fmt == "srt":
         return load_srt(path)
     return load_marked_text(path, lenient=lenient)
-
-
-def _mt_tokens(doc: SubtitleDocument, lang: str) -> list[TokenizedUtterance]:
-    return [tokenize(utt.text(), Scheme.MT_DETACHED, lang) for utt in doc.utterances]
 
 
 def _tag_document(
@@ -238,97 +240,89 @@ def _train_models(opts, source_lang, target_lang, system_pairs=(), reverse=False
     ]
 
 
-def _alignments_for_pairs(opts, system_pairs):
-    """Load Pharaoh alignments or train both directions and align."""
+def _alignments_for_pairs(opts, token_pairs):
+    """The (c2s, s2c) alignment of each (caption, subtitle) token pair:
+    loaded from Pharaoh files, or from aligners trained in both
+    directions on the system bitext."""
     if opts["align-c2s"]:
         c2s = align_mod.load_pharaoh(opts["align-c2s"])
         s2c = align_mod.load_pharaoh(opts["align-s2c"])
-        if len(c2s) != len(system_pairs) or len(s2c) != len(system_pairs):
+        if len(c2s) != len(token_pairs) or len(s2c) != len(token_pairs):
             raise DataError(
                 f"alignment file length mismatch: {len(c2s)}/{len(s2c)} lines "
-                f"for {len(system_pairs)} pairs"
+                f"for {len(token_pairs)} pairs"
             )
         return list(zip(c2s, s2c))
+    bitext = [
+        align_mod.BitextPair(tuple(cap.words()), tuple(sub.words()))
+        for cap, sub in token_pairs
+    ]
     model_c2s, model_s2c = _train_models(
-        opts, opts["caption-lang"], opts["subtitle-lang"], system_pairs, reverse=True
+        opts, opts["caption-lang"], opts["subtitle-lang"], bitext, reverse=True
     )
-    reverse = [align_mod.BitextPair(pair.target, pair.source) for pair in system_pairs]
+    reverse = [align_mod.BitextPair(pair.target, pair.source) for pair in bitext]
     return list(
         zip(
-            align_mod.viterbi_align_corpus(model_c2s, system_pairs),
+            align_mod.viterbi_align_corpus(model_c2s, bitext),
             align_mod.viterbi_align_corpus(model_s2c, reverse),
         )
     )
 
 
-def run_eval(args: argparse.Namespace) -> int:
-    opts = _resolve_options(args)
-    _validate_options(opts)
-    if opts["segmentation"] and (not opts["pos-captions"] or not opts["pos-subtitles"]):
-        raise DataError("segmentation requires POS input")
+# The two sides `eval` scores: the keys of the hypothesis, reference,
+# POS file and language options, and the side's quality score.
+_SIDES = (
+    (
+        "captions-hyp", "captions-ref", "pos-captions", "caption-lang",
+        lambda hyp, ref: quality_mod.wer(hyp.utterances, ref.utterances).wer,
+    ),
+    (
+        "subtitles-hyp", "subtitles-ref", "pos-subtitles", "subtitle-lang",
+        lambda hyp, ref: quality_mod.corpus_bleu(hyp.utterances, ref.utterances).score,
+    ),
+)
+
+
+def run_eval(opts: dict[str, Any]) -> int:
     fmt, lenient = opts["format"], opts["lenient"]
-    captions_hyp = _load_document(opts["captions-hyp"], fmt, lenient)
-    captions_ref = _load_document(opts["captions-ref"], fmt, lenient)
-    subtitles_hyp = _load_document(opts["subtitles-hyp"], fmt, lenient)
-    subtitles_ref = _load_document(opts["subtitles-ref"], fmt, lenient)
-
-    wer_result = quality_mod.wer(captions_hyp.utterances, captions_ref.utterances)
-    bleu_result = quality_mod.corpus_bleu(
-        subtitles_hyp.utterances, subtitles_ref.utterances
-    )
-
     thresholds = ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"])
     aggregation = LengthAggregation(opts["aggregation"])
     breaks = BreakSelection(opts["breaks"])
     include_trailing = not opts["exclude-trailing-eob"]
-    # One MT tokenization per hypothesis utterance feeds tagging, the
-    # system bitext and lexical consistency.
-    mt_captions = _mt_tokens(captions_hyp, opts["caption-lang"])
-    mt_subtitles = _mt_tokens(subtitles_hyp, opts["subtitle-lang"])
-    tagged_captions = (
-        _tag_document(captions_hyp, mt_captions, opts["pos-captions"])
-        if opts["pos-captions"]
-        else None
-    )
-    tagged_subtitles = (
-        _tag_document(subtitles_hyp, mt_subtitles, opts["pos-subtitles"])
-        if opts["pos-subtitles"]
-        else None
-    )
-    conf_captions = conformity_report(
-        captions_hyp,
-        thresholds,
-        aggregation,
-        tagged_captions,
-        include_trailing_eob=include_trailing,
-        breaks=breaks,
-    )
-    conf_subtitles = conformity_report(
-        subtitles_hyp,
-        thresholds,
-        aggregation,
-        tagged_subtitles,
-        include_trailing_eob=include_trailing,
-        breaks=breaks,
-    )
+    hyps, tokens, quality, conformity = [], [], [], []
+    for hyp_key, ref_key, pos_key, lang_key, score in _SIDES:
+        hyp = _load_document(opts[hyp_key], fmt, lenient)
+        quality.append(score(hyp, _load_document(opts[ref_key], fmt, lenient)))
+        # One MT tokenization per hypothesis utterance feeds tagging, the
+        # system bitext and lexical consistency.
+        mt = [tokenize(utt.text(), Scheme.MT_DETACHED, opts[lang_key]) for utt in hyp]
+        conformity.append(
+            conformity_report(
+                hyp,
+                thresholds,
+                aggregation,
+                _tag_document(hyp, mt, opts[pos_key]) if opts[pos_key] else None,
+                include_trailing_eob=include_trailing,
+                breaks=breaks,
+            )
+        )
+        hyps.append(hyp)
+        tokens.append(mt)
 
-    pairs = pair_documents(captions_hyp, subtitles_hyp)
-    system_bitext = [
-        align_mod.BitextPair(tuple(cap.words()), tuple(sub.words()))
-        for cap, sub in zip(mt_captions, mt_subtitles)
-    ]
-    alignments = _alignments_for_pairs(opts, system_bitext)
+    pairs = pair_documents(*hyps)
+    token_pairs = list(zip(*tokens))
     cons = consistency_mod.consistency_report_from_tokens(
         pairs,
-        list(zip(mt_captions, mt_subtitles)),
-        alignments,
+        token_pairs,
+        _alignments_for_pairs(opts, token_pairs),
         skip_unaligned=opts["skip-unaligned"],
     )
 
+    (wer, bleu), (conf_captions, conf_subtitles) = quality, conformity
     report = EvaluationReport(
         system_name=opts["system-name"],
-        wer=wer_result.wer,
-        bleu=bleu_result.score,
+        wer=wer,
+        bleu=bleu,
         length_captions=conf_captions.length_rate,
         length_subtitles=conf_subtitles.length_rate,
         reading_speed_captions=conf_captions.reading_speed_rate,
@@ -371,35 +365,32 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def run_align_train(args: argparse.Namespace) -> int:
-    opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
-    _validate_options(opts)
-    [model] = _train_models(opts, args.source_lang, args.target_lang)
-    align_mod.save_model(model, args.model_out)
+def run_align_train(opts: dict[str, Any]) -> int:
+    [model] = _train_models(opts, opts["source-lang"], opts["target-lang"])
+    align_mod.save_model(model, opts["model-out"])
     return 0
 
 
-def run_align_apply(args: argparse.Namespace) -> int:
-    model = align_mod.load_model(args.model)
-    pairs = _bitext_pairs_from_file(args.bitext, args.source_lang, args.target_lang)
+def run_align_apply(opts: dict[str, Any]) -> int:
+    model = align_mod.load_model(opts["model"])
+    pairs = _bitext_pairs_from_file(opts["bitext"], opts["source-lang"], opts["target-lang"])
     alignments = align_mod.viterbi_align_corpus(model, pairs)
-    _emit("".join(align_mod.write_pharaoh(a) + "\n" for a in alignments), args.out_file)
+    _emit("".join(align_mod.write_pharaoh(a) + "\n" for a in alignments), opts["out-file"])
     return 0
 
 
-def run_significance(args: argparse.Namespace) -> int:
-    if args.resamples < 1:
-        raise UsageError("--resamples must be a positive integer")
-    hyp_a = _load_document(args.hyp_a, args.format, lenient=False)
-    hyp_b = _load_document(args.hyp_b, args.format, lenient=False)
-    ref = _load_document(args.ref, args.format, lenient=False)
+def run_significance(opts: dict[str, Any]) -> int:
+    hyp_a, hyp_b, ref = (
+        _load_document(opts[key], opts["format"], lenient=False)
+        for key in ("hyp-a", "hyp-b", "ref")
+    )
     result = quality_mod.bootstrap_significance(
         hyp_a.utterances,
         hyp_b.utterances,
         ref.utterances,
-        metric=args.metric,
-        resamples=args.resamples,
-        seed=args.seed,
+        metric=opts["metric"],
+        resamples=opts["resamples"],
+        seed=opts["seed"],
     )
     sys.stdout.write(json.dumps(vars(result), sort_keys=True) + "\n")
     return 0
@@ -429,15 +420,15 @@ def _read_values(path: str, parse, expected: str) -> list:
     return out
 
 
-def run_validate_lexical(args: argparse.Namespace) -> int:
+def run_validate_lexical(opts: dict[str, Any]) -> int:
     def read_bools(path):
         return _read_values(path, lambda line: _BOOL_WORDS[line.lower()], "a boolean")
 
     mae, agreement = consistency_mod.validate_lexical_metric(
-        _read_values(args.auto_scores, float, "a number"),
-        _read_values(args.manual_scores, float, "a number"),
-        read_bools(args.auto_judgements),
-        read_bools(args.manual_judgements),
+        _read_values(opts["auto-scores"], float, "a number"),
+        _read_values(opts["manual-scores"], float, "a number"),
+        read_bools(opts["auto-judgements"]),
+        read_bools(opts["manual-judgements"]),
     )
     sys.stdout.write(
         json.dumps({"mae": mae, "agreement": agreement}, sort_keys=True) + "\n"
@@ -477,13 +468,13 @@ def build_parser() -> _Parser:
     apply_parser.set_defaults(func=run_align_apply)
 
     sig = sub.add_parser("significance", help="pairwise bootstrap resampling")
-    sig.add_argument("--metric", choices=["bleu", "wer"], required=True)
+    sig.add_argument("--metric", required=True)
     sig.add_argument("--resamples", type=int, default=1000)
     sig.add_argument("--seed", type=int, default=0)
     sig.add_argument("--hyp-a", required=True)
     sig.add_argument("--hyp-b", required=True)
     sig.add_argument("--ref", required=True)
-    sig.add_argument("--format", choices=FORMATS, default="mustcinema")
+    sig.add_argument("--format", default="mustcinema")
     sig.set_defaults(func=run_significance)
 
     validate = sub.add_parser("validate-lexical", help="metric vs manual annotation")
@@ -500,13 +491,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command == "eval":
+            opts = _resolve_options(args)
+        else:
+            opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
+        _validate_options(opts)
+        return args.func(opts)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"usage error: {exc}", 1
     except (OSError, SubevalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
+    # One line, whatever the message quotes.
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -54,8 +54,6 @@ class ConformityReport:
     length_rate: Optional[float]
     reading_speed_rate: Optional[float]
     segmentation_rate: Optional[float]
-    lines: int
-    timed_units: int
     breaks: int
 
 
@@ -186,20 +184,12 @@ def conformity_report(
 ) -> ConformityReport:
     """All conformity rates for one document; rates whose denominator is
     empty (or whose inputs are missing) are reported as None."""
-    lines = sum(len(block.lines) for utt in doc.utterances for block in utt.blocks)
-    all_blocks_timed = all(
-        block.timed for utt in doc.utterances for block in utt.blocks
-    )
-    all_utts_timed = all(utt.timed for utt in doc.utterances)
-    if all_blocks_timed and lines > 0:
+    if all(block.timed for utt in doc.utterances for block in utt.blocks):
         speed = reading_speed_conformity(doc, thresholds, TimingMode.PER_BLOCK)
-        timed_units = sum(len(utt.blocks) for utt in doc.utterances)
-    elif all_utts_timed and lines > 0:
+    elif all(utt.timed for utt in doc.utterances):
         speed = reading_speed_conformity(doc, thresholds, TimingMode.PER_UTTERANCE)
-        timed_units = len(doc.utterances)
     else:
         speed = None
-        timed_units = 0
     plausible = judged = n_breaks = 0
     if tagged is not None:
         plausible, judged, n_breaks = _break_counts(tagged, include_trailing_eob, breaks)
@@ -207,7 +197,5 @@ def conformity_report(
         length_rate=length_conformity(doc, thresholds, aggregation),
         reading_speed_rate=speed,
         segmentation_rate=_rate(plausible, judged),
-        lines=lines,
-        timed_units=timed_units,
         breaks=n_breaks,
     )

@@ -8,7 +8,7 @@ input and always produced on output.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 from .errors import FormatError, open_utf8
 from .model import (
@@ -63,30 +63,22 @@ def parse_utterance_text(
 
 
 def parse_marked_text(
-    source: Union[str, TextIO, Iterable[str]],
-    ids: Optional[Sequence[str]] = None,
-    lenient: bool = False,
+    source: Union[str, TextIO, Iterable[str]], lenient: bool = False
 ) -> SubtitleDocument:
-    """Parse marker-format text, one utterance per line.
-
-    `ids` optionally supplies utterance ids; by default they are the
-    0-based line numbers.
-    """
+    """Parse marker-format text, one utterance per line; utterance ids
+    are the 0-based line numbers."""
     if isinstance(source, str):
         raw_lines = source.split("\n")
         if raw_lines and raw_lines[-1] == "":
             raw_lines.pop()
     else:
         raw_lines = [line.rstrip("\n") for line in source]
-    if ids is not None and len(ids) != len(raw_lines):
-        raise FormatError(
-            f"id sidecar length {len(ids)} does not match utterance count {len(raw_lines)}"
+    return SubtitleDocument(
+        tuple(
+            parse_utterance_text(raw, str(i), i, lenient=lenient)
+            for i, raw in enumerate(raw_lines)
         )
-    utterances = []
-    for i, raw in enumerate(raw_lines):
-        utt_id = ids[i] if ids is not None else str(i)
-        utterances.append(parse_utterance_text(raw, utt_id, i, lenient=lenient))
-    return SubtitleDocument(tuple(utterances))
+    )
 
 
 def serialize_marked_text(doc: SubtitleDocument) -> str:

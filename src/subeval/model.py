@@ -91,9 +91,6 @@ class Utterance:
     def timed(self) -> bool:
         return self.start_ms is not None
 
-    def lines(self) -> list[SubtitleLine]:
-        return [line for block in self.blocks for line in block.lines]
-
     def char_count(self) -> int:
         return sum(block.char_count() for block in self.blocks)
 
@@ -144,11 +141,6 @@ class SubtitleDocument:
 
     def __iter__(self):
         return iter(self.utterances)
-
-
-def block_char_count(block: SubtitleBlock) -> list[int]:
-    """Per-line character counts (trimmed, Unicode scalars)."""
-    return [line.char_count() for line in block.lines]
 
 
 def pair_documents(

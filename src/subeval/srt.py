@@ -1,14 +1,12 @@
 """SubRip (SRT) parsing and serialization.
 
-Each cue becomes one timed SubtitleBlock.  By default every cue is its
-own single-block utterance; `parse_srt`'s grouping map (utterance id ->
-cue index list) reconstructs multi-block utterances.
+Each cue becomes one utterance of one timed SubtitleBlock.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 from .errors import FormatError, open_utf8
 from .model import SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
@@ -42,20 +40,13 @@ def _cue_chunks(lines: list[str]) -> Iterable[list[str]]:
         yield chunk
 
 
-def parse_srt(
-    source: Union[str, TextIO],
-    grouping: Optional[Mapping[str, Sequence[int]]] = None,
-) -> SubtitleDocument:
-    """Parse SRT text into a document.
-
-    `grouping` maps utterance ids to lists of cue index numbers (as
-    written in the file).  Without it, each cue becomes one utterance
-    whose id is the cue index as a string.
-    """
+def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
+    """Parse SRT text into a document: each cue becomes one single-block
+    utterance whose id is the cue index as a string."""
     text = source if isinstance(source, str) else source.read()
     text = text.lstrip("﻿")
-    cues: dict[int, SubtitleBlock] = {}
-    order: list[int] = []
+    utterances: list[Utterance] = []
+    seen: set[int] = set()
     for chunk in _cue_chunks(text.split("\n")):
         index_line = chunk[0].strip()
         try:
@@ -81,42 +72,12 @@ def parse_srt(
             start_ms=start_ms,
             end_ms=end_ms,
         )
-        if cue_index in cues:
+        if cue_index in seen:
             raise FormatError(f"duplicate cue index {cue_index}")
-        cues[cue_index] = block
-        order.append(cue_index)
-
-    utterances: list[Utterance] = []
-    if grouping is None:
-        for cue_index in order:
-            block = cues[cue_index]
-            utterances.append(
-                Utterance(
-                    id=str(cue_index),
-                    blocks=(block,),
-                    start_ms=block.start_ms,
-                    end_ms=block.end_ms,
-                )
-            )
-    else:
-        for utt_id, cue_indices in grouping.items():
-            blocks = []
-            for cue_index in cue_indices:
-                if cue_index not in cues:
-                    raise FormatError(
-                        f"grouping map references unknown cue index {cue_index}"
-                    )
-                blocks.append(cues[cue_index])
-            if not blocks:
-                raise FormatError(f"grouping map: utterance {utt_id!r} has no cues")
-            utterances.append(
-                Utterance(
-                    id=utt_id,
-                    blocks=tuple(blocks),
-                    start_ms=min(b.start_ms for b in blocks),
-                    end_ms=max(b.end_ms for b in blocks),
-                )
-            )
+        seen.add(cue_index)
+        utterances.append(
+            Utterance(str(cue_index), (block,), start_ms=start_ms, end_ms=end_ms)
+        )
     return SubtitleDocument(tuple(utterances))
 
 

@@ -210,7 +210,10 @@ def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[s
 
 def load_conllu(path: str) -> list[list[tuple[str, str]]]:
     with open_utf8(path) as fh:
-        return parse_conllu(fh)
+        try:
+            return parse_conllu(fh)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def attach_tags(

@@ -454,7 +454,7 @@ def _load_outcome(load, path):
         pytest.param("a\tA\t0.5\na\tB\t0.5", id="no-final-newline"),
         pytest.param("a\tA\t0.5\r\na\tB\t0.5\r\n", id="crlf"),
         pytest.param("", id="header-only"),
-        pytest.param("é\tÉ\t 1_0.5 \nß\t€\t1e-300\n", id="non-ascii-and-float-syntax"),
+        pytest.param("é\tÉ\t 1_0e-1 \nß\t€\t1e-300\n", id="non-ascii-and-float-syntax"),
     ],
 )
 def test_load_model_matches_row_loop(tmp_path, monkeypatch, body, block_chars):
@@ -462,6 +462,17 @@ def test_load_model_matches_row_loop(tmp_path, monkeypatch, body, block_chars):
     path = tmp_path / "model.tsv"
     path.write_bytes((_HEADER + body).encode("utf-8"))
     assert _load_outcome(load_model, path) == _load_outcome(oracles.load_model_loop, path)
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5", " 1_0.5 "])
+def test_load_model_rejects_probability_outside_unit_interval(tmp_path, prob):
+    path = tmp_path / "model.tsv"
+    path.write_text(_HEADER + f"a\tA\t0\na\tB\t{prob}\nb\tA\t2\n", encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_model(str(path))
+    assert str(info.value) == f"{path}:3: bad probability {prob!r}"
+    path.write_text(_HEADER + "a\tA\t0\na\tB\t1\n", encoding="utf-8")
+    assert load_model(str(path)).table == {"a": {"A": 0.0, "B": 1.0}}
 
 
 @settings(max_examples=300, deadline=None)

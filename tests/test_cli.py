@@ -9,9 +9,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from subeval import textproc
+from subeval import cli, textproc
 from subeval.cli import main
 from subeval.textproc import Scheme
 
@@ -104,8 +104,10 @@ def test_eval_identity_run(micro_paths, tmp_path, capsys):
 
 def test_eval_missing_pos_with_segmentation(micro_paths, capsys):
     code = main(eval_args(micro_paths, "--segmentation"))
-    assert code == 2
-    assert "segmentation requires POS input" in capsys.readouterr().err
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "usage error: --segmentation requires --pos-captions and --pos-subtitles\n"
+    )
 
 
 def test_eval_missing_required_flag(capsys):
@@ -120,7 +122,7 @@ def test_eval_missing_required_flag(capsys):
         ("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt"),
         ("--max-cpl", "0"), ("--max-cps", "-1"), ("--max-cps", "nan"),
         ("--iterations", "-2"), ("--tension", "nan"), ("--tension", "inf"),
-        ("--p0", "1.5"), ("--p0", "nan"),
+        ("--p0", "1.5"), ("--p0", "nan"), ("--tension", "-1000"), ("--tension", "20"),
     ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
@@ -213,6 +215,27 @@ def test_eval_non_utf8_input_names_file_and_line(micro_paths, tmp_path, capsys):
     args[args.index("--captions-hyp") + 1] = str(path)
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {path}:3: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cols: cols[:3] + ["FOO"] + cols[4:], "unknown UPOS 'FOO' at line 2"),
+        (lambda cols: cols[:9], "expected 10 columns at line 2, got 9"),
+    ],
+    ids=["unknown-upos", "nine-columns"],
+)
+def test_eval_bad_conllu_names_file(micro_paths, tmp_path, capsys, edit, message):
+    with open(micro_paths["pos_captions"], encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    lines[1] = "\t".join(edit(lines[1].split("\t")))
+    pos = tmp_path / "captions.conllu"
+    pos.write_text("\n".join(lines), encoding="utf-8")
+    args = eval_args(
+        micro_paths, "--pos-captions", str(pos), "--pos-subtitles", micro_paths["pos_subtitles"]
+    )
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {pos}: {message}\n"
 
 
 # One mutation of one micro-corpus file per example.
@@ -454,7 +477,7 @@ def test_align_train_deterministic(toy_bitext, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--iterations", "-1"), ("--tension", "nan"), ("--tension", "inf"), ("--p0", "1.5"),
-     ("--p0", "-0.1")],
+     ("--p0", "-0.1"), ("--tension", "-1000"), ("--tension", "20")],
 )
 def test_align_train_invalid_value_is_usage_error_before_reading(tmp_path, capsys, flag, value):
     model = tmp_path / "model.tsv"
@@ -487,6 +510,20 @@ def test_align_apply_bad_model_number_names_file_and_line(tmp_path, capsys):
     code = main(["align", "apply", "--model", str(model), "--bitext", str(bitext)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {model}:3: bad probability 'lots'\n"
+
+
+@pytest.mark.parametrize("command", ["train", "apply"])
+def test_align_bad_bitext_names_file_and_line(toy_bitext, tmp_path, capsys, command):
+    model = tmp_path / "model.tsv"
+    assert main(["align", "train", "--train-bitext", toy_bitext, "--model-out", str(model)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a ||| x\nno separator\n")
+    args = {
+        "train": ["--train-bitext", str(bad), "--model-out", str(model)],
+        "apply": ["--model", str(model), "--bitext", str(bad)],
+    }[command]
+    assert main(["align", command, *args]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: missing ||| separator\n"
 
 
 def test_align_extra_bitext(toy_bitext, tmp_path):
@@ -556,6 +593,22 @@ def test_significance_zero_resamples_is_usage_error(micro_paths, capsys):
     assert "resamples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--resamples", "0", "--resamples must be a positive integer, got 0"),
+        ("--metric", "chrf", "--metric must be bleu or wer, got 'chrf'"),
+        ("--format", "vtt", "--format must be mustcinema or srt, got 'vtt'"),
+        ("--seed", "-1", "--seed must be non-negative, got -1"),
+    ],
+)
+def test_significance_invalid_value_is_usage_error_before_reading(capsys, flag, value, message):
+    args = ["significance", "--metric", "wer", "--hyp-a", "/nonexistent/a",
+            "--hyp-b", "/nonexistent/b", "--ref", "/nonexistent/ref", flag, value]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # validate-lexical
 
@@ -603,3 +656,190 @@ def test_validate_lexical_non_numeric_score_names_file_and_line(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"error: {paths['auto']}:2: expected a number, got 'high'\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand, in-process
+
+MICRO = os.path.join(os.path.dirname(__file__), "data", "micro")
+_FILES = sorted(os.path.join(d, name) for d in (MICRO, GOLDEN) for name in os.listdir(d))
+_JUNK = st.text(max_size=12)
+_NUMBERS = st.one_of(st.floats().map(repr), st.integers().map(str), _JUNK)
+
+
+def _count(limit):
+    """Integers up to `limit`, floats and digit-free words: nothing drawn
+    parses as a larger int, so runs stay short."""
+    return st.one_of(
+        st.integers(max_value=limit).map(str),
+        st.floats().map(repr),
+        st.text(alphabet="ab-. _", max_size=6),
+    )
+
+
+def _one_of(*choices):
+    return st.one_of(st.sampled_from(choices), _JUNK)
+
+
+_INPUT = st.one_of(st.sampled_from(_FILES), _JUNK)
+# Outputs land in the example's working directory, a temporary one.
+_OUTPUT = st.sampled_from(["out.txt", "missing/out.txt", ".", ""])
+_BOOL = st.sampled_from(["true", "no", "1", "maybe", ""])
+
+# flag -> strategy of its value; None for a flag without one.
+_FLAG_VALUES = {
+    **dict.fromkeys(
+        ("--captions-hyp", "--captions-ref", "--subtitles-hyp", "--subtitles-ref",
+         "--pos-captions", "--pos-subtitles", "--align-c2s", "--align-s2c",
+         "--train-bitext", "--extra-bitext", "--model", "--bitext", "--hyp-a", "--hyp-b",
+         "--ref", "--auto-scores", "--manual-scores", "--auto-judgements",
+         "--manual-judgements"),
+        _INPUT,
+    ),
+    **dict.fromkeys(("--out-file", "--diagnostics", "--model-out"), _OUTPUT),
+    **dict.fromkeys(
+        ("--system-name", "--caption-lang", "--subtitle-lang", "--source-lang",
+         "--target-lang"),
+        _JUNK,
+    ),
+    **dict.fromkeys(("--max-cpl", "--max-cps", "--p0", "--tension", "--seed"), _NUMBERS),
+    "--iterations": _count(3),
+    "--resamples": _count(20),
+    "--format": _one_of("mustcinema", "srt"),
+    "--breaks": _one_of("eol", "eob", "both"),
+    "--aggregation": _one_of("line", "block"),
+    "--out": _one_of("json", "tsv", "both"),
+    "--metric": _one_of("bleu", "wer"),
+    **dict.fromkeys(
+        ("--lenient", "--skip-unaligned", "--exclude-trailing-eob", "--segmentation",
+         "--no-diagonal-prior", "--nope", "-x", "--"),
+        None,
+    ),
+}
+
+
+def _config_value(key):
+    strategy = _FLAG_VALUES.get(f"--{key}", _JUNK)
+    return _BOOL if strategy is None else strategy
+
+
+# A config file: lines of a known or random key, "=" or " ", and a value.
+_CONFIG = st.lists(
+    st.one_of(st.sampled_from(sorted(cli.EVAL_OPTIONS)), _JUNK).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from([" = ", " "]), _config_value(key))
+    ),
+    max_size=6,
+).map(lambda lines: "".join(f"{key}{sep}{value}\n" for key, sep, value in lines))
+
+# The flags of each subcommand; any flag may also be drawn for another.
+_COMMAND_FLAGS = {
+    "eval": [f"--{key}" for key in cli.EVAL_OPTIONS] + ["--config"],
+    "align train": ["--train-bitext", "--extra-bitext", "--model-out", "--iterations", "--p0",
+                    "--tension", "--no-diagonal-prior", "--source-lang", "--target-lang"],
+    "align apply": ["--model", "--bitext", "--out-file", "--source-lang", "--target-lang"],
+    "significance": ["--metric", "--resamples", "--seed", "--hyp-a", "--hyp-b", "--ref",
+                     "--format"],
+    "validate-lexical": ["--auto-scores", "--manual-scores", "--auto-judgements",
+                         "--manual-judgements"],
+}
+_ANY_FLAG = sorted(set(_FLAG_VALUES) | {"--config"})
+
+
+def _flag_tokens(flag):
+    """The argv tokens of one `flag`: the flag alone, or with its value as
+    the next token or after `=`.  `--config` is followed by the text of
+    the file it names."""
+    if flag == "--config":
+        return _CONFIG.map(lambda text: ["--config", "run.cfg", text])
+    values = _FLAG_VALUES[flag]
+    if values is None:
+        return st.just([flag])
+    return st.tuples(values, st.booleans()).map(
+        lambda drawn: [f"{flag}={drawn[0]}"] if drawn[1] else [flag, drawn[0]]
+    )
+
+
+def _extra_tokens(flag):
+    if flag is None:  # a junk token, or a flag of any subcommand
+        return st.one_of(st.sampled_from(_ANY_FLAG).flatmap(_flag_tokens), _JUNK.map(lambda t: [t]))
+    return _flag_tokens(flag)
+
+
+def _extras(command):
+    return st.lists(st.sampled_from(_COMMAND_FLAGS[command] + [None]).flatmap(_extra_tokens),
+                    max_size=5)
+
+
+# A subcommand, the indices of the flag/value pairs dropped from its
+# valid run, and the argv extras appended to it.
+_RUNS = st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command), st.sets(st.integers(0, 7), max_size=1), _extras(command)
+    )
+)
+
+
+def _base_argv(command, micro_paths):
+    """A valid run of `command`, as (words, flag/value pairs)."""
+    g = GOLDEN
+    if command == "eval":
+        args = eval_args(micro_paths)
+        return args[:1], list(zip(args[1::2], args[2::2]))
+    if command == "align train":
+        pairs = [("--train-bitext", f"{g}/bitext.txt"), ("--model-out", "model.tsv"),
+                 ("--iterations", "1")]
+    elif command == "align apply":
+        pairs = [("--model", f"{g}/model.tsv"), ("--bitext", f"{g}/bitext.txt")]
+    elif command == "significance":
+        pairs = [("--metric", "bleu"), ("--resamples", "5"),
+                 ("--hyp-a", micro_paths["subtitles_hyp"]),
+                 ("--hyp-b", micro_paths["subtitles_ref"]),
+                 ("--ref", micro_paths["subtitles_ref"])]
+    else:
+        pairs = [(f"--{name}", f"{name}.txt") for name in
+                 ("auto-scores", "manual-scores", "auto-judgements", "manual-judgements")]
+    return command.split(), pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_RUNS)
+# Runs that once escaped the contract: a ValueError from numpy's seeding,
+# an OverflowError from the diagonal prior, a two-line usage error, and a
+# ValueError or UnicodeEncodeError from `open`.
+@example(run=("significance", set(), [["--seed", "-1"]]))
+@example(run=("align train", set(), [["--tension", "-1000"]]))
+@example(run=("eval", set(), [["junk\nline"]]))
+@example(run=("eval", set(), [["--captions-hyp", "a\x00b"]]))
+@example(run=("eval", set(), [["--system-name", "\udc80"], ["--out-file", "out.txt"]]))
+def test_any_argv_exits_with_contract_code(micro_paths, run):
+    command, dropped, extras = run
+    words, pairs = _base_argv(command, micro_paths)
+    argv = words + [token for i, pair in enumerate(pairs) if i not in dropped for token in pair]
+    config = None
+    for extra in extras:
+        if extra[0] == "--config":
+            *extra, config = extra
+        argv += extra
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in (("auto-scores", "0.5\n0.9\n"), ("manual-scores", "0.7\nnan\n"),
+                               ("auto-judgements", "1\n0\n"), ("manual-judgements", "yes\n0\n")):
+                with open(f"{name}.txt", "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            if config is not None:
+                with open("run.cfg", "w", encoding="utf-8", errors="surrogatepass") as fh:
+                    fh.write(config)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse exits after --help
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

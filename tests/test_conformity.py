@@ -230,7 +230,6 @@ def test_report_without_timing_or_tags():
     assert report.length_rate == 1.0
     assert report.reading_speed_rate is None
     assert report.segmentation_rate is None
-    assert report.lines == 2
     assert report.breaks == 0
 
 
@@ -238,7 +237,6 @@ def test_report_with_block_timing():
     doc = timed_doc((40, 0, 2000), (100, 2000, 4000))
     report = conformity_report(doc)
     assert report.reading_speed_rate == 0.5
-    assert report.timed_units == 2
 
 
 def test_report_with_tags_counts_breaks():

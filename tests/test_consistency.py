@@ -15,13 +15,16 @@ from subeval.consistency import (
 )
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
-from subeval.model import UtterancePair, pair_documents
+from subeval.model import Utterance, UtterancePair, pair_documents
 
 
 def make_pair(caption_text, subtitle_text, utt_id="0"):
-    caption = parse_marked_text(caption_text + "\n", ids=[utt_id]).utterances[0]
-    subtitle = parse_marked_text(subtitle_text + "\n", ids=[utt_id]).utterances[0]
-    return UtterancePair(caption=caption, subtitle=subtitle)
+    caption = parse_marked_text(caption_text + "\n").utterances[0]
+    subtitle = parse_marked_text(subtitle_text + "\n").utterances[0]
+    return UtterancePair(
+        caption=Utterance(utt_id, caption.blocks),
+        subtitle=Utterance(utt_id, subtitle.blocks),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,6 @@ def test_ids_default_to_line_numbers():
     assert [u.id for u in doc.utterances] == ["0", "1"]
 
 
-def test_id_sidecar():
-    doc = parse_marked_text("a <eob>\nb <eob>\n", ids=["x", "y"])
-    assert [u.id for u in doc.utterances] == ["x", "y"]
-
-
 def test_round_trip_identity():
     text = "Hi. <eob>\nHello there <eol> my friend <eob> Goodbye. <eob>\n"
     doc = parse_marked_text(text)

@@ -6,7 +6,6 @@ from subeval.model import (
     SubtitleDocument,
     SubtitleLine,
     Utterance,
-    block_char_count,
     pair_documents,
 )
 
@@ -28,11 +27,6 @@ def test_char_count_unicode_not_bytes():
 
 def test_char_count_trims_outer_whitespace():
     assert SubtitleLine("  a b  ").char_count() == 3
-
-
-def test_block_char_count_per_line():
-    block = SubtitleBlock((SubtitleLine("ab"), SubtitleLine("c d")))
-    assert block_char_count(block) == [2, 3]
 
 
 def test_line_rejects_break_literals():

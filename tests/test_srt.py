@@ -44,15 +44,6 @@ def test_default_grouping_one_cue_per_utterance():
     assert all(len(u.blocks) == 1 for u in doc.utterances)
 
 
-def test_grouping_map_builds_multi_block_utterance():
-    doc = parse_srt(THREE_CUES, grouping={"talk": [1, 2, 3]})
-    assert len(doc) == 1
-    utt = doc.utterances[0]
-    assert len(utt.blocks) == 3
-    assert utt.start_ms == 50820
-    assert utt.end_ms == 60820
-
-
 def test_non_positive_duration():
     bad = "1\n00:00:05,000 --> 00:00:05,000\nhi\n"
     with pytest.raises(FormatError, match="non-positive duration"):
