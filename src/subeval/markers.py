@@ -40,22 +40,18 @@ def parse_utterance_text(
         block_texts.pop()
     blocks: list[SubtitleBlock] = []
     for block_text in block_texts:
-        line_texts = [piece.strip() for piece in block_text.split(EOL)]
-        lines = []
-        for piece in line_texts:
-            # Collapse runs of internal whitespace left by marker isolation.
-            piece = " ".join(piece.split())
-            if not piece:
-                if lenient:
-                    log.warning("dropping empty segment in utterance %d", index)
-                    continue
+        # Collapse runs of internal whitespace left by marker isolation.
+        pieces = [" ".join(piece.split()) for piece in block_text.split(EOL)]
+        lines = [SubtitleLine(piece) for piece in pieces if piece]
+        if len(lines) < len(pieces):
+            if not lenient:
                 raise FormatError(f"empty segment (utterance {index})")
-            lines.append(SubtitleLine(piece))
-        if not lines:
-            if lenient:
+            # A block with no text is one warning, not one per segment.
+            if not lines:
                 log.warning("dropping empty block in utterance %d", index)
                 continue
-            raise FormatError(f"empty segment (utterance {index})")
+            for _ in range(len(pieces) - len(lines)):
+                log.warning("dropping empty segment in utterance %d", index)
         blocks.append(SubtitleBlock(tuple(lines)))
     if not blocks:
         raise FormatError(f"empty utterance (utterance {index})")

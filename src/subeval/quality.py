@@ -170,8 +170,10 @@ def _bleu_segment(
         hyp_words = _bleu_tokens(hyp, keep_breaks)
         hyp_counts = _ngram_counts(hyp_words)
         correct = [0] * NGRAM_ORDER
-        for gram in hyp_counts.keys() & ref_counts.keys():
-            correct[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
+        for gram, count in hyp_counts.items():
+            ref_count = ref_counts.get(gram)
+            if ref_count:
+                correct[len(gram) - 1] += count if count < ref_count else ref_count
         total = [max(len(hyp_words) - n, 0) for n in range(NGRAM_ORDER)]
         stats.append((correct, total, len(hyp_words), len(ref_words)))
     return stats
@@ -248,7 +250,9 @@ def bootstrap_significance(
 
     The better system on the full set is identified first; the p-value
     is the fraction of resamples on which the other system scores at
-    least as well (ties count against significance).
+    least as well (ties count against significance).  Under WER a
+    resample whose references are all empty after normalization is a
+    tie; an empty reference corpus is an error.
     """
     n = len(ref)
     if n < 2:
@@ -278,10 +282,10 @@ def bootstrap_significance(
             return [x for s, d, i, ref_len in _wer_segment((a, b), r) for x in (s + d + i, ref_len)]
 
         def score(sums: list[int]) -> float:
+            # Both systems share the reference, so a resample of empty
+            # references scores 0 for each: a tie.
             edits, total_ref = sums
-            if total_ref == 0:
-                raise DataError("resample has empty reference")
-            return -100.0 * edits / total_ref
+            return -100.0 * edits / total_ref if total_ref else 0.0
 
     # One row per segment: A's statistics, then B's.
     both = np.empty((n, 2 * width), dtype=np.int64)
@@ -291,6 +295,8 @@ def bootstrap_significance(
         _warn_empty_references(both[:, :2].tolist(), ref)
         _warn_empty_references(both[:, 2:].tolist(), ref)
     full = both.sum(axis=0).tolist()
+    if metric == "wer" and full[1] == 0:
+        raise DataError("resample has empty reference")
     a_is_better = score(full[:width]) >= score(full[width:])
     # Better system first, one row per statistic.  Integer sums are exact,
     # so a resample's sums do not depend on the order of addition.

@@ -92,9 +92,12 @@ def _tokenize_13a_span(span: str) -> list[str]:
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
-    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
-    norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)
+    # Each rule below needs its character, so a span without it skips it.
+    if "." in norm or "," in norm:
+        norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+        norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    if "-" in norm:
+        norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)
     return norm.split()
 
 
@@ -124,33 +127,70 @@ _MT_APOS_EN_RE = re.compile(r"(\w)(['’])(\w)", re.UNICODE)
 
 def _tokenize_mt_span(span: str, lang: str) -> list[str]:
     norm = f" {span} ".translate(_DETACH_TABLE)
-    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
-    if lang.startswith("fr") or lang.startswith("it"):
-        # Elision attaches left: l'homme -> l' homme
-        norm = _MT_APOS_EN_RE.sub(r"\1\2 \3", norm)
-    else:
-        # English-style: don't -> don 't
-        norm = _MT_APOS_EN_RE.sub(r"\1 \2\3", norm)
+    if "." in norm or "," in norm:
+        norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+        norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    if "'" in norm or "’" in norm:
+        if lang.startswith("fr") or lang.startswith("it"):
+            # Elision attaches left: l'homme -> l' homme
+            norm = _MT_APOS_EN_RE.sub(r"\1\2 \3", norm)
+        else:
+            # English-style: don't -> don 't
+            norm = _MT_APOS_EN_RE.sub(r"\1 \2\3", norm)
     return norm.split()
+
+
+# Every rule of the 13a and mt schemes, and WER's edge stripping, acts
+# within one whitespace-separated word and touches only characters that
+# are not alphanumeric.  So a span's tokens are its words' tokens in
+# order, an alphanumeric word is its own token, and each other word is
+# worked out once and remembered.  A memo is emptied when it reaches
+# this many entries, the bound sacreBLEU gives its 13a cache.
+_MEMO_SIZE = 2**16
+
+
+class _WordMemo(dict):
+    """Result of `rule` for each word looked up, computed on first sight."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self._rule = rule
+
+    def __missing__(self, word: str):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[word] = self._rule(word)
+        return value
+
+
+_13A_WORDS = _WordMemo(lambda word: tuple(_tokenize_13a_span(word)))
+_MT_ELISION_WORDS = _WordMemo(lambda word: tuple(_tokenize_mt_span(word, "fr")))
+_MT_EN_WORDS = _WordMemo(lambda word: tuple(_tokenize_mt_span(word, "en")))
+_WER_WORDS = _WordMemo(lambda token: _strip_edge_punct(token).lower())
 
 
 def tokenize(text: str, scheme: Scheme, lang: str = "en") -> TokenizedUtterance:
     """Tokenize one utterance.  Break tokens are isolated in every scheme."""
+    if scheme is Scheme.WHITESPACE:
+        memo = None
+    elif scheme is Scheme.INTL13A:
+        memo = _13A_WORDS
+    elif lang.startswith("fr") or lang.startswith("it"):
+        memo = _MT_ELISION_WORDS
+    else:
+        memo = _MT_EN_WORDS
     tokens: list[str] = []
     for part in _BREAK_SPLIT_RE.split(text):
         if part in BREAKS:
             tokens.append(part)
-            continue
-        if not part.strip():
-            continue
-        if scheme is Scheme.WHITESPACE:
-            surfaces = part.split()
-        elif scheme is Scheme.INTL13A:
-            surfaces = _tokenize_13a_span(part)
+        elif memo is None:
+            tokens.extend(part.split())
         else:
-            surfaces = _tokenize_mt_span(part, lang)
-        tokens.extend(surfaces)
+            for word in part.split():
+                if word.isalnum():
+                    tokens.append(word)
+                else:
+                    tokens.extend(memo[word])
     return TokenizedUtterance(tuple(tokens))
 
 
@@ -166,11 +206,13 @@ def _strip_edge_punct(word: str) -> str:
 def normalize_for_wer(tokens: TokenizedUtterance) -> list[str]:
     """Lowercased, unpunctuated word sequence for WER scoring."""
     out = []
-    for token in tokens.words():
-        word = _strip_edge_punct(token)
-        if not word:
-            continue
-        out.append(word.lower())
+    for token in tokens.tokens:
+        if token.isalnum():
+            out.append(token.lower())
+        elif token not in BREAKS:
+            word = _WER_WORDS[token]
+            if word:
+                out.append(word)
     return out
 
 

@@ -5,9 +5,9 @@ marked-text lines themselves, count n-grams over string slices, run the
 edit-distance recursion with a memo table, and re-run EM with plain
 tuple-keyed dictionaries.  The exceptions are implementations the
 library replaced, kept as its bit-exact references: the EM loop trainer
-(dict of dicts), the regex 13a tokenizer, the numpy-matrix edit
-distance, segment statistics and bootstrap, the per-break segmentation
-scan, and the per-field report writers.
+(dict of dicts), the regex 13a tokenizer, span-at-a-time tokenization,
+the numpy-matrix edit distance, segment statistics and bootstrap, the
+per-break segmentation scan, and the per-field report writers.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from subeval.errors import DataError
 from subeval.model import BREAKS, EOB, EOL, Utterance
 from subeval.quality import NGRAM_ORDER, SignificanceResult, bleu_from_stats
 from subeval.report import EvaluationReport
+from subeval import textproc
 from subeval.textproc import (
     Scheme,
     TaggedUtterance,
+    TokenizedUtterance,
     WordClass,
     classify_chunk_chink,
     normalize_for_wer,
@@ -482,6 +484,46 @@ def _tokenize_13a_span(span: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Span-at-a-time tokenization (the form the library replaced)
+#
+# Copied verbatim from the library before it tokenized word by word
+# through its word memos, with the span rules it calls qualified as
+# `textproc.` names; `tokenize` is renamed `tokenize_spans` and
+# `normalize_for_wer` is renamed `normalize_for_wer_spans`.  The library
+# must give `==` results.
+
+
+def tokenize_spans(text: str, scheme: Scheme, lang: str = "en") -> TokenizedUtterance:
+    """Tokenize one utterance.  Break tokens are isolated in every scheme."""
+    tokens: list[str] = []
+    for part in textproc._BREAK_SPLIT_RE.split(text):
+        if part in BREAKS:
+            tokens.append(part)
+            continue
+        if not part.strip():
+            continue
+        if scheme is Scheme.WHITESPACE:
+            surfaces = part.split()
+        elif scheme is Scheme.INTL13A:
+            surfaces = textproc._tokenize_13a_span(part)
+        else:
+            surfaces = textproc._tokenize_mt_span(part, lang)
+        tokens.extend(surfaces)
+    return TokenizedUtterance(tuple(tokens))
+
+
+def normalize_for_wer_spans(tokens: TokenizedUtterance) -> list[str]:
+    """Lowercased, unpunctuated word sequence for WER scoring."""
+    out = []
+    for token in tokens.words():
+        word = textproc._strip_edge_punct(token)
+        if not word:
+            continue
+        out.append(word.lower())
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Segment statistics and bootstrap significance (the numpy-matrix forms
 # the library replaced)
 #
@@ -489,7 +531,9 @@ def _tokenize_13a_span(span: str) -> list[str]:
 # per pair of systems, ran edit distance over Python lists and resampled
 # with count vectors; only `edit_operations` is renamed
 # `edit_operations_matrix` and `bootstrap_significance` is renamed
-# `bootstrap_numpy`.  The library must give `==` results.
+# `bootstrap_numpy`.  The library must give `==` results.  Both later
+# took the same tie rule: a WER resample that draws only empty
+# references scores as a tie instead of aborting the test.
 
 log = logging.getLogger(__name__)
 
@@ -655,7 +699,7 @@ def bootstrap_numpy(
             edits, ref_len = arrays
             total_ref = ref_len[idx].sum()
             if total_ref == 0:
-                raise DataError("resample has empty reference")
+                return 0.0  # the same for both systems: a tie
             return 100.0 * edits[idx].sum() / total_ref
 
         higher_is_better = False
@@ -663,6 +707,8 @@ def bootstrap_numpy(
         raise DataError(f"unknown metric {metric!r}")
 
     full_idx = np.arange(n)
+    if metric == "wer" and arrays_a[1].sum() == 0:
+        raise DataError("resample has empty reference")
     full_a = score(arrays_a, full_idx)
     full_b = score(arrays_b, full_idx)
     if higher_is_better:

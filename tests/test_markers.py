@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from subeval.errors import FormatError
@@ -43,6 +45,18 @@ def test_consecutive_breaks_rejected():
 def test_lenient_drops_empty_segments():
     doc = parse_marked_text("a <eol> <eob> b <eob>\n", lenient=True)
     assert serialize_marked_text(doc) == "a <eob> b <eob>\n"
+
+
+def test_lenient_warns_once_for_an_empty_block(caplog):
+    text = "a <eob> <eob>\nb <eol> <eol> c <eob> <eol> <eob>\n"
+    with caplog.at_level(logging.WARNING):
+        doc = parse_marked_text(text, lenient=True)
+    assert serialize_marked_text(doc) == "a <eob>\nb <eol> c <eob>\n"
+    assert [record.getMessage() for record in caplog.records] == [
+        "dropping empty block in utterance 0",
+        "dropping empty segment in utterance 1",
+        "dropping empty block in utterance 1",
+    ]
 
 
 def test_markers_glued_to_words():

@@ -2,6 +2,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -333,6 +334,25 @@ def test_bootstrap_matches_numpy_oracle_exactly(case, metric, keep_breaks, resam
             hyp, ref, keep_breaks
         )
         assert wer_segment_stats(hyp, ref) == oracles.wer_segment_stats(hyp, ref)
+
+
+def test_bootstrap_wer_scores_a_resample_of_empty_references_as_a_tie():
+    ref = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a b", "...", "c", "!"])]
+    hyp_a = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a b", "x", "c", "y z"])]
+    hyp_b = [utterance(f"u{i}", text.split()) for i, text in enumerate(["a", "w", "c d", "v"])]
+    # Seed 1 draws a resample of segments 1 and 3 only, whose references
+    # are empty after normalization.
+    rng = np.random.default_rng(1)
+    assert any(set(rng.integers(0, 4, size=4)) <= {1, 3} for _ in range(5))
+    got = bootstrap_significance(hyp_a, hyp_b, ref, metric="wer", resamples=5, seed=1)
+    want = oracles.bootstrap_numpy(hyp_a, hyp_b, ref, metric="wer", resamples=5, seed=1)
+    assert (got.p_value, got.delta_mean, got.better_system) == (
+        want.p_value, want.delta_mean, want.better_system,
+    )
+    assert got.p_value > 0
+    empty = [utterance(f"u{i}", ["..."]) for i in range(4)]
+    with pytest.raises(DataError, match="resample has empty reference"):
+        bootstrap_significance(hyp_a, hyp_b, empty, metric="wer", resamples=5, seed=1)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import string
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from subeval import textproc
@@ -82,6 +82,96 @@ text_13a = st.lists(
 @given(text=text_13a)
 def test_13a_tokenize_matches_regex_oracle(text):
     assert textproc._tokenize_13a_span(text) == oracles._tokenize_13a_span(text)
+
+
+# ---------------------------------------------------------------------------
+# Word memos against span-at-a-time tokenization
+
+_MEMOS = (textproc._13A_WORDS, textproc._MT_ELISION_WORDS, textproc._MT_EN_WORDS, textproc._WER_WORDS)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.clear()
+
+
+def test_alphanumeric_characters_meet_no_rule_on_every_code_point():
+    changed = []
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        if ch.isalnum() and not (
+            textproc._tokenize_13a_span(ch) == [ch]
+            and textproc._DETACH_TABLE[code] == code
+            and textproc._strip_edge_punct(ch) == ch
+        ):
+            changed.append(hex(code))
+    assert changed == []
+
+
+_MEMO_PIECES = _13A_PIECES + [
+    "'", "’", "l'", "qu'", "j’", "aujourd'hui", "c'est", "<eol>", "<eob>", "a<eol>b", "c,<eob>",
+    "\t", "\xa0", "\x85", "\u2003", "\x1c",
+]
+
+_SEPARATORS = [" ", "\t", "\xa0", "\x85", "\u2003", "\x1c", "<eol>", "<eob>", " <eob> "]
+
+
+@st.composite
+def memo_text(draw):
+    """Text whose words repeat, so memo hits and misses both run."""
+    word = st.lists(
+        st.one_of(
+            st.sampled_from(list("aZé1")),
+            st.sampled_from(list(string.punctuation)),
+            st.sampled_from(_MEMO_PIECES),
+            st.characters(),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map("".join)
+    vocabulary = draw(st.lists(word, min_size=1, max_size=6))
+    return "".join(draw(st.lists(st.sampled_from(vocabulary + _SEPARATORS), max_size=30)))
+
+
+# Every ASCII punctuation character, and some others, glued to letters
+# and digits, so a shortcut taken by a word that is not alphanumeric shows.
+_GLUED = " ".join(f"a{p}b 1{p}2 {p}é Z{p}" for p in string.punctuation + "’«»…¿\xa0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=memo_text(), lang=st.sampled_from(["en", "fr", "it"]))
+@example(text=_GLUED, lang="en")
+@example(text=_GLUED, lang="it")
+def test_word_memos_match_span_oracle(text, lang):
+    for scheme in Scheme:
+        want = oracles.tokenize_spans(text, scheme, lang)
+        want_wer = oracles.normalize_for_wer_spans(want)
+        # Memos as earlier examples left them, then emptied.
+        warm = tokenize(text, scheme, lang)
+        warm_wer = normalize_for_wer(warm)
+        _clear_memos()
+        cold = tokenize(text, scheme, lang)
+        assert warm == cold == want
+        assert warm_wer == normalize_for_wer(cold) == want_wer
+
+
+@pytest.mark.parametrize(
+    "scheme, lang, memo",
+    [
+        (Scheme.INTL13A, "en", textproc._13A_WORDS),
+        (Scheme.MT_DETACHED, "en", textproc._MT_EN_WORDS),
+        (Scheme.MT_DETACHED, "fr", textproc._MT_ELISION_WORDS),
+        (Scheme.WHITESPACE, "en", textproc._WER_WORDS),
+    ],
+)
+def test_word_memo_is_emptied_at_its_bound(scheme, lang, memo):
+    _clear_memos()
+    text = " ".join(f"w{i}," for i in range(textproc._MEMO_SIZE + 10))
+    got = tokenize(text, scheme, lang)
+    assert got == oracles.tokenize_spans(text, scheme, lang)
+    assert normalize_for_wer(got) == oracles.normalize_for_wer_spans(got)
+    # Full after the first 2**16 words, so emptied for the last 10.
+    assert len(memo) == 10
 
 
 def test_whitespace_scheme():
