@@ -14,7 +14,7 @@ from subeval.conformity import (
     reading_speed_conformity,
     segmentation_plausibility,
 )
-from subeval.model import SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
+from subeval.model import SubtitleBlock, SubtitleDocument, Utterance
 from subeval.srt import parse_srt
 from subeval.textproc import Scheme, attach_tags, tokenize
 
@@ -60,7 +60,7 @@ print("good split   :", segmentation_plausibility([good_tagged]))
 # count, and degrades gracefully: without timing the speed rate is None,
 # without tags the segmentation rate is None.
 untimed = SubtitleDocument(
-    (Utterance(id="0", blocks=(SubtitleBlock((SubtitleLine("Hi there."),)),)),)
+    (Utterance(id="0", blocks=(SubtitleBlock(("Hi there.",)),)),)
 )
 report = conformity_report(untimed)
 print("untimed doc  :", report)

@@ -37,7 +37,6 @@ from .markers import parse_marked_text, serialize_marked_text
 from .model import (
     SubtitleBlock,
     SubtitleDocument,
-    SubtitleLine,
     Utterance,
     UtterancePair,
     pair_documents,

@@ -7,7 +7,9 @@ validate-lexical.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import logging
 import re
 import sys
 from typing import Any, Callable, Optional, Sequence
@@ -489,6 +491,13 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # Warnings are held until the run ends: printed on success, message
+    # only, and dropped on an error exit, whose one line is all it prints.
+    held = io.StringIO()
+    handler = logging.StreamHandler(held)
+    handler.setLevel(logging.WARNING)
+    logger = logging.getLogger("subeval")
+    logger.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         if args.command == "eval":
@@ -496,11 +505,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
         _validate_options(opts)
-        return args.func(opts)
+        code = args.func(opts)
     except UsageError as exc:
         message, code = f"usage error: {exc}", 1
     except (OSError, SubevalError) as exc:
         message, code = f"error: {exc}", 2
+    else:
+        sys.stderr.write(held.getvalue())
+        return code
+    finally:
+        logger.removeHandler(handler)
     # One line, whatever the message quotes.
     print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
     return code

@@ -74,11 +74,11 @@ def length_conformity(
             if aggregation is LengthAggregation.PER_LINE:
                 for line in block.lines:
                     units += 1
-                    if line.char_count() <= thresholds.max_cpl:
+                    if len(line.strip()) <= thresholds.max_cpl:
                         conforming += 1
             else:
                 units += 1
-                if all(line.char_count() <= thresholds.max_cpl for line in block.lines):
+                if all(len(line.strip()) <= thresholds.max_cpl for line in block.lines):
                     conforming += 1
     return _rate(conforming, units)
 

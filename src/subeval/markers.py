@@ -11,14 +11,7 @@ import logging
 from typing import Iterable, TextIO, Union
 
 from .errors import FormatError, open_utf8
-from .model import (
-    EOB,
-    EOL,
-    SubtitleBlock,
-    SubtitleDocument,
-    SubtitleLine,
-    Utterance,
-)
+from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +35,7 @@ def parse_utterance_text(
     for block_text in block_texts:
         # Collapse runs of internal whitespace left by marker isolation.
         pieces = [" ".join(piece.split()) for piece in block_text.split(EOL)]
-        lines = [SubtitleLine(piece) for piece in pieces if piece]
+        lines = [piece for piece in pieces if piece]
         if len(lines) < len(pieces):
             if not lenient:
                 raise FormatError(f"empty segment (utterance {index})")
@@ -85,4 +78,7 @@ def serialize_marked_text(doc: SubtitleDocument) -> str:
 
 def load_marked_text(path: str, lenient: bool = False) -> SubtitleDocument:
     with open_utf8(path) as fh:
-        return parse_marked_text(fh, lenient=lenient)
+        try:
+            return parse_marked_text(fh, lenient=lenient)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None

@@ -296,7 +296,7 @@ def bootstrap_significance(
         _warn_empty_references(both[:, 2:].tolist(), ref)
     full = both.sum(axis=0).tolist()
     if metric == "wer" and full[1] == 0:
-        raise DataError("resample has empty reference")
+        raise DataError("reference corpus is empty after normalization")
     a_is_better = score(full[:width]) >= score(full[width:])
     # Better system first, one row per statistic.  Integer sums are exact,
     # so a resample's sums do not depend on the order of addition.

@@ -8,8 +8,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, TextIO, Union
 
-from .errors import FormatError, open_utf8
-from .model import SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
+from .errors import DataError, FormatError, open_utf8
+from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 _TIMING_RE = re.compile(
     r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*$"
@@ -64,17 +64,16 @@ def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
         end_ms = _parse_timestamp(*match.groups()[4:])
         if end_ms <= start_ms:
             raise FormatError(f"cue {cue_index}: non-positive duration")
-        text_lines = [line.rstrip("\r") for line in chunk[2:]]
+        text_lines = tuple(line.rstrip("\r") for line in chunk[2:])
         if not text_lines:
             raise FormatError(f"cue {cue_index}: no text lines")
-        block = SubtitleBlock(
-            tuple(SubtitleLine(line) for line in text_lines),
-            start_ms=start_ms,
-            end_ms=end_ms,
-        )
+        for line in text_lines:
+            if EOB in line or EOL in line:
+                raise DataError(f"line text contains a break token literal: {line!r}")
         if cue_index in seen:
             raise FormatError(f"duplicate cue index {cue_index}")
         seen.add(cue_index)
+        block = SubtitleBlock(text_lines, start_ms=start_ms, end_ms=end_ms)
         utterances.append(
             Utterance(str(cue_index), (block,), start_ms=start_ms, end_ms=end_ms)
         )
@@ -95,7 +94,7 @@ def serialize_srt(doc: SubtitleDocument) -> str:
                 f"{cue_index}\n"
                 f"{format_timestamp(block.start_ms)} --> {format_timestamp(block.end_ms)}"
             )
-            body = "\n".join(line.text for line in block.lines)
+            body = "\n".join(block.lines)
             out.append(f"{header}\n{body}")
             cue_index += 1
     return "\n\n".join(out) + ("\n" if out else "")
@@ -103,4 +102,7 @@ def serialize_srt(doc: SubtitleDocument) -> str:
 
 def load_srt(path: str) -> SubtitleDocument:
     with open_utf8(path) as fh:
-        return parse_srt(fh)
+        try:
+            return parse_srt(fh)
+        except (FormatError, DataError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None

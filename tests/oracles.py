@@ -708,7 +708,7 @@ def bootstrap_numpy(
 
     full_idx = np.arange(n)
     if metric == "wer" and arrays_a[1].sum() == 0:
-        raise DataError("resample has empty reference")
+        raise DataError("reference corpus is empty after normalization")
     full_a = score(arrays_a, full_idx)
     full_b = score(arrays_b, full_idx)
     if higher_is_better:
@@ -946,4 +946,223 @@ def load_model_loop(path: str) -> TranslationModel:
                 raise FormatError(f"{path}:{lineno}: bad probability {prob!r}") from None
     return TranslationModel(
         table=table, tension=tension, null_prob=p0, use_diagonal_prior=diagonal
+    )
+
+
+# ---------------------------------------------------------------------------
+# Document model and parsers (the checked classes the library replaced)
+#
+# Before a block's lines became plain strings, every line, block,
+# utterance and document was a frozen dataclass whose `__post_init__`
+# re-checked the input.  These are those classes and the SRT and
+# marked-text parsers that built them, copied unchanged apart from their
+# names (`Checked*`, `*_checked`) and the metric methods, which no
+# parser calls.  `document_fields` projects either model onto plain
+# tuples, so parsed documents compare with `==`.
+
+import re  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from typing import Iterable, TextIO, Union  # noqa: E402
+
+
+@dataclass(frozen=True)
+class CheckedLine:
+    text: str
+
+    def __post_init__(self):
+        if EOB in self.text or EOL in self.text:
+            raise DataError(f"line text contains a break token literal: {self.text!r}")
+        if "\n" in self.text:
+            raise DataError("line text contains a newline")
+
+    def char_count(self) -> int:
+        """Unicode scalar count of the trimmed line, inner spaces included."""
+        return len(self.text.strip())
+
+
+@dataclass(frozen=True)
+class CheckedBlock:
+    lines: tuple[CheckedLine, ...]
+    start_ms: Optional[int] = None
+    end_ms: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.lines:
+            raise DataError("block must contain at least one line")
+        if (self.start_ms is None) != (self.end_ms is None):
+            raise DataError("block timing must set both start_ms and end_ms")
+        if self.start_ms is not None:
+            if self.start_ms < 0 or self.end_ms <= self.start_ms:
+                raise DataError(
+                    f"non-positive duration: {self.start_ms} --> {self.end_ms}"
+                )
+
+    @property
+    def timed(self) -> bool:
+        return self.start_ms is not None
+
+
+@dataclass(frozen=True)
+class CheckedUtterance:
+    id: str
+    blocks: tuple[CheckedBlock, ...]
+    start_ms: Optional[int] = None
+    end_ms: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.blocks:
+            raise DataError(f"utterance {self.id!r} has no blocks")
+        if (self.start_ms is None) != (self.end_ms is None):
+            raise DataError("utterance timing must set both start_ms and end_ms")
+        if self.start_ms is not None:
+            if self.start_ms < 0 or self.end_ms <= self.start_ms:
+                raise DataError(f"utterance {self.id!r}: non-positive duration")
+            for block in self.blocks:
+                if block.timed and not (
+                    self.start_ms <= block.start_ms and block.end_ms <= self.end_ms
+                ):
+                    raise DataError(
+                        f"utterance {self.id!r}: block interval outside utterance interval"
+                    )
+
+
+@dataclass(frozen=True)
+class CheckedDocument:
+    utterances: tuple[CheckedUtterance, ...]
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for utt in self.utterances:
+            if utt.id in seen:
+                raise DataError(f"duplicate utterance id {utt.id!r}")
+            seen.add(utt.id)
+
+
+def document_fields(doc) -> tuple:
+    """(id, start, end, ((lines, start, end), ...)) per utterance; a line
+    is its text in either model."""
+    return tuple(
+        (
+            utt.id, utt.start_ms, utt.end_ms,
+            tuple(
+                (
+                    tuple(getattr(line, "text", line) for line in block.lines),
+                    block.start_ms, block.end_ms,
+                )
+                for block in utt.blocks
+            ),
+        )
+        for utt in doc.utterances
+    )
+
+
+_TIMING_RE = re.compile(
+    r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*$"
+)
+
+
+def _parse_timestamp(h: str, m: str, s: str, ms: str) -> int:
+    return ((int(h) * 60 + int(m)) * 60 + int(s)) * 1000 + int(ms)
+
+
+def _cue_chunks(lines: list[str]) -> Iterable[list[str]]:
+    chunk: list[str] = []
+    for line in lines:
+        if line.strip() == "":
+            if chunk:
+                yield chunk
+                chunk = []
+        else:
+            chunk.append(line)
+    if chunk:
+        yield chunk
+
+
+def parse_srt_checked(source: Union[str, TextIO]) -> CheckedDocument:
+    text = source if isinstance(source, str) else source.read()
+    text = text.lstrip("﻿")
+    utterances: list[CheckedUtterance] = []
+    seen: set[int] = set()
+    for chunk in _cue_chunks(text.split("\n")):
+        index_line = chunk[0].strip()
+        try:
+            cue_index = int(index_line)
+        except ValueError:
+            raise FormatError(f"expected cue index line, got {index_line!r}")
+        if len(chunk) < 2:
+            raise FormatError(f"cue {cue_index}: missing timing line")
+        match = _TIMING_RE.match(chunk[1])
+        if not match:
+            raise FormatError(
+                f"cue {cue_index}: malformed timing line {chunk[1].strip()!r}"
+            )
+        start_ms = _parse_timestamp(*match.groups()[:4])
+        end_ms = _parse_timestamp(*match.groups()[4:])
+        if end_ms <= start_ms:
+            raise FormatError(f"cue {cue_index}: non-positive duration")
+        text_lines = [line.rstrip("\r") for line in chunk[2:]]
+        if not text_lines:
+            raise FormatError(f"cue {cue_index}: no text lines")
+        block = CheckedBlock(
+            tuple(CheckedLine(line) for line in text_lines),
+            start_ms=start_ms,
+            end_ms=end_ms,
+        )
+        if cue_index in seen:
+            raise FormatError(f"duplicate cue index {cue_index}")
+        seen.add(cue_index)
+        utterances.append(
+            CheckedUtterance(str(cue_index), (block,), start_ms=start_ms, end_ms=end_ms)
+        )
+    return CheckedDocument(tuple(utterances))
+
+
+def _isolate_markers(text: str) -> str:
+    return text.replace(EOB, f" {EOB} ").replace(EOL, f" {EOL} ")
+
+
+def parse_utterance_text_checked(
+    text: str, utt_id: str, index: int, lenient: bool = False
+) -> CheckedUtterance:
+    if not text.strip():
+        raise FormatError(f"empty utterance (utterance {index})")
+    body = _isolate_markers(text)
+    block_texts = body.split(EOB)
+    # A trailing <eob> leaves one empty final segment; that is canonical.
+    if block_texts and not block_texts[-1].strip():
+        block_texts.pop()
+    blocks: list[CheckedBlock] = []
+    for block_text in block_texts:
+        # Collapse runs of internal whitespace left by marker isolation.
+        pieces = [" ".join(piece.split()) for piece in block_text.split(EOL)]
+        lines = [CheckedLine(piece) for piece in pieces if piece]
+        if len(lines) < len(pieces):
+            if not lenient:
+                raise FormatError(f"empty segment (utterance {index})")
+            # A block with no text is one warning, not one per segment.
+            if not lines:
+                log.warning("dropping empty block in utterance %d", index)
+                continue
+            for _ in range(len(pieces) - len(lines)):
+                log.warning("dropping empty segment in utterance %d", index)
+        blocks.append(CheckedBlock(tuple(lines)))
+    if not blocks:
+        raise FormatError(f"empty utterance (utterance {index})")
+    return CheckedUtterance(id=utt_id, blocks=tuple(blocks))
+
+
+def parse_marked_text_checked(
+    source: Union[str, TextIO, Iterable[str]], lenient: bool = False
+) -> CheckedDocument:
+    if isinstance(source, str):
+        raw_lines = source.split("\n")
+        if raw_lines and raw_lines[-1] == "":
+            raw_lines.pop()
+    else:
+        raw_lines = [line.rstrip("\n") for line in source]
+    return CheckedDocument(
+        tuple(
+            parse_utterance_text_checked(raw, str(i), i, lenient=lenient)
+            for i, raw in enumerate(raw_lines)
+        )
     )

@@ -20,7 +20,6 @@ from subeval.model import (
     BREAKS,
     SubtitleBlock,
     SubtitleDocument,
-    SubtitleLine,
     Utterance,
     UtterancePair,
     pair_documents,
@@ -49,7 +48,7 @@ def random_document(rng: random.Random, max_utts: int = 4) -> SubtitleDocument:
     for i in range(rng.randint(1, max_utts)):
         blocks = tuple(
             SubtitleBlock(
-                tuple(SubtitleLine(_random_line(rng)) for _ in range(rng.randint(1, 2)))
+                tuple(_random_line(rng) for _ in range(rng.randint(1, 2)))
             )
             for _ in range(rng.randint(1, 3))
         )
@@ -101,7 +100,7 @@ def check_conformity_bounds_and_monotonicity(n_cases: int = 1000, seed: int = 2)
                 duration = rng.randint(500, 6000)
                 blocks.append(
                     SubtitleBlock(
-                        (SubtitleLine("x" * chars),),
+                        ("x" * chars,),
                         start_ms=cursor,
                         end_ms=cursor + duration,
                     )

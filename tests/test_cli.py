@@ -2,6 +2,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -238,6 +239,21 @@ def test_eval_bad_conllu_names_file(micro_paths, tmp_path, capsys, edit, message
     assert capsys.readouterr().err == f"error: {pos}: {message}\n"
 
 
+def test_eval_srt_cue_numbers_that_do_not_pair(tmp_path, capsys):
+    cue = "\n00:00:01,000 --> 00:00:02,000\nhello there\n"
+    (tmp_path / "captions.srt").write_text("1" + cue, encoding="utf-8")
+    (tmp_path / "subtitles.srt").write_text("2" + cue, encoding="utf-8")
+    (tmp_path / "align.txt").write_text("0-0 1-1\n", encoding="utf-8")
+    caps, subs, links = (
+        str(tmp_path / name) for name in ("captions.srt", "subtitles.srt", "align.txt")
+    )
+    code = main(["eval", "--format", "srt", "--captions-hyp", caps, "--captions-ref", caps,
+                 "--subtitles-hyp", subs, "--subtitles-ref", subs,
+                 "--align-c2s", links, "--align-s2c", links])
+    assert code == 2
+    assert capsys.readouterr().err == "error: paired utterances disagree on id: '1' vs '2'\n"
+
+
 # One mutation of one micro-corpus file per example.
 FUZZ_FILES = (
     "captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref",
@@ -389,6 +405,29 @@ def test_eval_with_trained_aligner_matches_golden(micro_paths, tmp_path, monkeyp
     for name in ("report.trained.out", "diag.trained.jsonl"):
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_eval_srt_matches_golden(tmp_path, monkeypatch, capsys):
+    # Timed input: reading speed is scored per cue.  The aligner trains
+    # on the golden bitext plus the system pairs.
+    for name in ("significance.a.srt", "significance.b.srt", "significance.ref.srt", "bitext.txt"):
+        shutil.copy(os.path.join(GOLDEN, name), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = [
+        "eval", "--format", "srt",
+        "--captions-hyp", "significance.a.srt",
+        "--captions-ref", "significance.ref.srt",
+        "--subtitles-hyp", "significance.b.srt",
+        "--subtitles-ref", "significance.ref.srt",
+        "--train-bitext", "bitext.txt",
+        "--out", "both",
+        "--diagnostics", "diag.srt.jsonl",
+    ]
+    assert main(args) == 0
+    with open(os.path.join(GOLDEN, "report.srt.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+    with open(os.path.join(GOLDEN, "diag.srt.jsonl"), "rb") as fh:
+        assert (tmp_path / "diag.srt.jsonl").read_bytes() == fh.read()
 
 
 def _check_align_golden(tmp_path, model_name, out_name, *train_flags):
@@ -609,6 +648,67 @@ def test_significance_invalid_value_is_usage_error_before_reading(capsys, flag, 
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("mustcinema", "a <eob> <eob>\n", "empty segment (utterance 0)"),
+        ("srt", "1\n00:00:02,000 --> 00:00:01,000\nhi\n", "cue 1: non-positive duration"),
+        ("srt", "1\n00:00:01,000 --> 00:00:02,000\n<eob>\n",
+         "line text contains a break token literal: '<eob>'"),
+    ],
+)
+def test_significance_input_error_names_file(tmp_path, capsys, fmt, text, message):
+    bad = tmp_path / "segments.txt"
+    bad.write_text(text, encoding="utf-8")
+    args = ["significance", "--metric", "bleu", "--format", fmt]
+    assert main(args + ["--hyp-a", str(bad), "--hyp-b", str(bad), "--ref", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Warnings on stderr, in a fresh process where no logging handler is set up
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_cli(cwd, *args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "subeval.cli", *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "reference, code, err",
+    [
+        ("a <eob>\n", 2, "error: utterance count mismatch: 2 vs 1\n"),
+        ("a <eob>\nb <eob>\n", 0, "dropping empty block in utterance 0\n" * 2),
+    ],
+    ids=["error", "success"],
+)
+def test_eval_lenient_warnings_print_only_on_success(tmp_path, reference, code, err):
+    (tmp_path / "hyp.txt").write_text("a <eob> <eob>\nb <eob>\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text(reference, encoding="utf-8")
+    (tmp_path / "align.txt").write_text("0-0\n0-0\n", encoding="utf-8")
+    proc = _run_cli(
+        tmp_path, "eval", "--lenient", "--captions-hyp", "hyp.txt", "--captions-ref", "ref.txt",
+        "--subtitles-hyp", "hyp.txt", "--subtitles-ref", "ref.txt",
+        "--align-c2s", "align.txt", "--align-s2c", "align.txt",
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_significance_empty_wer_reference_prints_only_the_error(tmp_path):
+    (tmp_path / "hyp.txt").write_text("a <eob>\nb <eob>\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text("... <eob>\n! <eob>\n", encoding="utf-8")
+    proc = _run_cli(tmp_path, "significance", "--metric", "wer",
+                    "--hyp-a", "hyp.txt", "--hyp-b", "hyp.txt", "--ref", "ref.txt")
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: reference corpus is empty after normalization\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # validate-lexical
 
@@ -745,18 +845,36 @@ _COMMAND_FLAGS = {
 _ANY_FLAG = sorted(set(_FLAG_VALUES) | {"--config"})
 
 
+# Marked text with empty blocks, empty segments and lines that WER
+# normalizes away, for an input written into the run's directory.
+_MARKED = st.lists(
+    st.lists(st.sampled_from(["a", "b", "...", "<eob>", "<eol>"]), min_size=1, max_size=6),
+    min_size=1,
+    max_size=4,
+).map(lambda lines: "".join(" ".join(line) + "\n" for line in lines))
+_MARKED_INPUTS = ("--captions-hyp", "--captions-ref", "--subtitles-hyp", "--subtitles-ref",
+                  "--hyp-a", "--hyp-b", "--ref")
+
+
 def _flag_tokens(flag):
     """The argv tokens of one `flag`: the flag alone, or with its value as
-    the next token or after `=`.  `--config` is followed by the text of
-    the file it names."""
+    the next token or after `=`.  Tokens that name a file written for the
+    run end in its (name, text): `--config`, and a marked-text input,
+    maybe with `--lenient`."""
     if flag == "--config":
-        return _CONFIG.map(lambda text: ["--config", "run.cfg", text])
+        return _CONFIG.map(lambda text: ["--config", "run.cfg", ("run.cfg", text)])
     values = _FLAG_VALUES[flag]
     if values is None:
         return st.just([flag])
-    return st.tuples(values, st.booleans()).map(
+    tokens = st.tuples(values, st.booleans()).map(
         lambda drawn: [f"{flag}={drawn[0]}"] if drawn[1] else [flag, drawn[0]]
     )
+    if flag not in _MARKED_INPUTS:
+        return tokens
+    marked = st.tuples(_MARKED, st.booleans()).map(
+        lambda drawn: ["--lenient"] * drawn[1] + [flag, "marked.txt", ("marked.txt", drawn[0])]
+    )
+    return st.one_of(tokens, marked)
 
 
 def _extra_tokens(flag):
@@ -811,14 +929,20 @@ def _base_argv(command, micro_paths):
 @example(run=("eval", set(), [["junk\nline"]]))
 @example(run=("eval", set(), [["--captions-hyp", "a\x00b"]]))
 @example(run=("eval", set(), [["--system-name", "\udc80"], ["--out-file", "out.txt"]]))
+# Runs that once printed warnings before their error line.
+@example(run=("eval", set(), [["--lenient", "--captions-hyp", "marked.txt",
+                               ("marked.txt", "a <eob> <eob>\nb <eob>\n")]]))
+@example(run=("significance", set(), [["--metric", "wer"]] + [
+    [flag, "marked.txt", ("marked.txt", "a <eob>\nb <eob>\n")] for flag in ("--hyp-a", "--hyp-b")
+] + [["--ref", "ref.txt", ("ref.txt", "... <eob>\n! <eob>\n")]]))
 def test_any_argv_exits_with_contract_code(micro_paths, run):
     command, dropped, extras = run
     words, pairs = _base_argv(command, micro_paths)
     argv = words + [token for i, pair in enumerate(pairs) if i not in dropped for token in pair]
-    config = None
+    files = {}
     for extra in extras:
-        if extra[0] == "--config":
-            *extra, config = extra
+        if isinstance(extra[-1], tuple):
+            *extra, (name, files[name]) = extra
         argv += extra
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -828,9 +952,9 @@ def test_any_argv_exits_with_contract_code(micro_paths, run):
                                ("auto-judgements", "1\n0\n"), ("manual-judgements", "yes\n0\n")):
                 with open(f"{name}.txt", "w", encoding="utf-8") as fh:
                     fh.write(text)
-            if config is not None:
-                with open("run.cfg", "w", encoding="utf-8", errors="surrogatepass") as fh:
-                    fh.write(config)
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8", errors="surrogatepass") as fh:
+                    fh.write(text)
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 try:

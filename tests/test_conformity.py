@@ -14,21 +14,19 @@ from subeval.conformity import (
 )
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
-from subeval.model import BREAKS, SubtitleBlock, SubtitleDocument, SubtitleLine, Utterance
+from subeval.model import BREAKS, SubtitleBlock, SubtitleDocument, Utterance
 from subeval.textproc import UPOS_TAGS, Scheme, TaggedUtterance, attach_tags, tokenize
 
 
 def doc_of_lines(*line_lengths):
-    blocks = tuple(
-        SubtitleBlock((SubtitleLine("x" * n),)) for n in line_lengths
-    )
+    blocks = tuple(SubtitleBlock(("x" * n,)) for n in line_lengths)
     return SubtitleDocument((Utterance(id="0", blocks=blocks),))
 
 
 def timed_doc(*blocks_spec):
     """blocks_spec: (chars, start_ms, end_ms) per block."""
     blocks = tuple(
-        SubtitleBlock((SubtitleLine("x" * chars),), start_ms=start, end_ms=end)
+        SubtitleBlock(("x" * chars,), start_ms=start, end_ms=end)
         for chars, start, end in blocks_spec
     )
     return SubtitleDocument((Utterance(id="0", blocks=blocks),))
@@ -55,7 +53,7 @@ def test_length_mixed_lines():
 
 
 def test_length_per_block_aggregation():
-    block = SubtitleBlock((SubtitleLine("x" * 10), SubtitleLine("x" * 50)))
+    block = SubtitleBlock(("x" * 10, "x" * 50))
     doc = SubtitleDocument((Utterance(id="0", blocks=(block,)),))
     assert length_conformity(doc, aggregation=LengthAggregation.PER_BLOCK) == 0.0
     assert length_conformity(doc, aggregation=LengthAggregation.PER_LINE) == 0.5
@@ -94,9 +92,9 @@ def test_reading_speed_above_boundary():
 
 def test_reading_speed_per_utterance():
     blocks = (
-        SubtitleBlock((SubtitleLine("x" * 35),)),
-        SubtitleBlock((SubtitleLine("x" * 35),)),
-        SubtitleBlock((SubtitleLine("x" * 35),)),
+        SubtitleBlock(("x" * 35,)),
+        SubtitleBlock(("x" * 35,)),
+        SubtitleBlock(("x" * 35,)),
     )
     doc = SubtitleDocument(
         (Utterance(id="0", blocks=blocks, start_ms=0, end_ms=10_000),)
@@ -112,9 +110,7 @@ def test_reading_speed_missing_timing():
 
 def test_reading_speed_no_interline_spaces():
     # Two 42-char lines in a 4-second block: 84 chars, exactly 21 cps.
-    block = SubtitleBlock(
-        (SubtitleLine("x" * 42), SubtitleLine("x" * 42)), start_ms=0, end_ms=4000
-    )
+    block = SubtitleBlock(("x" * 42, "x" * 42), start_ms=0, end_ms=4000)
     doc = SubtitleDocument((Utterance(id="0", blocks=(block,)),))
     assert reading_speed_conformity(doc) == 1.0
 

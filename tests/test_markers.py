@@ -11,8 +11,8 @@ def test_two_block_utterance():
     assert len(doc) == 1
     utt = doc.utterances[0]
     assert len(utt.blocks) == 2
-    assert [line.text for line in utt.blocks[0].lines] == ["Hello there", "my friend"]
-    assert [line.text for line in utt.blocks[1].lines] == ["Goodbye."]
+    assert utt.blocks[0].lines == ("Hello there", "my friend")
+    assert utt.blocks[1].lines == ("Goodbye.",)
 
 
 def test_paper_three_block_example():
@@ -62,7 +62,7 @@ def test_lenient_warns_once_for_an_empty_block(caplog):
 def test_markers_glued_to_words():
     doc = parse_marked_text("hello<eol>world<eob>\n")
     utt = doc.utterances[0]
-    assert [line.text for line in utt.blocks[0].lines] == ["hello", "world"]
+    assert utt.blocks[0].lines == ("hello", "world")
 
 
 def test_ids_default_to_line_numbers():

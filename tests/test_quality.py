@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from subeval.errors import DataError
 from subeval.markers import parse_marked_text
-from subeval.model import SubtitleBlock, SubtitleLine, Utterance
+from subeval.model import SubtitleBlock, Utterance
 from subeval.quality import (
     bleu_segment_stats,
     bootstrap_significance,
@@ -286,7 +286,7 @@ def utterance(uid, pieces):
             blocks[-1][-1].append(piece)
     return Utterance(
         uid,
-        tuple(SubtitleBlock(tuple(SubtitleLine(" ".join(line)) for line in lines)) for lines in blocks),
+        tuple(SubtitleBlock(tuple(" ".join(line) for line in lines)) for lines in blocks),
     )
 
 
@@ -351,7 +351,7 @@ def test_bootstrap_wer_scores_a_resample_of_empty_references_as_a_tie():
     )
     assert got.p_value > 0
     empty = [utterance(f"u{i}", ["..."]) for i in range(4)]
-    with pytest.raises(DataError, match="resample has empty reference"):
+    with pytest.raises(DataError, match="reference corpus is empty after normalization"):
         bootstrap_significance(hyp_a, hyp_b, empty, metric="wer", resamples=5, seed=1)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from subeval.errors import FormatError
-from subeval.srt import parse_srt, serialize_srt
+from subeval.errors import DataError, FormatError, SubevalError
+from subeval.srt import load_srt, parse_srt, serialize_srt
 
 PAPER_CUE = """\
 1
@@ -63,3 +63,35 @@ def test_bom_tolerated():
 
 def test_round_trip_preserves_timing_fields():
     assert serialize_srt(parse_srt(THREE_CUES)) == THREE_CUES
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("one\n00:00:01,000 --> 00:00:02,000\nhi\n", FormatError,
+         "expected cue index line, got 'one'"),
+        ("1\n", FormatError, "cue 1: missing timing line"),
+        ("1\n00:00:01.000 --> 00:00:02,000\nhi\n", FormatError,
+         "cue 1: malformed timing line '00:00:01.000 --> 00:00:02,000'"),
+        ("1\n00:00:02,000 --> 00:00:01,000\nhi\n", FormatError, "cue 1: non-positive duration"),
+        ("1\n00:00:01,000 --> 00:00:02,000\n", FormatError, "cue 1: no text lines"),
+        (PAPER_CUE + "\n" + PAPER_CUE, FormatError, "duplicate cue index 1"),
+        ("1\n00:00:01,000 --> 00:00:02,000\nhi\nsay <eol> it\n", DataError,
+         "line text contains a break token literal: 'say <eol> it'"),
+        # A break literal is reported before a duplicate index.
+        (PAPER_CUE + "\n1\n00:00:01,000 --> 00:00:02,000\n<eob>\n", DataError,
+         "line text contains a break token literal: '<eob>'"),
+    ],
+)
+def test_each_error_text(text, error, message):
+    with pytest.raises(SubevalError) as info:
+        parse_srt(text)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_load_names_the_file_and_keeps_the_error_class(tmp_path):
+    path = tmp_path / "bad.srt"
+    path.write_text("1\n00:00:01,000 --> 00:00:02,000\n<eob>\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_srt(str(path))
+    assert str(info.value) == f"{path}: line text contains a break token literal: '<eob>'"
