@@ -285,6 +285,14 @@ _SIDES = (
 )
 
 
+def _compare(paths: tuple[str, str], compare: Callable, *docs):
+    """`compare(*docs)`, whose DataError names the two files compared."""
+    try:
+        return compare(*docs)
+    except DataError as exc:
+        raise DataError(f"{paths[0]} vs {paths[1]}: {exc}") from None
+
+
 def run_eval(opts: dict[str, Any]) -> int:
     fmt, lenient = opts["format"], opts["lenient"]
     thresholds = ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"])
@@ -294,7 +302,9 @@ def run_eval(opts: dict[str, Any]) -> int:
     hyps, tokens, quality, conformity = [], [], [], []
     for hyp_key, ref_key, pos_key, lang_key, score in _SIDES:
         hyp = _load_document(opts[hyp_key], fmt, lenient)
-        quality.append(score(hyp, _load_document(opts[ref_key], fmt, lenient)))
+        # The reference is a temporary, dropped as soon as it is scored.
+        paths = (opts[hyp_key], opts[ref_key])
+        quality.append(_compare(paths, score, hyp, _load_document(paths[1], fmt, lenient)))
         # One MT tokenization per hypothesis utterance feeds tagging, the
         # system bitext and lexical consistency.
         mt = [tokenize(utt.text(), Scheme.MT_DETACHED, opts[lang_key]) for utt in hyp]
@@ -311,7 +321,7 @@ def run_eval(opts: dict[str, Any]) -> int:
         hyps.append(hyp)
         tokens.append(mt)
 
-    pairs = pair_documents(*hyps)
+    pairs = _compare((opts["captions-hyp"], opts["subtitles-hyp"]), pair_documents, *hyps)
     token_pairs = list(zip(*tokens))
     cons = consistency_mod.consistency_report_from_tokens(
         pairs,

@@ -30,11 +30,6 @@ class LengthAggregation(Enum):
     PER_BLOCK = "block"
 
 
-class TimingMode(Enum):
-    PER_BLOCK = "block"
-    PER_UTTERANCE = "utterance"
-
-
 class BreakSelection(Enum):
     EOL = "eol"
     EOB = "eob"
@@ -86,32 +81,20 @@ def length_conformity(
 def reading_speed_conformity(
     doc: SubtitleDocument,
     thresholds: ConformityThresholds = ConformityThresholds(),
-    timing_mode: TimingMode = TimingMode.PER_BLOCK,
 ) -> Optional[float]:
-    """Fraction of timed units read at or below the CPS bound.
+    """Fraction of blocks read at or below the CPS bound.
 
-    Characters of a unit are the sum of its trimmed line counts; no
+    Characters of a block are the sum of its trimmed line counts; no
     synthetic inter-line spaces are added.
     """
     conforming = 0
     units = 0
     for utt in doc.utterances:
-        if timing_mode is TimingMode.PER_BLOCK:
-            for block in utt.blocks:
-                if not block.timed:
-                    raise DataError(
-                        f"timing unavailable for mode block (utterance {utt.id!r})"
-                    )
-                units += 1
-                if block.char_count() / block.duration_s() <= thresholds.max_cps:
-                    conforming += 1
-        else:
-            if not utt.timed:
-                raise DataError(
-                    f"timing unavailable for mode utterance (utterance {utt.id!r})"
-                )
+        for block in utt.blocks:
+            if not block.timed:
+                raise DataError(f"timing unavailable for mode block (utterance {utt.id!r})")
             units += 1
-            if utt.char_count() / utt.duration_s() <= thresholds.max_cps:
+            if block.char_count() / block.duration_s() <= thresholds.max_cps:
                 conforming += 1
     return _rate(conforming, units)
 
@@ -184,18 +167,13 @@ def conformity_report(
 ) -> ConformityReport:
     """All conformity rates for one document; rates whose denominator is
     empty (or whose inputs are missing) are reported as None."""
-    if all(block.timed for utt in doc.utterances for block in utt.blocks):
-        speed = reading_speed_conformity(doc, thresholds, TimingMode.PER_BLOCK)
-    elif all(utt.timed for utt in doc.utterances):
-        speed = reading_speed_conformity(doc, thresholds, TimingMode.PER_UTTERANCE)
-    else:
-        speed = None
+    timed = all(block.timed for utt in doc.utterances for block in utt.blocks)
     plausible = judged = n_breaks = 0
     if tagged is not None:
         plausible, judged, n_breaks = _break_counts(tagged, include_trailing_eob, breaks)
     return ConformityReport(
         length_rate=length_conformity(doc, thresholds, aggregation),
-        reading_speed_rate=speed,
+        reading_speed_rate=reading_speed_conformity(doc, thresholds) if timed else None,
         segmentation_rate=_rate(plausible, judged),
         breaks=n_breaks,
     )

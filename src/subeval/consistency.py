@@ -79,43 +79,6 @@ def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
     return BlockIndexMap(tuple(mapping), blocks=block)
 
 
-def _directional_consistency(
-    own_map: BlockIndexMap,
-    other_map: BlockIndexMap,
-    alignment: SentenceAlignment,
-    own_words: Sequence[str],
-    side: str,
-    context: str,
-    skip_unaligned: bool,
-) -> tuple[float, list[tuple[str, int, str]]]:
-    links_by_own: dict[int, list[int]] = {}
-    for i, j in alignment.links:
-        if not (0 <= i < own_map.words) or not (0 <= j < other_map.words):
-            raise DataError(
-                f"alignment link {i}-{j} out of bounds (utterance {context!r})"
-            )
-        links_by_own.setdefault(i, []).append(j)
-    consistent = 0
-    denominator = 0
-    inconsistent: list[tuple[str, int, str]] = []
-    for i, block in enumerate(own_map.word_to_block):
-        linked = links_by_own.get(i)
-        if linked is None:
-            if skip_unaligned:
-                continue
-            denominator += 1
-            inconsistent.append((side, i, own_words[i]))
-            continue
-        denominator += 1
-        if any(other_map.word_to_block[j] == block for j in linked):
-            consistent += 1
-        else:
-            inconsistent.append((side, i, own_words[i]))
-    if denominator == 0:
-        return 1.0, inconsistent
-    return consistent / denominator, inconsistent
-
-
 def _tokenize_pair(
     pair: UtterancePair, caption_lang: str, subtitle_lang: str
 ) -> tuple[TokenizedUtterance, TokenizedUtterance]:
@@ -156,19 +119,35 @@ def _lexical_consistency_pair(
     skip_unaligned: bool,
 ) -> LexicalConsistencyPair:
     cap_tokens, sub_tokens = tokens
-    cap_map = _block_index_map(cap_tokens)
-    sub_map = _block_index_map(sub_tokens)
-    lex_c2s, bad_c = _directional_consistency(
-        cap_map, sub_map, align_c2s, cap_tokens.words(), "caption", pair_id, skip_unaligned
-    )
-    lex_s2c, bad_s = _directional_consistency(
-        sub_map, cap_map, align_s2c, sub_tokens.words(), "subtitle", pair_id, skip_unaligned
-    )
+    cap_blocks = _block_index_map(cap_tokens).word_to_block
+    sub_blocks = _block_index_map(sub_tokens).word_to_block
+    scores: list[float] = []
+    inconsistent: list[tuple[str, int, str]] = []
+    for side, own_tokens, own_blocks, other_blocks, alignment in (
+        ("caption", cap_tokens, cap_blocks, sub_blocks, align_c2s),
+        ("subtitle", sub_tokens, sub_blocks, cap_blocks, align_s2c),
+    ):
+        for i, j in alignment.links:
+            if not (0 <= i < len(own_blocks)) or not (0 <= j < len(other_blocks)):
+                raise DataError(f"alignment link {i}-{j} out of bounds (utterance {pair_id!r})")
+        # The own words with any link, and those with a link into the
+        # same-index block on the other side.
+        aligned = {i for i, _ in alignment.links}
+        consistent = {i for i, j in alignment.links if own_blocks[i] == other_blocks[j]}
+        scored = len(aligned) if skip_unaligned else len(own_blocks)
+        scores.append(len(consistent) / scored if scored else 1.0)
+        words = own_tokens.words()
+        inconsistent += [
+            (side, i, words[i])
+            for i in range(len(own_blocks))
+            if i not in consistent and (i in aligned or not skip_unaligned)
+        ]
+    lex_c2s, lex_s2c = scores
     return LexicalConsistencyPair(
         lex_c2s=lex_c2s,
         lex_s2c=lex_s2c,
         lex_pair=(lex_c2s + lex_s2c) / 2.0,
-        inconsistent_tokens=tuple(bad_c + bad_s),
+        inconsistent_tokens=tuple(inconsistent),
     )
 
 

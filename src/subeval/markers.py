@@ -20,10 +20,9 @@ def _isolate_markers(text: str) -> str:
     return text.replace(EOB, f" {EOB} ").replace(EOL, f" {EOL} ")
 
 
-def parse_utterance_text(
-    text: str, utt_id: str, index: int, lenient: bool = False
-) -> Utterance:
-    """Parse one marker-format line into an Utterance."""
+def parse_utterance_text(text: str, index: int, lenient: bool = False) -> Utterance:
+    """Parse one marker-format line into an Utterance whose id is
+    `index` as a string."""
     if not text.strip():
         raise FormatError(f"empty utterance (utterance {index})")
     body = _isolate_markers(text)
@@ -48,7 +47,7 @@ def parse_utterance_text(
         blocks.append(SubtitleBlock(tuple(lines)))
     if not blocks:
         raise FormatError(f"empty utterance (utterance {index})")
-    return Utterance(id=utt_id, blocks=tuple(blocks))
+    return Utterance(id=str(index), blocks=tuple(blocks))
 
 
 def parse_marked_text(
@@ -64,7 +63,7 @@ def parse_marked_text(
         raw_lines = [line.rstrip("\n") for line in source]
     return SubtitleDocument(
         tuple(
-            parse_utterance_text(raw, str(i), i, lenient=lenient)
+            parse_utterance_text(raw, i, lenient=lenient)
             for i, raw in enumerate(raw_lines)
         )
     )

@@ -45,22 +45,14 @@ class SubtitleBlock:
 
 @dataclass(frozen=True)
 class Utterance:
+    """An utterance carries no timing of its own: a cue's timing lives on
+    its block."""
+
     id: str
     blocks: tuple[SubtitleBlock, ...]
-    start_ms: Optional[int] = None
-    end_ms: Optional[int] = None
-
-    @property
-    def timed(self) -> bool:
-        return self.start_ms is not None
 
     def char_count(self) -> int:
         return sum(block.char_count() for block in self.blocks)
-
-    def duration_s(self) -> float:
-        if not self.timed:
-            raise DataError(f"utterance {self.id!r} has no timing")
-        return (self.end_ms - self.start_ms) / 1000.0
 
     def text(self) -> str:
         """Single-line marker form: lines joined by <eol>, blocks by <eob>,

@@ -1,6 +1,7 @@
 """SubRip (SRT) parsing and serialization.
 
-Each cue becomes one utterance of one timed SubtitleBlock.
+Each cue becomes one utterance of one SubtitleBlock, which holds the
+cue's timing.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
     seen: set[int] = set()
     for chunk in _cue_chunks(text.split("\n")):
         index_line = chunk[0].strip()
-        try:
-            cue_index = int(index_line)
-        except ValueError:
+        # ASCII digits only: int() would also take "+1", "1_0" and "١".
+        if not (index_line.isascii() and index_line.isdigit()):
             raise FormatError(f"expected cue index line, got {index_line!r}")
+        cue_index = int(index_line)
         if len(chunk) < 2:
             raise FormatError(f"cue {cue_index}: missing timing line")
         match = _TIMING_RE.match(chunk[1])
@@ -74,9 +75,7 @@ def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
             raise FormatError(f"duplicate cue index {cue_index}")
         seen.add(cue_index)
         block = SubtitleBlock(text_lines, start_ms=start_ms, end_ms=end_ms)
-        utterances.append(
-            Utterance(str(cue_index), (block,), start_ms=start_ms, end_ms=end_ms)
-        )
+        utterances.append(Utterance(str(cue_index), (block,)))
     return SubtitleDocument(tuple(utterances))
 
 

@@ -7,7 +7,9 @@ tuple-keyed dictionaries.  The exceptions are implementations the
 library replaced, kept as its bit-exact references: the EM loop trainer
 (dict of dicts), the regex 13a tokenizer, span-at-a-time tokenization,
 the numpy-matrix edit distance, segment statistics and bootstrap, the
-per-break segmentation scan, and the per-field report writers.
+per-break segmentation scan, the per-field report writers, the checked
+document model and its parsers, and the dict-of-links lexical
+consistency scorer.
 """
 
 from __future__ import annotations
@@ -1039,11 +1041,12 @@ class CheckedDocument:
 
 
 def document_fields(doc) -> tuple:
-    """(id, start, end, ((lines, start, end), ...)) per utterance; a line
-    is its text in either model."""
+    """(id, ((lines, start, end), ...)) per utterance; a line is its text
+    in either model.  Utterance timing is left out: the library keeps a
+    cue's timing on its block only."""
     return tuple(
         (
-            utt.id, utt.start_ms, utt.end_ms,
+            utt.id,
             tuple(
                 (
                     tuple(getattr(line, "text", line) for line in block.lines),
@@ -1165,4 +1168,81 @@ def parse_marked_text_checked(
             parse_utterance_text_checked(raw, str(i), i, lenient=lenient)
             for i, raw in enumerate(raw_lines)
         )
+    )
+
+
+# ---------------------------------------------------------------------------
+# Lexical consistency per pair (the dict-of-links scorer the library
+# replaced)
+#
+# Before each direction was scored from two sets of own-word indices
+# (aligned, and linked into the same-index block), the links were
+# grouped per own word and each word scanned with `any`.  These are that
+# scorer's two functions, copied unchanged apart from their names.
+
+from subeval.consistency import (  # noqa: E402
+    BlockIndexMap,
+    LexicalConsistencyPair,
+    _block_index_map,
+)
+
+
+def directional_consistency_dict(
+    own_map: BlockIndexMap,
+    other_map: BlockIndexMap,
+    alignment: SentenceAlignment,
+    own_words: Sequence[str],
+    side: str,
+    context: str,
+    skip_unaligned: bool,
+) -> tuple[float, list[tuple[str, int, str]]]:
+    links_by_own: dict[int, list[int]] = {}
+    for i, j in alignment.links:
+        if not (0 <= i < own_map.words) or not (0 <= j < other_map.words):
+            raise DataError(
+                f"alignment link {i}-{j} out of bounds (utterance {context!r})"
+            )
+        links_by_own.setdefault(i, []).append(j)
+    consistent = 0
+    denominator = 0
+    inconsistent: list[tuple[str, int, str]] = []
+    for i, block in enumerate(own_map.word_to_block):
+        linked = links_by_own.get(i)
+        if linked is None:
+            if skip_unaligned:
+                continue
+            denominator += 1
+            inconsistent.append((side, i, own_words[i]))
+            continue
+        denominator += 1
+        if any(other_map.word_to_block[j] == block for j in linked):
+            consistent += 1
+        else:
+            inconsistent.append((side, i, own_words[i]))
+    if denominator == 0:
+        return 1.0, inconsistent
+    return consistent / denominator, inconsistent
+
+
+def lexical_consistency_pair_dict(
+    pair_id: str,
+    tokens: tuple[TokenizedUtterance, TokenizedUtterance],
+    align_c2s: SentenceAlignment,
+    align_s2c: SentenceAlignment,
+    skip_unaligned: bool,
+) -> LexicalConsistencyPair:
+    cap_tokens, sub_tokens = tokens
+    cap_map = _block_index_map(cap_tokens)
+    sub_map = _block_index_map(sub_tokens)
+    lex_c2s, bad_c = directional_consistency_dict(
+        cap_map, sub_map, align_c2s, cap_tokens.words(), "caption", pair_id, skip_unaligned
+    )
+    lex_s2c, bad_s = directional_consistency_dict(
+        sub_map, cap_map, align_s2c, sub_tokens.words(), "subtitle", pair_id, skip_unaligned
+    )
+    return LexicalConsistencyPair(
+        lex_c2s=lex_c2s,
+        lex_s2c=lex_s2c,
+        lex_pair=(lex_c2s + lex_s2c) / 2.0,
+        inconsistent_tokens=tuple(bad_c + bad_s),
     )

@@ -251,7 +251,23 @@ def test_eval_srt_cue_numbers_that_do_not_pair(tmp_path, capsys):
                  "--subtitles-hyp", subs, "--subtitles-ref", subs,
                  "--align-c2s", links, "--align-s2c", links])
     assert code == 2
-    assert capsys.readouterr().err == "error: paired utterances disagree on id: '1' vs '2'\n"
+    assert capsys.readouterr().err == (
+        f"error: {caps} vs {subs}: paired utterances disagree on id: '1' vs '2'\n"
+    )
+
+
+def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys):
+    (tmp_path / "captions.txt").write_text("a <eob>\nb <eob>\n", encoding="utf-8")
+    (tmp_path / "subtitles.txt").write_text("a <eob>\n", encoding="utf-8")
+    (tmp_path / "align.txt").write_text("0-0\n0-0\n", encoding="utf-8")
+    caps, subs, links = (
+        str(tmp_path / name) for name in ("captions.txt", "subtitles.txt", "align.txt")
+    )
+    code = main(["eval", "--captions-hyp", caps, "--captions-ref", caps,
+                 "--subtitles-hyp", subs, "--subtitles-ref", subs,
+                 "--align-c2s", links, "--align-s2c", links])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {caps} vs {subs}: utterance count mismatch: 2 vs 1\n"
 
 
 # One mutation of one micro-corpus file per example.
@@ -360,7 +376,7 @@ def test_eval_byte_identical_reruns(micro_paths, tmp_path):
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
-def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeypatch, capsys):
+def _check_micro_eval_golden(micro_paths, tmp_path, monkeypatch, report, diag, *extra):
     # Relative input names keep the config echo free of machine paths.
     for path in micro_paths.values():
         shutil.copy(path, tmp_path)
@@ -371,14 +387,27 @@ def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeyp
         "--pos-captions", names["pos_captions"],
         "--pos-subtitles", names["pos_subtitles"],
         "--segmentation",
+        *extra,
         "--out", "both",
-        "--out-file", "report.out",
-        "--diagnostics", "diag.jsonl",
+        "--out-file", report,
+        "--diagnostics", diag,
     )
     assert main(args) == 0
-    for name in ("report.out", "diag.jsonl"):
+    for name in (report, diag):
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_eval_report_and_diagnostics_match_golden(micro_paths, tmp_path, monkeypatch):
+    _check_micro_eval_golden(micro_paths, tmp_path, monkeypatch, "report.out", "diag.jsonl")
+
+
+def test_eval_skip_unaligned_matches_golden(micro_paths, tmp_path, monkeypatch):
+    # Unaligned words leave the denominator: lexical .98 against .89.
+    _check_micro_eval_golden(
+        micro_paths, tmp_path, monkeypatch, "report.skip.out", "diag.skip.jsonl",
+        "--skip-unaligned",
+    )
 
 
 def test_eval_with_trained_aligner_matches_golden(micro_paths, tmp_path, monkeypatch):
@@ -682,7 +711,7 @@ def _run_cli(cwd, *args):
 @pytest.mark.parametrize(
     "reference, code, err",
     [
-        ("a <eob>\n", 2, "error: utterance count mismatch: 2 vs 1\n"),
+        ("a <eob>\n", 2, "error: hyp.txt vs ref.txt: utterance count mismatch: 2 vs 1\n"),
         ("a <eob>\nb <eob>\n", 0, "dropping empty block in utterance 0\n" * 2),
     ],
     ids=["error", "success"],

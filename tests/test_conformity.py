@@ -6,7 +6,6 @@ from subeval.conformity import (
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
-    TimingMode,
     conformity_report,
     length_conformity,
     reading_speed_conformity,
@@ -88,18 +87,6 @@ def test_reading_speed_boundary_conforms():
 def test_reading_speed_above_boundary():
     doc = timed_doc((85, 0, 4000))
     assert reading_speed_conformity(doc) == 0.0
-
-
-def test_reading_speed_per_utterance():
-    blocks = (
-        SubtitleBlock(("x" * 35,)),
-        SubtitleBlock(("x" * 35,)),
-        SubtitleBlock(("x" * 35,)),
-    )
-    doc = SubtitleDocument(
-        (Utterance(id="0", blocks=blocks, start_ms=0, end_ms=10_000),)
-    )
-    assert reading_speed_conformity(doc, timing_mode=TimingMode.PER_UTTERANCE) == 1.0
 
 
 def test_reading_speed_missing_timing():

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from subeval.align import parse_pharaoh
+from subeval.align import SentenceAlignment, parse_pharaoh
 from subeval.consistency import (
     block_index_map,
     char_ratio,
@@ -13,9 +14,10 @@ from subeval.consistency import (
     subtitle_block_judgements,
     validate_lexical_metric,
 )
-from subeval.errors import DataError
+from subeval.errors import DataError, SubevalError
 from subeval.markers import parse_marked_text
 from subeval.model import Utterance, UtterancePair, pair_documents
+from subeval.textproc import Scheme, tokenize
 
 
 def make_pair(caption_text, subtitle_text, utt_id="0"):
@@ -192,6 +194,62 @@ def test_micro_corpus_matches_directional_oracle(micro_docs, micro_paths):
         )
         expected.append((lex_c2s + lex_s2c) / 2)
     assert mean == pytest.approx(sum(expected) / len(expected), rel=1e-9)
+
+
+# The set-based scorer against the dict-of-links one it replaced
+# (tests/oracles.py): equal results, and the same error class and text.
+
+_BLOCK = st.lists(
+    st.sampled_from(["a", "bb c", "d.", "l'e, f", "g <eol> h"]), min_size=1, max_size=3
+).map(" ".join)
+_UTTERANCE = st.lists(_BLOCK, min_size=1, max_size=3).map(
+    lambda blocks: " <eob> ".join(blocks) + " <eob>"
+)
+
+
+def _alignment(draw, n_own, n_other):
+    """In-range links, several per word or repeated, plus at times a
+    negative or out-of-range one; as a set or as a tuple that keeps
+    repeats."""
+    index = lambda n: st.integers(0, max(n - 1, 0))  # noqa: E731
+    links = draw(st.lists(st.tuples(index(n_own), index(n_other)), max_size=n_own + n_other))
+    faults = [(-1, 0), (0, -1), (n_own, 0), (0, n_other), (-2, n_other + 3)]
+    n_faults = draw(st.sampled_from([0, 0, 0, 0, 1, 2]))
+    for link in draw(st.lists(st.sampled_from(faults), min_size=n_faults, max_size=n_faults)):
+        links.insert(draw(st.integers(0, len(links))), link)
+    return SentenceAlignment(draw(st.sampled_from([frozenset, tuple]))(links))
+
+
+@st.composite
+def lexical_cases(draw):
+    langs = draw(st.sampled_from([("en", "en"), ("en", "fr")]))
+    pair = make_pair(draw(_UTTERANCE), draw(_UTTERANCE), draw(st.sampled_from(["0", "u9"])))
+    tokens = (
+        tokenize(pair.caption.text(), Scheme.MT_DETACHED, langs[0]),
+        tokenize(pair.subtitle.text(), Scheme.MT_DETACHED, langs[1]),
+    )
+    n_cap, n_sub = (len(side.words()) for side in tokens)
+    return (
+        pair, tokens, _alignment(draw, n_cap, n_sub), _alignment(draw, n_sub, n_cap),
+        langs, draw(st.booleans()),
+    )
+
+
+def _lexical_outcome(score, *args, **kwargs):
+    try:
+        return score(*args, **kwargs)
+    except SubevalError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lexical_cases())
+def test_lexical_consistency_pair_matches_dict_oracle(case):
+    pair, tokens, c2s, s2c, (caption_lang, subtitle_lang), skip = case
+    assert _lexical_outcome(
+        lexical_consistency_pair, pair, c2s, s2c,
+        caption_lang=caption_lang, subtitle_lang=subtitle_lang, skip_unaligned=skip,
+    ) == _lexical_outcome(oracles.lexical_consistency_pair_dict, pair.id, tokens, c2s, s2c, skip)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,15 @@ def srt_texts(draw):
 @given(srt_texts())
 def test_parse_srt_matches_checked_oracle(text):
     assert _parse_outcome(parse_srt, text) == _parse_outcome(oracles.parse_srt_checked, text)
+    # `document_fields` leaves out utterance timing, which the library
+    # does not keep: in the checked model it is always its block's.
+    try:
+        checked = oracles.parse_srt_checked(text)
+    except SubevalError:
+        return
+    for utt in checked.utterances:
+        [block] = utt.blocks
+        assert (utt.start_ms, utt.end_ms) == (block.start_ms, block.end_ms)
 
 
 @settings(max_examples=500, deadline=None)

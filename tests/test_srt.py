@@ -81,6 +81,16 @@ def test_round_trip_preserves_timing_fields():
         # A break literal is reported before a duplicate index.
         (PAPER_CUE + "\n1\n00:00:01,000 --> 00:00:02,000\n<eob>\n", DataError,
          "line text contains a break token literal: '<eob>'"),
+        # int() takes each of these indices, but a cue index is ASCII
+        # digits: "1_0" and "+10" would both become cue 10.
+        ("+1\n00:00:01,000 --> 00:00:02,000\nhi\n", FormatError,
+         "expected cue index line, got '+1'"),
+        ("1_0\n00:00:01,000 --> 00:00:02,000\nhi\n", FormatError,
+         "expected cue index line, got '1_0'"),
+        ("\u0661\n00:00:01,000 --> 00:00:02,000\nhi\n", FormatError,
+         "expected cue index line, got '\u0661'"),
+        ("1_0\n00:00:01,000 --> 00:00:02,000\nhi\n\n+10\n00:00:03,000 --> 00:00:04,000\nhi\n",
+         FormatError, "expected cue index line, got '1_0'"),
     ],
 )
 def test_each_error_text(text, error, message):
