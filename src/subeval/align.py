@@ -20,13 +20,19 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, open_utf8
-from .model import BREAKS
+from .model import BREAKS, EOB, EOL
 
 logger = logging.getLogger(__name__)
 
 NULL_WORD = "<NULL>"
 
 OOV_PROB = 1e-9
+
+# Training defaults, and the range EM keeps the diagonal prior's tension in.
+DEFAULT_ITERATIONS = 5
+DEFAULT_P0 = 0.08
+DEFAULT_TENSION = 4.0
+TENSION_BOUNDS = (0.1, 14.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,8 @@ class TranslationModel:
     def __init__(
         self,
         table: dict[str, dict[str, float]],
-        tension: float = 4.0,
-        null_prob: float = 0.08,
+        tension: float = DEFAULT_TENSION,
+        null_prob: float = DEFAULT_P0,
         use_diagonal_prior: bool = True,
     ):
         self.table = table
@@ -326,10 +332,10 @@ class _CooccurrenceIndex:
 
 def train_aligner(
     corpus: Sequence[BitextPair],
-    iterations: int = 5,
+    iterations: int = DEFAULT_ITERATIONS,
     use_diagonal_prior: bool = True,
-    p0: float = 0.08,
-    initial_tension: float = 4.0,
+    p0: float = DEFAULT_P0,
+    initial_tension: float = DEFAULT_TENSION,
     update_tension: bool = True,
     log_likelihoods: Optional[list[float]] = None,
 ) -> TranslationModel:
@@ -359,7 +365,7 @@ def train_aligner(
         prob = np.full(len(counts), OOV_PROB)
         np.divide(counts, totals[index.key_source], out=prob, where=has_mass[index.key_source])
         if use_diagonal_prior and update_tension:
-            tension = min(14.0, max(0.1, tension + grad))
+            tension = min(TENSION_BOUNDS[1], max(TENSION_BOUNDS[0], tension + grad))
         logger.info(
             "EM iteration %d/%d: log-likelihood %.6f, tension %.6f",
             iteration, iterations, ll, tension,
@@ -554,7 +560,8 @@ def _model_row_error(path: str, lineno: int, text: str) -> FormatError:
 
 
 def load_bitext(path: str) -> list[tuple[str, str]]:
-    """One "src ||| tgt" pair per line."""
+    """One "src ||| tgt" pair per line; each side needs a word besides
+    break tokens."""
     pairs = []
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -564,5 +571,9 @@ def load_bitext(path: str) -> list[tuple[str, str]]:
             if "|||" not in line:
                 raise FormatError(f"{path}:{lineno}: missing ||| separator")
             src, tgt = line.split("|||", 1)
+            for side, text in (("source", src), ("target", tgt)):
+                # The tokenizers split a break token off even inside a word.
+                if not text.replace(EOB, " ").replace(EOL, " ").strip():
+                    raise FormatError(f"{path}:{lineno}: no word on the {side} side")
             pairs.append((src.strip(), tgt.strip()))
     return pairs

@@ -18,6 +18,8 @@ from . import align as align_mod
 from . import consistency as consistency_mod
 from . import quality as quality_mod
 from .conformity import (
+    DEFAULT_MAX_CPL,
+    DEFAULT_MAX_CPS,
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
@@ -40,43 +42,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Options accepted in a flat key-value config file for `eval`.
-# name -> (type, default); booleans appear as flags on the CLI.
+_PATH = (str, None)
+_FLAG = (bool, False)
+_VALIDATE_INPUTS = ("auto-scores", "manual-scores", "auto-judgements", "manual-judgements")
+
+# `eval`'s options, which its flat key-value config file may also set:
+# name -> (type, default); a boolean is a flag on the command line.
 EVAL_OPTIONS: dict[str, tuple[type, Any]] = {
-    "captions-hyp": (str, None),
-    "captions-ref": (str, None),
-    "subtitles-hyp": (str, None),
-    "subtitles-ref": (str, None),
+    **dict.fromkeys(("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"), _PATH),
     "format": (str, "mustcinema"),
-    "pos-captions": (str, None),
-    "pos-subtitles": (str, None),
-    "align-c2s": (str, None),
-    "align-s2c": (str, None),
-    "train-bitext": (str, None),
-    "extra-bitext": (str, None),
-    "max-cpl": (int, 42),
-    "max-cps": (float, 21.0),
+    **dict.fromkeys(("pos-captions", "pos-subtitles", "align-c2s", "align-s2c"), _PATH),
+    **dict.fromkeys(("train-bitext", "extra-bitext"), _PATH),
+    "max-cpl": (int, DEFAULT_MAX_CPL),
+    "max-cps": (float, DEFAULT_MAX_CPS),
     "breaks": (str, "both"),
     "aggregation": (str, "line"),
     "seed": (int, 0),
     "out": (str, "json"),
-    "out-file": (str, None),
-    "diagnostics": (str, None),
+    **dict.fromkeys(("out-file", "diagnostics"), _PATH),
     "system-name": (str, "system"),
     "caption-lang": (str, "en"),
     "subtitle-lang": (str, "en"),
-    "iterations": (int, 5),
-    "p0": (float, 0.08),
-    "tension": (float, 4.0),
-    "lenient": (bool, False),
-    "skip-unaligned": (bool, False),
-    "exclude-trailing-eob": (bool, False),
-    "segmentation": (bool, False),
-    "no-diagonal-prior": (bool, False),
+    "iterations": (int, align_mod.DEFAULT_ITERATIONS),
+    "p0": (float, align_mod.DEFAULT_P0),
+    "tension": (float, align_mod.DEFAULT_TENSION),
+    **dict.fromkeys(("lenient", "skip-unaligned", "exclude-trailing-eob", "segmentation"), _FLAG),
+    "no-diagonal-prior": _FLAG,
 }
 
-FORMATS = ("mustcinema", "srt")
-
+# Every option of every subcommand: `eval`'s, then the others'.
+OPTIONS: dict[str, tuple[type, Any]] = {
+    **EVAL_OPTIONS,
+    **dict.fromkeys(("model-out", "model", "bitext", "hyp-a", "hyp-b", "ref"), _PATH),
+    **dict.fromkeys(_VALIDATE_INPUTS, _PATH),
+    "metric": (str, None),
+    "source-lang": (str, "en"),
+    "target-lang": (str, "en"),
+    "resamples": (int, 1000),
+}
 
 def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (raw value, "<path>:<line>" where the file sets it)."""
@@ -99,7 +102,7 @@ def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
 
 
 def _coerce(key: str, raw: str, where: str) -> Any:
-    typ, _ = EVAL_OPTIONS[key]
+    typ, _ = OPTIONS[key]
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -112,48 +115,37 @@ def _coerce(key: str, raw: str, where: str) -> Any:
         raise FormatError(f"{where}: key {key!r}: bad value {raw!r}")
 
 
-def _resolve_options(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge config file and CLI values; CLI wins, then config, then
-    defaults."""
-    config = _parse_config_file(args.config) if args.config else {}
-    resolved: dict[str, Any] = {}
-    for key, (_, default) in EVAL_OPTIONS.items():
-        cli_value = getattr(args, key.replace("-", "_"))
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in config:
-            resolved[key] = _coerce(key, *config[key])
-        else:
-            resolved[key] = default
+def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any]:
+    """The value of each option in `keys`: its flag, else `eval`'s config
+    file, else its default."""
+    config = _parse_config_file(args["config"]) if args.get("config") else {}
+    resolved = {}
+    for key in keys:
+        value = args[key.replace("-", "_")]
+        if value is None:
+            value = _coerce(key, *config[key]) if key in config else OPTIONS[key][1]
+        resolved[key] = value
     return resolved
-
-
-def _add_eval_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key-value config file")
-    for key, (typ, _) in EVAL_OPTIONS.items():
-        flag = f"--{key}"
-        if typ is bool:
-            parser.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            parser.add_argument(flag, type=typ, default=None)
 
 
 def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return choices.__contains__, f"{', '.join(choices[:-1])} or {choices[-1]}"
 
 
+_LOW, _HIGH = align_mod.TENSION_BOUNDS
+
 # Options with a constrained value: name -> (test the value must pass,
 # what it must be).  A rule holds for every subcommand with the option;
 # each test is written so that NaN fails it.
 _RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "format": _one_of(*FORMATS),
+    "format": _one_of("mustcinema", "srt"),
     "breaks": _one_of(*(b.value for b in BreakSelection)),
     "aggregation": _one_of(*(a.value for a in LengthAggregation)),
     "out": _one_of("json", "tsv", "both"),
     "metric": _one_of("bleu", "wer"),
     "iterations": (lambda v: v >= 0, "non-negative"),
     "p0": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "tension": (lambda v: 0.1 <= v <= 14.0, "in [0.1, 14]"),  # EM's clamp
+    "tension": (lambda v: _LOW <= v <= _HIGH, f"in [{_LOW:g}, {_HIGH:g}]"),  # EM's clamp
     "max-cpl": (lambda v: v > 0, "positive"),
     "max-cps": (lambda v: v > 0, "positive"),
     "resamples": (lambda v: v >= 1, "a positive integer"),
@@ -183,9 +175,13 @@ def _validate_options(opts: dict[str, Any]) -> None:
         if bool(opts["align-c2s"]) != bool(opts["align-s2c"]):
             raise UsageError("--align-c2s and --align-s2c must be given together")
         if not opts["align-c2s"] and not opts["train-bitext"]:
+            raise UsageError("consistency requires --align-c2s/--align-s2c or --train-bitext")
+        if opts["align-c2s"] and (opts["train-bitext"] or opts["extra-bitext"]):
             raise UsageError(
-                "consistency requires --align-c2s/--align-s2c or --train-bitext"
+                "--train-bitext and --extra-bitext are unused with --align-c2s/--align-s2c"
             )
+    if opts.get("lenient") and opts["format"] == "srt":
+        raise UsageError("--lenient applies to marked text, not to --format srt")
 
 
 def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
@@ -209,43 +205,36 @@ def _tag_document(
     ]
 
 
-def _bitext_pairs_from_file(path, caption_lang, subtitle_lang):
+def _training_files(opts) -> list[str]:
+    """The bitext files an aligner trains on: --train-bitext, --extra-bitext."""
+    return [path for path in (opts["train-bitext"], opts["extra-bitext"]) if path]
+
+
+def _file_bitext(paths, source_lang, target_lang) -> list[align_mod.BitextPair]:
+    """The pairs of the bitext files at `paths`, each side tokenized under `mt`."""
     pairs = []
-    for src_text, tgt_text in align_mod.load_bitext(path):
-        src = tokenize(src_text, Scheme.MT_DETACHED, caption_lang).words()
-        tgt = tokenize(tgt_text, Scheme.MT_DETACHED, subtitle_lang).words()
-        pairs.append(align_mod.BitextPair(tuple(src), tuple(tgt)))
+    for path in paths:
+        for src_text, tgt_text in align_mod.load_bitext(path):
+            src = tokenize(src_text, Scheme.MT_DETACHED, source_lang).words()
+            tgt = tokenize(tgt_text, Scheme.MT_DETACHED, target_lang).words()
+            pairs.append(align_mod.BitextPair(tuple(src), tuple(tgt)))
     return pairs
 
 
-def _train_models(opts, source_lang, target_lang, system_pairs=(), reverse=False):
-    """Train on --train-bitext, the optional --extra-bitext and
-    `system_pairs`: a source-to-target model, plus a target-to-source
-    one when `reverse` is set."""
-    corpus = []
-    for key in ("train-bitext", "extra-bitext"):
-        if opts[key]:
-            corpus += _bitext_pairs_from_file(opts[key], source_lang, target_lang)
-    corpus += system_pairs
-    corpora = [corpus]
-    if reverse:
-        corpora.append([align_mod.BitextPair(p.target, p.source) for p in corpus])
-    return [
-        align_mod.train_aligner(
-            pairs,
-            iterations=opts["iterations"],
-            use_diagonal_prior=not opts["no-diagonal-prior"],
-            p0=opts["p0"],
-            initial_tension=opts["tension"],
-        )
-        for pairs in corpora
-    ]
+def _train(opts, corpus) -> align_mod.TranslationModel:
+    return align_mod.train_aligner(
+        corpus,
+        iterations=opts["iterations"],
+        use_diagonal_prior=not opts["no-diagonal-prior"],
+        p0=opts["p0"],
+        initial_tension=opts["tension"],
+    )
 
 
 def _alignments_for_pairs(opts, token_pairs):
     """The (c2s, s2c) alignment of each (caption, subtitle) token pair:
-    loaded from Pharaoh files, or from aligners trained in both
-    directions on the system bitext."""
+    loaded from Pharaoh files, or from aligners trained on the bitext
+    files plus the system pairs, one direction after the other."""
     if opts["align-c2s"]:
         c2s = align_mod.load_pharaoh(opts["align-c2s"])
         s2c = align_mod.load_pharaoh(opts["align-s2c"])
@@ -255,20 +244,14 @@ def _alignments_for_pairs(opts, token_pairs):
                 f"for {len(token_pairs)} pairs"
             )
         return list(zip(c2s, s2c))
-    bitext = [
-        align_mod.BitextPair(tuple(cap.words()), tuple(sub.words()))
-        for cap, sub in token_pairs
-    ]
-    model_c2s, model_s2c = _train_models(
-        opts, opts["caption-lang"], opts["subtitle-lang"], bitext, reverse=True
-    )
-    reverse = [align_mod.BitextPair(pair.target, pair.source) for pair in bitext]
-    return list(
-        zip(
-            align_mod.viterbi_align_corpus(model_c2s, bitext),
-            align_mod.viterbi_align_corpus(model_s2c, reverse),
-        )
-    )
+    system = [align_mod.BitextPair(tuple(c.words()), tuple(s.words())) for c, s in token_pairs]
+    forward = _file_bitext(_training_files(opts), opts["caption-lang"], opts["subtitle-lang"])
+    tail = len(forward)
+    forward += system
+    c2s = align_mod.viterbi_align_corpus(_train(opts, forward), system)
+    backward = [align_mod.BitextPair(pair.target, pair.source) for pair in forward]
+    s2c = align_mod.viterbi_align_corpus(_train(opts, backward), backward[tail:])
+    return list(zip(c2s, s2c))
 
 
 # The two sides `eval` scores: the keys of the hypothesis, reference,
@@ -378,14 +361,14 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def run_align_train(opts: dict[str, Any]) -> int:
-    [model] = _train_models(opts, opts["source-lang"], opts["target-lang"])
-    align_mod.save_model(model, opts["model-out"])
+    corpus = _file_bitext(_training_files(opts), opts["source-lang"], opts["target-lang"])
+    align_mod.save_model(_train(opts, corpus), opts["model-out"])
     return 0
 
 
 def run_align_apply(opts: dict[str, Any]) -> int:
     model = align_mod.load_model(opts["model"])
-    pairs = _bitext_pairs_from_file(opts["bitext"], opts["source-lang"], opts["target-lang"])
+    pairs = _file_bitext([opts["bitext"]], opts["source-lang"], opts["target-lang"])
     alignments = align_mod.viterbi_align_corpus(model, pairs)
     _emit("".join(align_mod.write_pharaoh(a) + "\n" for a in alignments), opts["out-file"])
     return 0
@@ -448,54 +431,49 @@ def run_validate_lexical(opts: dict[str, Any]) -> int:
     return 0
 
 
+# Subcommand -> (help, runner, its options in flag order, the options
+# argparse requires).  A group, with no runner, holds the subcommands
+# named after it.  `eval`'s inputs may come from its config file, so
+# `_validate_options` requires them.
+_COMMANDS: dict[str, tuple[str, Optional[Callable], Sequence[str], Sequence[str]]] = {
+    "eval": ("end-to-end evaluation report", run_eval, tuple(EVAL_OPTIONS), ()),
+    "align": ("word-alignment model", None, (), ()),
+    "align train": (
+        "train a model on bitext files", run_align_train,
+        ("train-bitext", "extra-bitext", "model-out", "iterations", "p0", "tension",
+         "no-diagonal-prior", "source-lang", "target-lang"),
+        ("train-bitext", "model-out"),
+    ),
+    "align apply": (
+        "align a bitext with a model", run_align_apply,
+        ("model", "bitext", "out-file", "source-lang", "target-lang"), ("model", "bitext"),
+    ),
+    "significance": (
+        "pairwise bootstrap resampling", run_significance,
+        ("metric", "resamples", "seed", "hyp-a", "hyp-b", "ref", "format"),
+        ("metric", "hyp-a", "hyp-b", "ref"),
+    ),
+    "validate-lexical": (
+        "metric vs manual annotation", run_validate_lexical, _VALIDATE_INPUTS, _VALIDATE_INPUTS,
+    ),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="subeval", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    eval_parser = sub.add_parser("eval", help="end-to-end evaluation report")
-    _add_eval_arguments(eval_parser)
-    eval_parser.set_defaults(func=run_eval)
-
-    align_parser = sub.add_parser("align", help="word-alignment model")
-    align_sub = align_parser.add_subparsers(dest="align_command", required=True)
-
-    train = align_sub.add_parser("train")
-    train.add_argument("--train-bitext", required=True)
-    train.add_argument("--extra-bitext")
-    train.add_argument("--model-out", required=True)
-    for key in ("iterations", "p0", "tension"):
-        typ, default = EVAL_OPTIONS[key]
-        train.add_argument(f"--{key}", type=typ, default=default)
-    train.add_argument("--no-diagonal-prior", action="store_true")
-    train.add_argument("--source-lang", default="en")
-    train.add_argument("--target-lang", default="en")
-    train.set_defaults(func=run_align_train)
-
-    apply_parser = align_sub.add_parser("apply")
-    apply_parser.add_argument("--model", required=True)
-    apply_parser.add_argument("--bitext", required=True)
-    apply_parser.add_argument("--out-file")
-    apply_parser.add_argument("--source-lang", default="en")
-    apply_parser.add_argument("--target-lang", default="en")
-    apply_parser.set_defaults(func=run_align_apply)
-
-    sig = sub.add_parser("significance", help="pairwise bootstrap resampling")
-    sig.add_argument("--metric", required=True)
-    sig.add_argument("--resamples", type=int, default=1000)
-    sig.add_argument("--seed", type=int, default=0)
-    sig.add_argument("--hyp-a", required=True)
-    sig.add_argument("--hyp-b", required=True)
-    sig.add_argument("--ref", required=True)
-    sig.add_argument("--format", default="mustcinema")
-    sig.set_defaults(func=run_significance)
-
-    validate = sub.add_parser("validate-lexical", help="metric vs manual annotation")
-    validate.add_argument("--auto-scores", required=True)
-    validate.add_argument("--manual-scores", required=True)
-    validate.add_argument("--auto-judgements", required=True)
-    validate.add_argument("--manual-judgements", required=True)
-    validate.set_defaults(func=run_validate_lexical)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_text, run, keys, required) in _COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        command = subparsers[group].add_parser(word, help=help_text)
+        if run is None:
+            subparsers[name] = command.add_subparsers(dest=f"{name}_command", required=True)
+        if name == "eval":
+            command.add_argument("--config", help="flat key-value config file")
+        for key in keys:
+            if OPTIONS[key][0] is bool:
+                command.add_argument(f"--{key}", action="store_const", const=True)
+            else:
+                command.add_argument(f"--{key}", type=OPTIONS[key][0], required=key in required)
     return parser
 
 
@@ -509,13 +487,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logger = logging.getLogger("subeval")
     logger.addHandler(handler)
     try:
-        args = parser.parse_args(argv)
-        if args.command == "eval":
-            opts = _resolve_options(args)
-        else:
-            opts = {key.replace("_", "-"): value for key, value in vars(args).items()}
+        args = vars(parser.parse_args(argv))
+        command = args["command"]
+        while _COMMANDS[command][1] is None:
+            command += " " + args[f"{command}_command"]
+        _, run, keys, _ = _COMMANDS[command]
+        opts = _resolve_options(keys, args)
         _validate_options(opts)
-        code = args.func(opts)
+        code = run(opts)
     except UsageError as exc:
         message, code = f"usage error: {exc}", 1
     except (OSError, SubevalError) as exc:

@@ -92,7 +92,7 @@ def reading_speed_conformity(
     for utt in doc.utterances:
         for block in utt.blocks:
             if not block.timed:
-                raise DataError(f"timing unavailable for mode block (utterance {utt.id!r})")
+                raise DataError(f"utterance {utt.id!r}: a block has no timing")
             units += 1
             if block.char_count() / block.duration_s() <= thresholds.max_cps:
                 conforming += 1

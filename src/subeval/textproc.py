@@ -16,13 +16,6 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 from .errors import DataError, FormatError, open_utf8
 from .model import BREAKS, EOB, EOL
 
-UPOS_TAGS = frozenset(
-    {
-        "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
-        "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
-    }
-)
-
 
 class Scheme(Enum):
     WHITESPACE = "whitespace"
@@ -57,6 +50,9 @@ DEFAULT_CHUNK_CHINK: dict[str, WordClass] = {
     "VERB": WordClass.CONTENT,
     "X": WordClass.CONTENT,
 }
+
+# The 17 universal POS tags: exactly those the chunk/chink table classifies.
+UPOS_TAGS = frozenset(DEFAULT_CHUNK_CHINK)
 
 
 @dataclass(frozen=True)

@@ -996,3 +996,115 @@ def test_any_argv_exits_with_contract_code(micro_paths, run):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Defaults, pinned options and options that would have no effect
+
+
+def test_eval_with_extra_bitext_matches_golden(micro_paths, tmp_path, monkeypatch):
+    # The aligner trains on the micro bitext, then the golden bitext, then
+    # the system pairs: lexical .882 against .8876 without the extra file.
+    for key in ("captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref"):
+        shutil.copy(micro_paths[key], tmp_path)
+    shutil.copy(os.path.join(MICRO, "bitext.txt"), tmp_path)
+    shutil.copy(os.path.join(GOLDEN, "bitext.txt"), tmp_path / "extra.txt")
+    monkeypatch.chdir(tmp_path)
+    args = [
+        "eval",
+        "--captions-hyp", "captions.hyp",
+        "--captions-ref", "captions.ref",
+        "--subtitles-hyp", "subtitles.hyp",
+        "--subtitles-ref", "subtitles.ref",
+        "--caption-lang", "en",
+        "--subtitle-lang", "fr",
+        "--train-bitext", "bitext.txt",
+        "--extra-bitext", "extra.txt",
+        "--out", "both",
+        "--out-file", "report.extra.out",
+        "--diagnostics", "diag.extra.jsonl",
+    ]
+    assert main(args) == 0
+    for name in ("report.extra.out", "diag.extra.jsonl"):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+# Each subcommand's default values, written out as flags.  validate-lexical
+# has no option with a default.
+_SPELLED_DEFAULTS = {
+    "eval": ["--format", "mustcinema", "--max-cpl", "42", "--max-cps", "21.0",
+             "--breaks", "both", "--aggregation", "line", "--seed", "0", "--out", "json",
+             "--system-name", "system", "--caption-lang", "en", "--subtitle-lang", "en",
+             "--iterations", "5", "--p0", "0.08", "--tension", "4.0"],
+    "align train": ["--iterations", "5", "--p0", "0.08", "--tension", "4.0",
+                    "--source-lang", "en", "--target-lang", "en"],
+    "align apply": ["--source-lang", "en", "--target-lang", "en"],
+    "significance": ["--resamples", "1000", "--seed", "0", "--format", "mustcinema"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPELLED_DEFAULTS))
+def test_spelled_out_defaults_change_no_output(micro_paths, tmp_path, monkeypatch, capsys, command):
+    bitext = os.path.join(GOLDEN, "bitext.txt")
+    required = {
+        "eval": [
+            "--captions-hyp", micro_paths["captions_hyp"],
+            "--captions-ref", micro_paths["captions_ref"],
+            "--subtitles-hyp", micro_paths["subtitles_hyp"],
+            "--subtitles-ref", micro_paths["subtitles_ref"],
+            "--train-bitext", os.path.join(MICRO, "bitext.txt"),
+        ],
+        "align train": ["--train-bitext", bitext, "--model-out", "model.tsv"],
+        "align apply": ["--model", os.path.join(GOLDEN, "model.tsv"), "--bitext", bitext],
+        "significance": ["--metric", "bleu", "--hyp-a", micro_paths["subtitles_hyp"],
+                         "--hyp-b", micro_paths["subtitles_ref"],
+                         "--ref", micro_paths["subtitles_ref"]],
+    }[command]
+    outputs = []
+    for run, extra in (("bare", []), ("spelled", _SPELLED_DEFAULTS[command])):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main([*command.split(), *required, *extra]) == 0
+        files = {path.name: path.read_bytes() for path in (tmp_path / run).iterdir()}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
+
+
+_UNUSED_BITEXT = "--train-bitext and --extra-bitext are unused with --align-c2s/--align-s2c"
+_LENIENT_SRT = "--lenient applies to marked text, not to --format srt"
+
+
+@pytest.mark.parametrize(
+    "extra, config, message",
+    [
+        (["--train-bitext", "bitext.txt"], "", _UNUSED_BITEXT),
+        (["--extra-bitext", "bitext.txt"], "", _UNUSED_BITEXT),
+        ([], "extra-bitext = bitext.txt\n", _UNUSED_BITEXT),
+        (["--lenient", "--format", "srt"], "", _LENIENT_SRT),
+        (["--format", "srt"], "lenient = yes\n", _LENIENT_SRT),
+    ],
+    ids=["train-bitext", "extra-bitext", "extra-bitext-in-config", "lenient", "lenient-in-config"],
+)
+def test_eval_option_without_effect_is_usage_error(micro_paths, tmp_path, capsys, extra, config,
+                                                   message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    args = eval_args(micro_paths, "--config", str(cfg), *extra)
+    args[args.index("--captions-hyp") + 1] = "/nonexistent/captions.hyp"
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, side",
+    [("a b ||| ", "target"), ("<eob> <eol> ||| x", "source"), ("a ||| <eob><eol>", "target")],
+    ids=["empty", "spaced-breaks", "joined-breaks"],
+)
+def test_bitext_side_without_words_names_file_and_line(tmp_path, capsys, line, side):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{line}\na ||| x\n", encoding="utf-8")
+    args = ["align", "train", "--train-bitext", str(bad), "--model-out", str(tmp_path / "m.tsv")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: no word on the {side} side\n"

@@ -91,7 +91,7 @@ def test_reading_speed_above_boundary():
 
 def test_reading_speed_missing_timing():
     doc = doc_of_lines(10)
-    with pytest.raises(DataError, match="timing unavailable for mode"):
+    with pytest.raises(DataError, match="utterance '0': a block has no timing"):
         reading_speed_conformity(doc)
 
 
