@@ -6,16 +6,6 @@ caption-subtitle consistency (structural, lexical, line-count), with
 the statistical word alignment the lexical metric depends on.
 """
 
-from .align import (
-    BitextPair,
-    SentenceAlignment,
-    TranslationModel,
-    parse_pharaoh,
-    train_aligner,
-    viterbi_align,
-    viterbi_align_corpus,
-    write_pharaoh,
-)
 from .conformity import (
     ConformityThresholds,
     length_conformity,
@@ -33,6 +23,7 @@ from .consistency import (
     validate_lexical_metric,
 )
 from .errors import DataError, FormatError, SubevalError
+from .links import SentenceAlignment, parse_pharaoh, write_pharaoh
 from .markers import parse_marked_text, serialize_marked_text
 from .model import (
     SubtitleBlock,
@@ -53,3 +44,17 @@ from .textproc import (
 )
 
 __version__ = "0.1.0"
+
+# The aligner's names load numpy with `align`, so they are imported on
+# first use (PEP 562), not with the package.
+_ALIGN_NAMES = frozenset(
+    ("BitextPair", "TranslationModel", "train_aligner", "viterbi_align", "viterbi_align_corpus")
+)
+
+
+def __getattr__(name: str):
+    if name in _ALIGN_NAMES:
+        from . import align
+
+        return getattr(align, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,9 +2,11 @@
 
 EM training of a lexical translation model with an optional diagonal
 position prior (the fast_align-style reparameterization of IBM Model 2),
-Viterbi link extraction, and Pharaoh-format interchange.  Training is
-fully deterministic: the table is initialized uniformly over
-co-occurring words and no randomness is involved.
+Viterbi link extraction and the model file.  Training is fully
+deterministic: the table is initialized uniformly over co-occurring
+words and no randomness is involved.  The links and their Pharaoh
+format live in `links`, which needs no numpy; their names are
+importable from here too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, open_utf8
+from .links import (  # noqa: F401  (re-exported)
+    DEFAULT_ITERATIONS,
+    DEFAULT_P0,
+    DEFAULT_TENSION,
+    TENSION_BOUNDS,
+    SentenceAlignment,
+    load_pharaoh,
+    parse_pharaoh,
+    write_pharaoh,
+)
 from .model import BREAKS, EOB, EOL
 
 logger = logging.getLogger(__name__)
@@ -27,12 +39,6 @@ logger = logging.getLogger(__name__)
 NULL_WORD = "<NULL>"
 
 OOV_PROB = 1e-9
-
-# Training defaults, and the range EM keeps the diagonal prior's tension in.
-DEFAULT_ITERATIONS = 5
-DEFAULT_P0 = 0.08
-DEFAULT_TENSION = 4.0
-TENSION_BOUNDS = (0.1, 14.0)
 
 
 @dataclass(frozen=True)
@@ -46,11 +52,6 @@ class BitextPair:
         for word in self.source + self.target:
             if word in BREAKS:
                 raise DataError("bitext must not contain break tokens")
-
-
-@dataclass(frozen=True)
-class SentenceAlignment:
-    links: frozenset[tuple[int, int]]
 
 
 class TranslationModel:
@@ -415,41 +416,6 @@ def viterbi_align_corpus(
 def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignment:
     """`viterbi_align_corpus` of one pair."""
     return viterbi_align_corpus(model, [pair])[0]
-
-
-def parse_pharaoh(line: str) -> SentenceAlignment:
-    links = set()
-    offset = 0
-    for token in line.split():
-        offset = line.index(token, offset)
-        column = offset + 1
-        offset += len(token)
-        parts = token.split("-")
-        if len(parts) != 2:
-            raise FormatError(f"malformed alignment token {token!r} at column {column}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"malformed alignment token {token!r} at column {column}")
-        if i < 0 or j < 0:
-            raise FormatError(f"negative index in alignment token {token!r}")
-        links.add((i, j))
-    return SentenceAlignment(frozenset(links))
-
-
-def write_pharaoh(alignment: SentenceAlignment) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(alignment.links))
-
-
-def load_pharaoh(path: str) -> list[SentenceAlignment]:
-    alignments = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                alignments.append(parse_pharaoh(line.rstrip("\n")))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return alignments
 
 
 # Rows per write of `save_model` and characters per read of `load_model`:

@@ -12,10 +12,10 @@ import json
 import logging
 import re
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from . import align as align_mod
 from . import consistency as consistency_mod
+from . import links
 from . import quality as quality_mod
 from .conformity import (
     DEFAULT_MAX_CPL,
@@ -31,6 +31,10 @@ from .model import SubtitleDocument, pair_documents
 from .report import EvaluationReport, report_to_json, report_to_tsv
 from .srt import load_srt
 from .textproc import Scheme, TokenizedUtterance, attach_tags, load_conllu, tokenize
+
+# `align` loads numpy, so only the paths that train or align import it.
+if TYPE_CHECKING:
+    from . import align as align_mod
 
 
 class UsageError(Exception):
@@ -63,9 +67,9 @@ EVAL_OPTIONS: dict[str, tuple[type, Any]] = {
     "system-name": (str, "system"),
     "caption-lang": (str, "en"),
     "subtitle-lang": (str, "en"),
-    "iterations": (int, align_mod.DEFAULT_ITERATIONS),
-    "p0": (float, align_mod.DEFAULT_P0),
-    "tension": (float, align_mod.DEFAULT_TENSION),
+    "iterations": (int, links.DEFAULT_ITERATIONS),
+    "p0": (float, links.DEFAULT_P0),
+    "tension": (float, links.DEFAULT_TENSION),
     **dict.fromkeys(("lenient", "skip-unaligned", "exclude-trailing-eob", "segmentation"), _FLAG),
     "no-diagonal-prior": _FLAG,
 }
@@ -118,6 +122,7 @@ def _coerce(key: str, raw: str, where: str) -> Any:
 def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any]:
     """The value of each option in `keys`: its flag, else `eval`'s config
     file, else its default."""
+    _check_text("config", args.get("config"))
     config = _parse_config_file(args["config"]) if args.get("config") else {}
     resolved = {}
     for key in keys:
@@ -132,7 +137,7 @@ def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return choices.__contains__, f"{', '.join(choices[:-1])} or {choices[-1]}"
 
 
-_LOW, _HIGH = align_mod.TENSION_BOUNDS
+_LOW, _HIGH = links.TENSION_BOUNDS
 
 # Options with a constrained value: name -> (test the value must pass,
 # what it must be).  A rule holds for every subcommand with the option;
@@ -150,11 +155,18 @@ _RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max-cps": (lambda v: v > 0, "positive"),
     "resamples": (lambda v: v >= 1, "a positive integer"),
     "seed": (lambda v: v >= 0, "non-negative"),
+    "train-bitext": (lambda v: v != "", "a non-empty path"),
+    "extra-bitext": (lambda v: v != "", "a non-empty path"),
 }
 
 # What no option value may hold: a NUL, which no path can, or a lone
 # surrogate, which cannot be written out as UTF-8.
 _NOT_TEXT = re.compile("[\x00\ud800-\udfff]")
+
+
+def _check_text(key: str, value: Any) -> None:
+    if isinstance(value, str) and _NOT_TEXT.search(value):
+        raise UsageError(f"--{key} must be UTF-8 text without NUL, got {value!r}")
 
 
 def _validate_options(opts: dict[str, Any]) -> None:
@@ -164,8 +176,7 @@ def _validate_options(opts: dict[str, Any]) -> None:
         if key in opts and not opts[key]:
             raise UsageError(f"--{key} is required")
     for key, value in opts.items():
-        if isinstance(value, str) and _NOT_TEXT.search(value):
-            raise UsageError(f"--{key} must be UTF-8 text without NUL, got {value!r}")
+        _check_text(key, value)
     for key, (valid, what) in _RULES.items():
         if key in opts and not valid(opts[key]):
             raise UsageError(f"--{key} must be {what}, got {opts[key]!r}")
@@ -212,6 +223,8 @@ def _training_files(opts) -> list[str]:
 
 def _file_bitext(paths, source_lang, target_lang) -> list[align_mod.BitextPair]:
     """The pairs of the bitext files at `paths`, each side tokenized under `mt`."""
+    from . import align as align_mod
+
     pairs = []
     for path in paths:
         for src_text, tgt_text in align_mod.load_bitext(path):
@@ -222,6 +235,8 @@ def _file_bitext(paths, source_lang, target_lang) -> list[align_mod.BitextPair]:
 
 
 def _train(opts, corpus) -> align_mod.TranslationModel:
+    from . import align as align_mod
+
     return align_mod.train_aligner(
         corpus,
         iterations=opts["iterations"],
@@ -236,14 +251,16 @@ def _alignments_for_pairs(opts, token_pairs):
     loaded from Pharaoh files, or from aligners trained on the bitext
     files plus the system pairs, one direction after the other."""
     if opts["align-c2s"]:
-        c2s = align_mod.load_pharaoh(opts["align-c2s"])
-        s2c = align_mod.load_pharaoh(opts["align-s2c"])
+        c2s = links.load_pharaoh(opts["align-c2s"])
+        s2c = links.load_pharaoh(opts["align-s2c"])
         if len(c2s) != len(token_pairs) or len(s2c) != len(token_pairs):
             raise DataError(
                 f"alignment file length mismatch: {len(c2s)}/{len(s2c)} lines "
                 f"for {len(token_pairs)} pairs"
             )
         return list(zip(c2s, s2c))
+    from . import align as align_mod
+
     system = [align_mod.BitextPair(tuple(c.words()), tuple(s.words())) for c, s in token_pairs]
     forward = _file_bitext(_training_files(opts), opts["caption-lang"], opts["subtitle-lang"])
     tail = len(forward)
@@ -361,16 +378,20 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def run_align_train(opts: dict[str, Any]) -> int:
+    from . import align as align_mod
+
     corpus = _file_bitext(_training_files(opts), opts["source-lang"], opts["target-lang"])
     align_mod.save_model(_train(opts, corpus), opts["model-out"])
     return 0
 
 
 def run_align_apply(opts: dict[str, Any]) -> int:
+    from . import align as align_mod
+
     model = align_mod.load_model(opts["model"])
     pairs = _file_bitext([opts["bitext"]], opts["source-lang"], opts["target-lang"])
     alignments = align_mod.viterbi_align_corpus(model, pairs)
-    _emit("".join(align_mod.write_pharaoh(a) + "\n" for a in alignments), opts["out-file"])
+    _emit("".join(links.write_pharaoh(a) + "\n" for a in alignments), opts["out-file"])
     return 0
 
 

@@ -15,8 +15,8 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .align import SentenceAlignment
 from .errors import DataError
+from .links import SentenceAlignment
 from .model import EOB, EOL, Utterance, UtterancePair
 from .textproc import Scheme, TokenizedUtterance, tokenize
 

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DataError
 from .model import Utterance
 from .textproc import Scheme, normalize_for_wer, tokenize
@@ -51,7 +49,22 @@ class SignificanceResult:
 
 def edit_operations(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
     """Levenshtein operations (S, D, I) turning `ref` into `hyp`, unit
-    costs, ties resolved toward substitutions."""
+    costs, ties resolved toward substitutions.
+
+    The DP runs only between the common prefix and the common suffix,
+    which the full DP's backtrace takes as matches: with equal last
+    words a cell equals its diagonal, stripping a common prefix changes
+    no cell after it, and from the stripped block's edge only deletions
+    or only insertions remain.  So the triple is the full DP's."""
+    shorter = min(len(hyp), len(ref))
+    start = 0
+    while start < shorter and hyp[start] == ref[start]:
+        start += 1
+    end = 0  # length of the common suffix, which may not overlap the prefix
+    while end < shorter - start and hyp[-1 - end] == ref[-1 - end]:
+        end += 1
+    hyp = hyp[start:len(hyp) - end]
+    ref = ref[start:len(ref) - end]
     rows = [list(range(len(hyp) + 1))]
     for i, ref_word in enumerate(ref, 1):
         prev = rows[-1]
@@ -254,6 +267,8 @@ def bootstrap_significance(
     resample whose references are all empty after normalization is a
     tie; an empty reference corpus is an error.
     """
+    import numpy as np  # here only, so scoring without resampling never loads it
+
     n = len(ref)
     if n < 2:
         raise DataError(f"need at least 2 segments, got {n}")

@@ -6,7 +6,7 @@ edit-distance recursion with a memo table, and re-run EM with plain
 tuple-keyed dictionaries.  The exceptions are implementations the
 library replaced, kept as its bit-exact references: the EM loop trainer
 (dict of dicts), the regex 13a tokenizer, span-at-a-time tokenization,
-the numpy-matrix edit distance, segment statistics and bootstrap, the
+the numpy-matrix and the untrimmed edit distance, segment statistics and bootstrap, the
 per-break segmentation scan, the per-field report writers, the checked
 document model and its parsers, and the dict-of-links lexical
 consistency scorer.
@@ -1246,3 +1246,48 @@ def lexical_consistency_pair_dict(
         lex_pair=(lex_c2s + lex_s2c) / 2.0,
         inconsistent_tokens=tuple(bad_c + bad_s),
     )
+
+
+# ---------------------------------------------------------------------------
+# WER edit operations over the whole pair (the DP the library trimmed)
+#
+# The library runs the DP only between the common prefix and the common
+# suffix of a pair.  This is the full list-row DP it ran before, copied
+# unchanged apart from its name; the library must give `==` triples.
+
+
+def edit_operations_full(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
+    """Levenshtein operations (S, D, I) turning `ref` into `hyp`, unit
+    costs, ties resolved toward substitutions."""
+    rows = [list(range(len(hyp) + 1))]
+    for i, ref_word in enumerate(ref, 1):
+        prev = rows[-1]
+        cur = [i]
+        for j, hyp_word in enumerate(hyp):
+            cost = prev[j]
+            if ref_word != hyp_word:
+                if prev[j + 1] < cost:
+                    cost = prev[j + 1]
+                if cur[j] < cost:
+                    cost = cur[j]
+                cost += 1
+            cur.append(cost)
+        rows.append(cur)
+    subs = dels = ins = 0
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        cost = rows[i][j]
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and cost == rows[i - 1][j - 1]:
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and cost == rows[i - 1][j - 1] + 1:
+            subs += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and cost == rows[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels, ins

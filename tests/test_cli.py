@@ -124,6 +124,7 @@ def test_eval_missing_required_flag(capsys):
         ("--max-cpl", "0"), ("--max-cps", "-1"), ("--max-cps", "nan"),
         ("--iterations", "-2"), ("--tension", "nan"), ("--tension", "inf"),
         ("--p0", "1.5"), ("--p0", "nan"), ("--tension", "-1000"), ("--tension", "20"),
+        ("--train-bitext", ""), ("--extra-bitext", ""),
     ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
@@ -364,6 +365,13 @@ def test_eval_config_error_names_file_and_line(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {config}:4: {message}\n"
 
 
+def test_eval_config_path_with_nul_is_usage_error(capsys):
+    assert main(["eval", "--config", "a\x00b"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --config must be UTF-8 text without NUL, got 'a\\x00b'\n"
+    )
+
+
 def test_eval_byte_identical_reruns(micro_paths, tmp_path):
     out = tmp_path / "report.json"
     args = eval_args(micro_paths, "--out", "both", "--out-file", str(out))
@@ -545,7 +553,8 @@ def test_align_train_deterministic(toy_bitext, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--iterations", "-1"), ("--tension", "nan"), ("--tension", "inf"), ("--p0", "1.5"),
-     ("--p0", "-0.1"), ("--tension", "-1000"), ("--tension", "20")],
+     ("--p0", "-0.1"), ("--tension", "-1000"), ("--tension", "20"),
+     ("--train-bitext", ""), ("--extra-bitext", "")],
 )
 def test_align_train_invalid_value_is_usage_error_before_reading(tmp_path, capsys, flag, value):
     model = tmp_path / "model.tsv"
@@ -736,6 +745,63 @@ def test_significance_empty_wer_reference_prints_only_the_error(tmp_path):
     assert (proc.returncode, proc.stderr) == (
         2, "error: reference corpus is empty after normalization\n"
     )
+
+
+# What a fresh interpreter has imported after each step: numpy is loaded
+# only to train, align or resample.
+_IMPORT_STEPS = """
+import json, sys
+seen = {}
+import subeval
+seen["import subeval"] = "numpy" in sys.modules
+import subeval.cli
+seen["import subeval.cli"] = "numpy" in sys.modules
+for name, argv in json.loads(sys.argv[1]):
+    seen[name] = [subeval.cli.main(argv), "numpy" in sys.modules]
+try:
+    subeval.nope
+except AttributeError:
+    seen["subeval.nope"] = "AttributeError"
+from subeval import TranslationModel, train_aligner
+import subeval.align, subeval.links
+seen["from subeval import train_aligner"] = [
+    train_aligner is subeval.align.train_aligner,
+    TranslationModel is subeval.align.TranslationModel,
+    "numpy" in sys.modules,
+]
+seen["align.load_pharaoh"] = subeval.align.load_pharaoh is subeval.links.load_pharaoh
+print(json.dumps(seen))
+"""
+
+
+def test_eval_with_pharaoh_files_and_validate_lexical_never_import_numpy(micro_paths, tmp_path):
+    for name, text in (("auto", "0.5\n"), ("manual", "0.7\n"), ("autoj", "1\n"), ("manualj", "0\n")):
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    runs = [
+        ("eval", eval_args(
+            micro_paths, "--pos-captions", micro_paths["pos_captions"],
+            "--pos-subtitles", micro_paths["pos_subtitles"], "--segmentation",
+            "--out-file", "report.json", "--diagnostics", "diag.jsonl",
+        )),
+        ("validate-lexical", [
+            "validate-lexical", "--auto-scores", "auto.txt", "--manual-scores", "manual.txt",
+            "--auto-judgements", "autoj.txt", "--manual-judgements", "manualj.txt",
+        ]),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_STEPS, json.dumps(runs)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import subeval": False,
+        "import subeval.cli": False,
+        "eval": [0, False],
+        "validate-lexical": [0, False],
+        "subeval.nope": "AttributeError",
+        "from subeval import train_aligner": [True, True, True],
+        "align.load_pharaoh": True,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -957,6 +1023,7 @@ def _base_argv(command, micro_paths):
 @example(run=("align train", set(), [["--tension", "-1000"]]))
 @example(run=("eval", set(), [["junk\nline"]]))
 @example(run=("eval", set(), [["--captions-hyp", "a\x00b"]]))
+@example(run=("eval", set(), [["--config", "a\x00b"]]))
 @example(run=("eval", set(), [["--system-name", "\udc80"], ["--out-file", "out.txt"]]))
 # Runs that once printed warnings before their error line.
 @example(run=("eval", set(), [["--lenient", "--captions-hyp", "marked.txt",

@@ -108,6 +108,27 @@ def test_edit_operations_match_matrix_oracle(hyp, ref):
     assert edit_operations(hyp, ref) == oracles.edit_operations_matrix(hyp, ref)
 
 
+@st.composite
+def _pairs_sharing_ends(draw):
+    """(hyp, ref) over a 1- to 3-letter alphabet, so words repeat, each
+    side a common prefix, its own middle and a common suffix; any part
+    may be empty."""
+    words = st.lists(st.sampled_from(draw(st.sampled_from(["a", "ab", "abc"]))), max_size=8)
+    prefix, suffix = draw(words), draw(words)
+    return prefix + draw(words) + suffix, prefix + draw(words) + suffix
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=_pairs_sharing_ends())
+@example(pair=([], []))
+@example(pair=(list("aaa"), list("aaa")))
+@example(pair=(list("aba"), list("a")))
+@example(pair=([], list("ab")))
+def test_edit_operations_match_full_dp_oracle(pair):
+    hyp, ref = pair
+    assert edit_operations(hyp, ref) == oracles.edit_operations_full(hyp, ref)
+
+
 def test_corpus_wer_matches_oracle(micro_docs, micro_raw):
     result = wer(
         micro_docs["captions_hyp"].utterances, micro_docs["captions_ref"].utterances
