@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, open_utf8
+from .errors import DataError, FormatError, located, open_utf8
 from .links import (  # noqa: F401  (re-exported)
     DEFAULT_ITERATIONS,
     DEFAULT_P0,
@@ -454,14 +454,14 @@ def load_model(path: str) -> TranslationModel:
     sources: list[int] = []
     targets: list[int] = []
     blocks: list[np.ndarray] = []  # the probabilities of each block of rows
-    with open_utf8(path) as fh:
+    with open_utf8(path) as fh, located(path):
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
-            raise FormatError(f"{path}:1: bad model header")
+            raise FormatError("bad model header", line=1)
         try:
             tension, p0, diagonal = float(header[1]), float(header[3]), bool(int(header[5]))
         except ValueError:
-            raise FormatError(f"{path}:1: bad number in model header") from None
+            raise FormatError("bad number in model header", line=1) from None
         lineno = 2
         for text in _line_blocks(fh):
             cells = text.replace("\n", "\t").split("\t")
@@ -476,7 +476,7 @@ def load_model(path: str) -> TranslationModel:
                 if not ((probs >= 0.0) & (probs <= 1.0)).all():
                     raise ValueError
             except ValueError:
-                raise _model_row_error(path, lineno, text) from None
+                raise _model_row_error(lineno, text) from None
             blocks.append(probs)
             sources += _word_ids(source_ids, cells[0::3])
             targets += _word_ids(target_ids, cells[1::3])
@@ -508,20 +508,20 @@ def _line_blocks(fh) -> Iterator[str]:
         yield tail + "\n"
 
 
-def _model_row_error(path: str, lineno: int, text: str) -> FormatError:
+def _model_row_error(lineno: int, text: str) -> FormatError:
     """The error of the first bad row of `text`, malformed or with a
     probability outside [0, 1], whose first line is line `lineno`; looked
     for only once parsing has failed."""
     for lineno, line in enumerate(text.split("\n"), start=lineno):
         parts = line.split("\t")
         if len(parts) != 3:
-            return FormatError(f"{path}:{lineno}: bad model row")
+            return FormatError("bad model row", line=lineno)
         try:
             prob = float(parts[2])
         except ValueError:
             prob = math.nan
         if not 0.0 <= prob <= 1.0:
-            return FormatError(f"{path}:{lineno}: bad probability {parts[2]!r}")
+            return FormatError(f"bad probability {parts[2]!r}", line=lineno)
     raise AssertionError("no bad model row")
 
 
@@ -529,17 +529,17 @@ def load_bitext(path: str) -> list[tuple[str, str]]:
     """One "src ||| tgt" pair per line; each side needs a word besides
     break tokens."""
     pairs = []
-    with open_utf8(path) as fh:
+    with open_utf8(path) as fh, located(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             if "|||" not in line:
-                raise FormatError(f"{path}:{lineno}: missing ||| separator")
+                raise FormatError("missing ||| separator", line=lineno)
             src, tgt = line.split("|||", 1)
             for side, text in (("source", src), ("target", tgt)):
                 # The tokenizers split a break token off even inside a word.
                 if not text.replace(EOB, " ").replace(EOL, " ").strip():
-                    raise FormatError(f"{path}:{lineno}: no word on the {side} side")
+                    raise FormatError(f"no word on the {side} side", line=lineno)
             pairs.append((src.strip(), tgt.strip()))
     return pairs

@@ -25,7 +25,7 @@ from .conformity import (
     LengthAggregation,
     conformity_report,
 )
-from .errors import DataError, FormatError, SubevalError, open_utf8
+from .errors import DataError, FormatError, SubevalError, located, open_utf8
 from .markers import load_marked_text
 from .model import SubtitleDocument, pair_documents
 from .report import EvaluationReport, report_to_json, report_to_tsv
@@ -85,52 +85,46 @@ OPTIONS: dict[str, tuple[type, Any]] = {
     "resamples": (int, 1000),
 }
 
-def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
-    """key -> (raw value, "<path>:<line>" where the file sets it)."""
-    values: dict[str, tuple[str, str]] = {}
-    with open_utf8(path) as fh:
-        lines = list(fh)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        else:
-            key, _, value = line.partition(" ")
-        key, value = key.strip(), value.strip()
-        if key not in EVAL_OPTIONS:
-            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = (value, f"{path}:{lineno}")
+def _parse_config_file(path: str) -> dict[str, Any]:
+    """key -> the value the config file at `path` gives it."""
+    values: dict[str, Any] = {}
+    with open_utf8(path) as fh, located(path):
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=" if "=" in line else " ")
+            key, value = key.strip(), value.strip()
+            if key not in EVAL_OPTIONS:
+                raise FormatError(f"unknown key {key!r}", line=lineno)
+            values[key] = _coerce(key, value, lineno)
     return values
 
 
-def _coerce(key: str, raw: str, where: str) -> Any:
+def _coerce(key: str, raw: str, lineno: int) -> Any:
     typ, _ = OPTIONS[key]
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise FormatError(f"{where}: key {key!r}: expected a boolean, got {raw!r}")
+        raise FormatError(f"key {key!r}: expected a boolean, got {raw!r}", line=lineno)
     try:
         return typ(raw)
     except ValueError:
-        raise FormatError(f"{where}: key {key!r}: bad value {raw!r}")
+        raise FormatError(f"key {key!r}: bad value {raw!r}", line=lineno) from None
 
 
 def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any]:
     """The value of each option in `keys`: its flag, else `eval`'s config
     file, else its default."""
-    _check_text("config", args.get("config"))
-    config = _parse_config_file(args["config"]) if args.get("config") else {}
-    resolved = {}
-    for key in keys:
-        value = args[key.replace("-", "_")]
-        if value is None:
-            value = _coerce(key, *config[key]) if key in config else OPTIONS[key][1]
-        resolved[key] = value
-    return resolved
+    path = args.get("config")
+    _check_text("config", path)
+    if path == "":
+        raise UsageError("--config must be a non-empty path, got ''")
+    config = _parse_config_file(path) if path else {}
+    flags = {key: args[key.replace("-", "_")] for key in keys}
+    return {key: config.get(key, OPTIONS[key][1]) if v is None else v for key, v in flags.items()}
 
 
 def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
@@ -155,8 +149,9 @@ _RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max-cps": (lambda v: v > 0, "positive"),
     "resamples": (lambda v: v >= 1, "a positive integer"),
     "seed": (lambda v: v >= 0, "non-negative"),
-    "train-bitext": (lambda v: v != "", "a non-empty path"),
-    "extra-bitext": (lambda v: v != "", "a non-empty path"),
+    # An empty path would read as no path at all.  (`metric` also
+    # defaults to None, hence the identity test.)
+    **{key: (lambda v: v != "", "a non-empty path") for key, o in OPTIONS.items() if o is _PATH},
 }
 
 # What no option value may hold: a NUL, which no path can, or a lone
@@ -205,15 +200,13 @@ def _tag_document(
     doc: SubtitleDocument, tokens: Sequence[TokenizedUtterance], pos_path: str
 ):
     sentences = load_conllu(pos_path)
-    if len(sentences) != len(doc.utterances):
-        raise DataError(
-            f"POS file {pos_path}: {len(sentences)} sentences for "
-            f"{len(doc.utterances)} utterances"
-        )
-    return [
-        attach_tags(utt_tokens, [upos for _, upos in sentence], utt_id=utt.id)
-        for utt, utt_tokens, sentence in zip(doc.utterances, tokens, sentences)
-    ]
+    with located(pos_path):
+        if len(sentences) != len(doc.utterances):
+            raise DataError(f"{len(sentences)} sentences for {len(doc.utterances)} utterances")
+        return [
+            attach_tags(utt_tokens, [upos for _, upos in sentence], utt_id=utt.id)
+            for utt, utt_tokens, sentence in zip(doc.utterances, tokens, sentences)
+        ]
 
 
 def _training_files(opts) -> list[str]:
@@ -251,13 +244,11 @@ def _alignments_for_pairs(opts, token_pairs):
     loaded from Pharaoh files, or from aligners trained on the bitext
     files plus the system pairs, one direction after the other."""
     if opts["align-c2s"]:
-        c2s = links.load_pharaoh(opts["align-c2s"])
-        s2c = links.load_pharaoh(opts["align-s2c"])
-        if len(c2s) != len(token_pairs) or len(s2c) != len(token_pairs):
-            raise DataError(
-                f"alignment file length mismatch: {len(c2s)}/{len(s2c)} lines "
-                f"for {len(token_pairs)} pairs"
-            )
+        c2s, s2c = (links.load_pharaoh(opts[key]) for key in ("align-c2s", "align-s2c"))
+        for key, alignments in (("align-c2s", c2s), ("align-s2c", s2c)):
+            if len(alignments) != len(token_pairs):
+                with located(opts[key]):
+                    raise DataError(f"{len(alignments)} lines for {len(token_pairs)} pairs")
         return list(zip(c2s, s2c))
     from . import align as align_mod
 
@@ -285,14 +276,6 @@ _SIDES = (
 )
 
 
-def _compare(paths: tuple[str, str], compare: Callable, *docs):
-    """`compare(*docs)`, whose DataError names the two files compared."""
-    try:
-        return compare(*docs)
-    except DataError as exc:
-        raise DataError(f"{paths[0]} vs {paths[1]}: {exc}") from None
-
-
 def run_eval(opts: dict[str, Any]) -> int:
     fmt, lenient = opts["format"], opts["lenient"]
     thresholds = ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"])
@@ -302,9 +285,11 @@ def run_eval(opts: dict[str, Any]) -> int:
     hyps, tokens, quality, conformity = [], [], [], []
     for hyp_key, ref_key, pos_key, lang_key, score in _SIDES:
         hyp = _load_document(opts[hyp_key], fmt, lenient)
-        # The reference is a temporary, dropped as soon as it is scored.
-        paths = (opts[hyp_key], opts[ref_key])
-        quality.append(_compare(paths, score, hyp, _load_document(paths[1], fmt, lenient)))
+        # The reference is dropped as soon as it is scored.
+        ref = _load_document(opts[ref_key], fmt, lenient)
+        with located(f"{opts[hyp_key]} vs {opts[ref_key]}"):
+            quality.append(score(hyp, ref))
+        del ref
         # One MT tokenization per hypothesis utterance feeds tagging, the
         # system bitext and lexical consistency.
         mt = [tokenize(utt.text(), Scheme.MT_DETACHED, opts[lang_key]) for utt in hyp]
@@ -321,14 +306,15 @@ def run_eval(opts: dict[str, Any]) -> int:
         hyps.append(hyp)
         tokens.append(mt)
 
-    pairs = _compare((opts["captions-hyp"], opts["subtitles-hyp"]), pair_documents, *hyps)
+    with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
+        pairs = pair_documents(*hyps)
     token_pairs = list(zip(*tokens))
-    cons = consistency_mod.consistency_report_from_tokens(
-        pairs,
-        token_pairs,
-        _alignments_for_pairs(opts, token_pairs),
-        skip_unaligned=opts["skip-unaligned"],
-    )
+    alignments = _alignments_for_pairs(opts, token_pairs)
+    # Only a Pharaoh file's link can be out of bounds, on its pair's line.
+    with located(f"{opts['align-c2s']} or {opts['align-s2c']}"):
+        cons = consistency_mod.consistency_report_from_tokens(
+            pairs, token_pairs, alignments, skip_unaligned=opts["skip-unaligned"]
+        )
 
     (wer, bleu), (conf_captions, conf_subtitles) = quality, conformity
     report = EvaluationReport(
@@ -422,7 +408,7 @@ def _read_values(path: str, parse, expected: str) -> list:
     """One value per non-blank line; a line `parse` rejects is a
     FormatError naming the path and line."""
     out = []
-    with open_utf8(path) as fh:
+    with open_utf8(path) as fh, located(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -430,9 +416,7 @@ def _read_values(path: str, parse, expected: str) -> list:
             try:
                 out.append(parse(line))
             except (KeyError, ValueError):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {expected}, got {line!r}"
-                ) from None
+                raise FormatError(f"expected {expected}, got {line!r}", line=lineno) from None
     return out
 
 

@@ -180,10 +180,15 @@ def _corpus_lexical_consistency(
         )
     if not pairs:
         raise DataError("empty pair list")
-    per_pair = [
-        _lexical_consistency_pair(pair.id, pair_tokens, c2s, s2c, skip_unaligned)
-        for pair, pair_tokens, (c2s, s2c) in zip(pairs, tokens, alignments, strict=True)
-    ]
+    per_pair = []
+    try:
+        for pair, pair_tokens, (c2s, s2c) in zip(pairs, tokens, alignments, strict=True):
+            result = _lexical_consistency_pair(pair.id, pair_tokens, c2s, s2c, skip_unaligned)
+            per_pair.append(result)
+    except DataError as exc:
+        # A link out of bounds: its line is the pair's 1-based position.
+        exc.line = len(per_pair) + 1
+        raise
     return sum(p.lex_pair for p in per_pair) / len(per_pair), per_pair
 
 

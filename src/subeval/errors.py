@@ -1,11 +1,17 @@
-"""Exception hierarchy shared by all subeval modules, and the UTF-8 file
-opener every loader reads through."""
+"""Exception hierarchy shared by all subeval modules, `located`, which
+names the input file in an error, and the UTF-8 opener loaders use."""
 
 from contextlib import contextmanager
+from typing import Optional
 
 
 class SubevalError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  `line`, the 1-based input line
+    when known, is kept out of the message: `located` adds it."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message)
+        self.line = line
 
 
 class FormatError(SubevalError):
@@ -14,6 +20,17 @@ class FormatError(SubevalError):
 
 class DataError(SubevalError):
     """Structurally valid input that violates a metric precondition."""
+
+
+@contextmanager
+def located(label: str):
+    """Re-raise a SubevalError of the block as the same class, its message
+    prefixed with `label:line:`, or with `label:` when the line is unknown."""
+    try:
+        yield
+    except SubevalError as exc:
+        where = label if exc.line is None else f"{label}:{exc.line}"
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 @contextmanager

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, open_utf8
+from .errors import FormatError, located, open_utf8
 
 # Training defaults, and the range EM keeps the diagonal prior's tension in.
 DEFAULT_ITERATIONS = 5
@@ -50,10 +50,11 @@ def write_pharaoh(alignment: SentenceAlignment) -> str:
 
 def load_pharaoh(path: str) -> list[SentenceAlignment]:
     alignments = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
+    with open_utf8(path) as fh, located(path):
+        try:
+            for line in fh:
                 alignments.append(parse_pharaoh(line.rstrip("\n")))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+        except FormatError as exc:
+            exc.line = len(alignments) + 1
+            raise
     return alignments

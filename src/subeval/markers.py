@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from typing import Iterable, TextIO, Union
 
-from .errors import FormatError, open_utf8
+from .errors import FormatError, located, open_utf8
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 log = logging.getLogger(__name__)
@@ -22,9 +22,9 @@ def _isolate_markers(text: str) -> str:
 
 def parse_utterance_text(text: str, index: int, lenient: bool = False) -> Utterance:
     """Parse one marker-format line into an Utterance whose id is
-    `index` as a string."""
+    `index` as a string; its errors give line `index + 1`."""
     if not text.strip():
-        raise FormatError(f"empty utterance (utterance {index})")
+        raise FormatError(f"empty utterance (utterance {index})", line=index + 1)
     body = _isolate_markers(text)
     block_texts = body.split(EOB)
     # A trailing <eob> leaves one empty final segment; that is canonical.
@@ -37,7 +37,7 @@ def parse_utterance_text(text: str, index: int, lenient: bool = False) -> Uttera
         lines = [piece for piece in pieces if piece]
         if len(lines) < len(pieces):
             if not lenient:
-                raise FormatError(f"empty segment (utterance {index})")
+                raise FormatError(f"empty segment (utterance {index})", line=index + 1)
             # A block with no text is one warning, not one per segment.
             if not lines:
                 log.warning("dropping empty block in utterance %d", index)
@@ -46,7 +46,7 @@ def parse_utterance_text(text: str, index: int, lenient: bool = False) -> Uttera
                 log.warning("dropping empty segment in utterance %d", index)
         blocks.append(SubtitleBlock(tuple(lines)))
     if not blocks:
-        raise FormatError(f"empty utterance (utterance {index})")
+        raise FormatError(f"empty utterance (utterance {index})", line=index + 1)
     return Utterance(id=str(index), blocks=tuple(blocks))
 
 
@@ -76,8 +76,5 @@ def serialize_marked_text(doc: SubtitleDocument) -> str:
 
 
 def load_marked_text(path: str, lenient: bool = False) -> SubtitleDocument:
-    with open_utf8(path) as fh:
-        try:
-            return parse_marked_text(fh, lenient=lenient)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    with open_utf8(path) as fh, located(path):
+        return parse_marked_text(fh, lenient=lenient)

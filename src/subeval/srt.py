@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, TextIO, Union
 
-from .errors import DataError, FormatError, open_utf8
+from .errors import DataError, FormatError, located, open_utf8
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 _TIMING_RE = re.compile(
@@ -100,8 +100,5 @@ def serialize_srt(doc: SubtitleDocument) -> str:
 
 
 def load_srt(path: str) -> SubtitleDocument:
-    with open_utf8(path) as fh:
-        try:
-            return parse_srt(fh)
-        except (FormatError, DataError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+    with open_utf8(path) as fh, located(path):
+        return parse_srt(fh)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .errors import DataError, FormatError, open_utf8
+from .errors import DataError, FormatError, located, open_utf8
 from .model import BREAKS, EOB, EOL
 
 
@@ -247,11 +247,8 @@ def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[s
 
 
 def load_conllu(path: str) -> list[list[tuple[str, str]]]:
-    with open_utf8(path) as fh:
-        try:
-            return parse_conllu(fh)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    with open_utf8(path) as fh, located(path):
+        return parse_conllu(fh)
 
 
 def attach_tags(

@@ -124,7 +124,8 @@ def test_eval_missing_required_flag(capsys):
         ("--max-cpl", "0"), ("--max-cps", "-1"), ("--max-cps", "nan"),
         ("--iterations", "-2"), ("--tension", "nan"), ("--tension", "inf"),
         ("--p0", "1.5"), ("--p0", "nan"), ("--tension", "-1000"), ("--tension", "20"),
-        ("--train-bitext", ""), ("--extra-bitext", ""),
+        ("--train-bitext", ""), ("--extra-bitext", ""), ("--diagnostics", ""), ("--out-file", ""),
+        ("--pos-captions", ""), ("--pos-subtitles", ""), ("--align-c2s", ""), ("--align-s2c", ""),
     ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
@@ -137,6 +138,25 @@ def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, 
     assert err.startswith(f"usage error: {flag} must be ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--config", ""],
+        ["align", "apply", "--model", "", "--bitext", "/nonexistent/b.txt"],
+        ["align", "apply", "--model", "/nonexistent/m.tsv", "--bitext", ""],
+        ["align", "apply", "--model", "/nonexistent/m.tsv", "--bitext", "/nonexistent/b.txt",
+         "--out-file", ""],
+        ["validate-lexical", "--auto-scores", "", "--manual-scores", "/nonexistent/m",
+         "--auto-judgements", "/nonexistent/a", "--manual-judgements", "/nonexistent/j"],
+    ],
+    ids=["config", "model", "bitext", "out-file", "auto-scores"],
+)
+def test_empty_path_is_usage_error_before_reading(capsys, argv):
+    assert main(argv) == 1
+    flag = argv[argv.index("") - 1]
+    assert capsys.readouterr().err == f"usage error: {flag} must be a non-empty path, got ''\n"
 
 
 def _without(args, flag):
@@ -269,6 +289,30 @@ def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys)
                  "--align-c2s", links, "--align-s2c", links])
     assert code == 2
     assert capsys.readouterr().err == f"error: {caps} vs {subs}: utterance count mismatch: 2 vs 1\n"
+
+
+@pytest.mark.parametrize(
+    "key, at, text, message",
+    [
+        ("pos_captions", 1, None, "{pos_captions}: utterance '0': 8 word tokens but 7 tags"),
+        ("align_c2s", 19, None, "{align_c2s}: 19 lines for 20 pairs"),
+        ("align_c2s", 0, "99-99",
+         "{align_c2s} or {align_s2c}:1: alignment link 99-99 out of bounds (utterance '0')"),
+        ("captions_hyp", 1, "", "{captions_hyp}:2: empty utterance (utterance 1)"),
+    ],
+    ids=["pos-tag-count", "pharaoh-line-count", "pharaoh-link-bounds", "empty-utterance"],
+)
+def test_eval_input_error_names_file_and_line(micro_paths, tmp_path, capsys, key, at, text,
+                                              message):
+    # Line `at` of one micro-corpus file is replaced by `text`, or dropped.
+    with open(micro_paths[key], encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    lines[at:at + 1] = [] if text is None else [text]
+    paths = dict(micro_paths, **{key: str(tmp_path / os.path.basename(micro_paths[key]))})
+    with open(paths[key], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    assert main(eval_args(paths, "--pos-captions", paths["pos_captions"])) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
 
 
 # One mutation of one micro-corpus file per example.
@@ -554,7 +598,7 @@ def test_align_train_deterministic(toy_bitext, tmp_path):
     "flag, value",
     [("--iterations", "-1"), ("--tension", "nan"), ("--tension", "inf"), ("--p0", "1.5"),
      ("--p0", "-0.1"), ("--tension", "-1000"), ("--tension", "20"),
-     ("--train-bitext", ""), ("--extra-bitext", "")],
+     ("--train-bitext", ""), ("--extra-bitext", ""), ("--model-out", "")],
 )
 def test_align_train_invalid_value_is_usage_error_before_reading(tmp_path, capsys, flag, value):
     model = tmp_path / "model.tsv"
@@ -677,6 +721,9 @@ def test_significance_zero_resamples_is_usage_error(micro_paths, capsys):
         ("--metric", "chrf", "--metric must be bleu or wer, got 'chrf'"),
         ("--format", "vtt", "--format must be mustcinema or srt, got 'vtt'"),
         ("--seed", "-1", "--seed must be non-negative, got -1"),
+        ("--hyp-a", "", "--hyp-a must be a non-empty path, got ''"),
+        ("--hyp-b", "", "--hyp-b must be a non-empty path, got ''"),
+        ("--ref", "", "--ref must be a non-empty path, got ''"),
     ],
 )
 def test_significance_invalid_value_is_usage_error_before_reading(capsys, flag, value, message):
@@ -700,7 +747,9 @@ def test_significance_input_error_names_file(tmp_path, capsys, fmt, text, messag
     bad.write_text(text, encoding="utf-8")
     args = ["significance", "--metric", "bleu", "--format", fmt]
     assert main(args + ["--hyp-a", str(bad), "--hyp-b", str(bad), "--ref", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    # A marked-text error names its line; an SRT error names its cue.
+    where = f"{bad}:1" if fmt == "mustcinema" else bad
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1151,8 +1200,11 @@ _LENIENT_SRT = "--lenient applies to marked text, not to --format srt"
         ([], "extra-bitext = bitext.txt\n", _UNUSED_BITEXT),
         (["--lenient", "--format", "srt"], "", _LENIENT_SRT),
         (["--format", "srt"], "lenient = yes\n", _LENIENT_SRT),
+        ([], "diagnostics = \n", "--diagnostics must be a non-empty path, got ''"),
+        ([], "pos-subtitles\n", "--pos-subtitles must be a non-empty path, got ''"),
     ],
-    ids=["train-bitext", "extra-bitext", "extra-bitext-in-config", "lenient", "lenient-in-config"],
+    ids=["train-bitext", "extra-bitext", "extra-bitext-in-config", "lenient", "lenient-in-config",
+         "empty-diagnostics-in-config", "empty-pos-in-config"],
 )
 def test_eval_option_without_effect_is_usage_error(micro_paths, tmp_path, capsys, extra, config,
                                                    message):
