@@ -239,16 +239,26 @@ def _train(opts, corpus) -> align_mod.TranslationModel:
     )
 
 
-def _alignments_for_pairs(opts, token_pairs):
-    """The (c2s, s2c) alignment of each (caption, subtitle) token pair:
-    loaded from Pharaoh files, or from aligners trained on the bitext
-    files plus the system pairs, one direction after the other."""
+def _alignments_for_pairs(opts, pairs, token_pairs):
+    """The (c2s, s2c) alignment of each pair of (caption, subtitle) tokens:
+    loaded from Pharaoh files and checked, or from aligners trained on the
+    bitext files plus the system pairs, one direction after the other."""
     if opts["align-c2s"]:
-        c2s, s2c = (links.load_pharaoh(opts[key]) for key in ("align-c2s", "align-s2c"))
-        for key, alignments in (("align-c2s", c2s), ("align-s2c", s2c)):
+        paths = (opts["align-c2s"], opts["align-s2c"])
+        c2s, s2c = (links.load_pharaoh(path) for path in paths)
+        for path, alignments in zip(paths, (c2s, s2c)):
             if len(alignments) != len(token_pairs):
-                with located(opts[key]):
+                with located(path):
                     raise DataError(f"{len(alignments)} lines for {len(token_pairs)} pairs")
+        # Pair order, c2s first; the error names the file whose line raised.
+        try:
+            for line, (pair, tokens, *both) in enumerate(zip(pairs, token_pairs, c2s, s2c), 1):
+                words = [len(side.words()) for side in tokens]
+                for path, alignment, (own, other) in zip(paths, both, (words, words[::-1])):
+                    consistency_mod.check_links(alignment, own, other, pair.id, line)
+        except DataError:
+            with located(path):
+                raise
         return list(zip(c2s, s2c))
     from . import align as align_mod
 
@@ -309,12 +319,10 @@ def run_eval(opts: dict[str, Any]) -> int:
     with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
         pairs = pair_documents(*hyps)
     token_pairs = list(zip(*tokens))
-    alignments = _alignments_for_pairs(opts, token_pairs)
-    # Only a Pharaoh file's link can be out of bounds, on its pair's line.
-    with located(f"{opts['align-c2s']} or {opts['align-s2c']}"):
-        cons = consistency_mod.consistency_report_from_tokens(
-            pairs, token_pairs, alignments, skip_unaligned=opts["skip-unaligned"]
-        )
+    alignments = _alignments_for_pairs(opts, pairs, token_pairs)
+    cons = consistency_mod.consistency_report_from_tokens(
+        pairs, token_pairs, alignments, skip_unaligned=opts["skip-unaligned"]
+    )
 
     (wer, bleu), (conf_captions, conf_subtitles) = quality, conformity
     report = EvaluationReport(
@@ -386,14 +394,15 @@ def run_significance(opts: dict[str, Any]) -> int:
         _load_document(opts[key], opts["format"], lenient=False)
         for key in ("hyp-a", "hyp-b", "ref")
     )
-    result = quality_mod.bootstrap_significance(
-        hyp_a.utterances,
-        hyp_b.utterances,
-        ref.utterances,
-        metric=opts["metric"],
-        resamples=opts["resamples"],
-        seed=opts["seed"],
-    )
+    with located(f"{opts['hyp-a']} and {opts['hyp-b']} vs {opts['ref']}"):
+        result = quality_mod.bootstrap_significance(
+            hyp_a.utterances,
+            hyp_b.utterances,
+            ref.utterances,
+            metric=opts["metric"],
+            resamples=opts["resamples"],
+            seed=opts["seed"],
+        )
     sys.stdout.write(json.dumps(vars(result), sort_keys=True) + "\n")
     return 0
 
@@ -424,12 +433,11 @@ def run_validate_lexical(opts: dict[str, Any]) -> int:
     def read_bools(path):
         return _read_values(path, lambda line: _BOOL_WORDS[line.lower()], "a boolean")
 
-    mae, agreement = consistency_mod.validate_lexical_metric(
-        _read_values(opts["auto-scores"], float, "a number"),
-        _read_values(opts["manual-scores"], float, "a number"),
-        read_bools(opts["auto-judgements"]),
-        read_bools(opts["manual-judgements"]),
-    )
+    auto, manual, auto_j, manual_j = (opts[key] for key in _VALIDATE_INPUTS)
+    scores = [_read_values(path, float, "a number") for path in (auto, manual)]
+    judgements = [read_bools(path) for path in (auto_j, manual_j)]
+    with located(f"{auto} vs {manual}, {auto_j} vs {manual_j}"):
+        mae, agreement = consistency_mod.validate_lexical_metric(*scores, *judgements)
     sys.stdout.write(
         json.dumps({"mae": mae, "agreement": agreement}, sort_keys=True) + "\n"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
 from .links import SentenceAlignment
@@ -79,13 +79,31 @@ def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
     return BlockIndexMap(tuple(mapping), blocks=block)
 
 
+def check_links(
+    alignment: SentenceAlignment, own: int, other: int, utt_id: str, line: Optional[int] = None
+) -> None:
+    """Raise a DataError, on `line` when given, for a link that indexes
+    past the `own` words of its side or the `other` words of the other."""
+    for i, j in alignment.links:
+        if not (0 <= i < own and 0 <= j < other):
+            message = f"alignment link {i}-{j} out of bounds (utterance {utt_id!r})"
+            raise DataError(message, line=line)
+
+
 def _tokenize_pair(
-    pair: UtterancePair, caption_lang: str, subtitle_lang: str
+    pair: UtterancePair, c2s: SentenceAlignment, s2c: SentenceAlignment,
+    caption_lang: str, subtitle_lang: str,
 ) -> tuple[TokenizedUtterance, TokenizedUtterance]:
-    return (
+    """The pair's (caption, subtitle) tokens, once its links are checked
+    against them, c2s first."""
+    tokens = (
         tokenize(pair.caption.text(), Scheme.MT_DETACHED, caption_lang),
         tokenize(pair.subtitle.text(), Scheme.MT_DETACHED, subtitle_lang),
     )
+    cap_words, sub_words = (len(side.words()) for side in tokens)
+    check_links(c2s, cap_words, sub_words, pair.id)
+    check_links(s2c, sub_words, cap_words, pair.id)
+    return tokens
 
 
 def lexical_consistency_pair(
@@ -102,17 +120,11 @@ def lexical_consistency_pair(
     `align_s2c` links subtitle token indices to caption token indices.
     Indices count break-stripped MT tokens.
     """
-    return _lexical_consistency_pair(
-        pair.id,
-        _tokenize_pair(pair, caption_lang, subtitle_lang),
-        align_c2s,
-        align_s2c,
-        skip_unaligned,
-    )
+    tokens = _tokenize_pair(pair, align_c2s, align_s2c, caption_lang, subtitle_lang)
+    return _lexical_consistency_pair(tokens, align_c2s, align_s2c, skip_unaligned)
 
 
 def _lexical_consistency_pair(
-    pair_id: str,
     tokens: tuple[TokenizedUtterance, TokenizedUtterance],
     align_c2s: SentenceAlignment,
     align_s2c: SentenceAlignment,
@@ -127,9 +139,6 @@ def _lexical_consistency_pair(
         ("caption", cap_tokens, cap_blocks, sub_blocks, align_c2s),
         ("subtitle", sub_tokens, sub_blocks, cap_blocks, align_s2c),
     ):
-        for i, j in alignment.links:
-            if not (0 <= i < len(own_blocks)) or not (0 <= j < len(other_blocks)):
-                raise DataError(f"alignment link {i}-{j} out of bounds (utterance {pair_id!r})")
         # The own words with any link, and those with a link into the
         # same-index block on the other side.
         aligned = {i for i, _ in alignment.links}
@@ -160,35 +169,25 @@ def corpus_lexical_consistency(
 ) -> tuple[float, list[LexicalConsistencyPair]]:
     """Unweighted mean of lex_pair over the corpus, plus per-pair
     diagnostics."""
-    return _corpus_lexical_consistency(
-        pairs,
-        [_tokenize_pair(p, caption_lang, subtitle_lang) for p in pairs],
-        alignments,
-        skip_unaligned,
-    )
+    # Lazy, so that the scorer's count and empty-list checks come first.
+    tokens = (_tokenize_pair(p, *a, caption_lang, subtitle_lang) for p, a in zip(pairs, alignments))
+    return _corpus_lexical_consistency(pairs, tokens, alignments, skip_unaligned)
 
 
 def _corpus_lexical_consistency(
     pairs: Sequence[UtterancePair],
-    tokens: Sequence[tuple[TokenizedUtterance, TokenizedUtterance]],
+    tokens: Iterable[tuple[TokenizedUtterance, TokenizedUtterance]],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
     skip_unaligned: bool,
 ) -> tuple[float, list[LexicalConsistencyPair]]:
     if len(pairs) != len(alignments):
-        raise DataError(
-            f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}"
-        )
+        raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
     if not pairs:
         raise DataError("empty pair list")
-    per_pair = []
-    try:
-        for pair, pair_tokens, (c2s, s2c) in zip(pairs, tokens, alignments, strict=True):
-            result = _lexical_consistency_pair(pair.id, pair_tokens, c2s, s2c, skip_unaligned)
-            per_pair.append(result)
-    except DataError as exc:
-        # A link out of bounds: its line is the pair's 1-based position.
-        exc.line = len(per_pair) + 1
-        raise
+    per_pair = [
+        _lexical_consistency_pair(pair_tokens, c2s, s2c, skip_unaligned)
+        for pair_tokens, (c2s, s2c) in zip(tokens, alignments, strict=True)
+    ]
     return sum(p.lex_pair for p in per_pair) / len(per_pair), per_pair
 
 
@@ -269,22 +268,20 @@ def consistency_report(
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
-    return consistency_report_from_tokens(
-        pairs,
-        [_tokenize_pair(p, caption_lang, subtitle_lang) for p in pairs],
-        alignments,
-        skip_unaligned,
-    )
+    # Lazy, so that the scorer's count and empty-list checks come first.
+    tokens = (_tokenize_pair(p, *a, caption_lang, subtitle_lang) for p, a in zip(pairs, alignments))
+    return consistency_report_from_tokens(pairs, tokens, alignments, skip_unaligned)
 
 
 def consistency_report_from_tokens(
     pairs: Sequence[UtterancePair],
-    tokens: Sequence[tuple[TokenizedUtterance, TokenizedUtterance]],
+    tokens: Iterable[tuple[TokenizedUtterance, TokenizedUtterance]],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
     """`consistency_report` with each pair's (caption, subtitle) tokens
-    given, in pair order."""
+    given, in pair order.  Every link must index within its pair's
+    tokens: this function does not check them."""
     lexical, per_pair = _corpus_lexical_consistency(
         pairs, tokens, alignments, skip_unaligned
     )

@@ -14,7 +14,7 @@ constructing them directly validates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sized
 
 from .errors import DataError
 
@@ -38,8 +38,6 @@ class SubtitleBlock:
         return sum(len(line.strip()) for line in self.lines)
 
     def duration_s(self) -> float:
-        if not self.timed:
-            raise DataError("block has no timing")
         return (self.end_ms - self.start_ms) / 1000.0
 
 
@@ -90,14 +88,17 @@ class SubtitleDocument:
         return iter(self.utterances)
 
 
+def check_count(a: Sized, b: Sized) -> None:
+    """Raise a DataError unless `a` and `b` hold as many utterances."""
+    if len(a) != len(b):
+        raise DataError(f"utterance count mismatch: {len(a)} vs {len(b)}")
+
+
 def pair_documents(
     captions: SubtitleDocument, subtitles: SubtitleDocument
 ) -> list[UtterancePair]:
     """Pair the i-th caption utterance with the i-th subtitle utterance."""
-    if len(captions) != len(subtitles):
-        raise DataError(
-            f"utterance count mismatch: {len(captions)} vs {len(subtitles)}"
-        )
+    check_count(captions, subtitles)
     return [
         UtterancePair(caption=c, subtitle=s)
         for c, s in zip(captions.utterances, subtitles.utterances)

@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .model import Utterance
+from .model import Utterance, check_count
 from .textproc import Scheme, normalize_for_wer, tokenize
 
 log = logging.getLogger(__name__)
@@ -103,11 +103,6 @@ def _wer_words(utt: Utterance) -> list[str]:
     return normalize_for_wer(tokenize(utt.text(), Scheme.WHITESPACE))
 
 
-def _check_count(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> None:
-    if len(hyp) != len(ref):
-        raise DataError(f"utterance count mismatch: {len(hyp)} vs {len(ref)}")
-
-
 def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[tuple[int, int, int, int]]:
     """(S, D, I, reference_length) of each hypothesis against one
     reference, which is normalized once."""
@@ -132,7 +127,7 @@ def wer_segment_stats(
     hyp: Sequence[Utterance], ref: Sequence[Utterance]
 ) -> list[tuple[int, int, int, int]]:
     """Per-utterance (S, D, I, reference_length) after WER normalization."""
-    _check_count(hyp, ref)
+    check_count(hyp, ref)
     stats = [_wer_segment((h,), r)[0] for h, r in zip(hyp, ref)]
     _warn_empty_references([(s + d + i, n) for s, d, i, n in stats], ref)
     return stats
@@ -197,7 +192,7 @@ def bleu_segment_stats(
 ) -> list[tuple[list[int], list[int], int, int]]:
     """Per-utterance (correct[4], total[4], hyp_len, ref_len) sufficient
     statistics under 13a tokenization."""
-    _check_count(hyp, ref)
+    check_count(hyp, ref)
     return [_bleu_segment((h,), r, keep_breaks)[0] for h, r in zip(hyp, ref)]
 
 
@@ -276,8 +271,8 @@ def bootstrap_significance(
         raise DataError("resamples must be positive")
     if metric not in ("bleu", "wer"):
         raise DataError(f"unknown metric {metric!r}")
-    _check_count(hyp_a, ref)
-    _check_count(hyp_b, ref)
+    check_count(hyp_a, ref)
+    check_count(hyp_b, ref)
     # WER is negated so that higher is better for both metrics.  Negation
     # is exact, so every comparison and difference below is unchanged.
     if metric == "bleu":

@@ -28,17 +28,16 @@ def format_timestamp(ms: int) -> str:
     return f"{h:02d}:{m:02d}:{s:02d},{milli:03d}"
 
 
-def _cue_chunks(lines: list[str]) -> Iterable[list[str]]:
+def _cue_chunks(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
+    """Each run of non-blank lines, with the 1-based line of its first."""
     chunk: list[str] = []
-    for line in lines:
-        if line.strip() == "":
-            if chunk:
-                yield chunk
-                chunk = []
-        else:
+    # A blank line after the last ends the last run.
+    for lineno, line in enumerate([*lines, ""], start=1):
+        if line.strip():
             chunk.append(line)
-    if chunk:
-        yield chunk
+        elif chunk:
+            yield lineno - len(chunk), chunk
+            chunk = []
 
 
 def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
@@ -48,31 +47,31 @@ def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
     text = text.lstrip("﻿")
     utterances: list[Utterance] = []
     seen: set[int] = set()
-    for chunk in _cue_chunks(text.split("\n")):
+    for first, chunk in _cue_chunks(text.split("\n")):
         index_line = chunk[0].strip()
         # ASCII digits only: int() would also take "+1", "1_0" and "١".
         if not (index_line.isascii() and index_line.isdigit()):
-            raise FormatError(f"expected cue index line, got {index_line!r}")
+            raise FormatError(f"expected cue index line, got {index_line!r}", line=first)
         cue_index = int(index_line)
         if len(chunk) < 2:
-            raise FormatError(f"cue {cue_index}: missing timing line")
+            raise FormatError(f"cue {cue_index}: missing timing line", line=first)
         match = _TIMING_RE.match(chunk[1])
         if not match:
             raise FormatError(
-                f"cue {cue_index}: malformed timing line {chunk[1].strip()!r}"
+                f"cue {cue_index}: malformed timing line {chunk[1].strip()!r}", line=first + 1
             )
         start_ms = _parse_timestamp(*match.groups()[:4])
         end_ms = _parse_timestamp(*match.groups()[4:])
         if end_ms <= start_ms:
-            raise FormatError(f"cue {cue_index}: non-positive duration")
+            raise FormatError(f"cue {cue_index}: non-positive duration", line=first + 1)
         text_lines = tuple(line.rstrip("\r") for line in chunk[2:])
         if not text_lines:
-            raise FormatError(f"cue {cue_index}: no text lines")
-        for line in text_lines:
+            raise FormatError(f"cue {cue_index}: no text lines", line=first + 1)
+        for lineno, line in enumerate(text_lines, start=first + 2):
             if EOB in line or EOL in line:
-                raise DataError(f"line text contains a break token literal: {line!r}")
+                raise DataError(f"line text contains a break token literal: {line!r}", line=lineno)
         if cue_index in seen:
-            raise FormatError(f"duplicate cue index {cue_index}")
+            raise FormatError(f"duplicate cue index {cue_index}", line=first)
         seen.add(cue_index)
         block = SubtitleBlock(text_lines, start_ms=start_ms, end_ms=end_ms)
         utterances.append(Utterance(str(cue_index), (block,)))

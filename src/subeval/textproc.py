@@ -234,12 +234,12 @@ def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[s
             continue
         cols = line.split("\t")
         if len(cols) != 10:
-            raise FormatError(f"expected 10 columns at line {lineno}, got {len(cols)}")
+            raise FormatError(f"expected 10 columns, got {len(cols)}", line=lineno)
         token_id, form, upos = cols[0], cols[1], cols[3]
         if "-" in token_id or "." in token_id:
             continue
         if upos not in UPOS_TAGS:
-            raise FormatError(f"unknown UPOS {upos!r} at line {lineno}")
+            raise FormatError(f"unknown UPOS {upos!r}", line=lineno)
         current.append((form, upos))
     if current:
         sentences.append(current)

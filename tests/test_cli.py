@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subeval import cli, textproc
+from subeval import cli, consistency, textproc
 from subeval.cli import main
 from subeval.textproc import Scheme
 
@@ -242,8 +242,8 @@ def test_eval_non_utf8_input_names_file_and_line(micro_paths, tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda cols: cols[:3] + ["FOO"] + cols[4:], "unknown UPOS 'FOO' at line 2"),
-        (lambda cols: cols[:9], "expected 10 columns at line 2, got 9"),
+        (lambda cols: cols[:3] + ["FOO"] + cols[4:], "unknown UPOS 'FOO'"),
+        (lambda cols: cols[:9], "expected 10 columns, got 9"),
     ],
     ids=["unknown-upos", "nine-columns"],
 )
@@ -257,7 +257,7 @@ def test_eval_bad_conllu_names_file(micro_paths, tmp_path, capsys, edit, message
         micro_paths, "--pos-captions", str(pos), "--pos-subtitles", micro_paths["pos_subtitles"]
     )
     assert main(args) == 2
-    assert capsys.readouterr().err == f"error: {pos}: {message}\n"
+    assert capsys.readouterr().err == f"error: {pos}:2: {message}\n"
 
 
 def test_eval_srt_cue_numbers_that_do_not_pair(tmp_path, capsys):
@@ -297,10 +297,22 @@ def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys)
         ("pos_captions", 1, None, "{pos_captions}: utterance '0': 8 word tokens but 7 tags"),
         ("align_c2s", 19, None, "{align_c2s}: 19 lines for 20 pairs"),
         ("align_c2s", 0, "99-99",
-         "{align_c2s} or {align_s2c}:1: alignment link 99-99 out of bounds (utterance '0')"),
+         "{align_c2s}:1: alignment link 99-99 out of bounds (utterance '0')"),
         ("captions_hyp", 1, "", "{captions_hyp}:2: empty utterance (utterance 1)"),
+        # Each Pharaoh file is named alone, on the line of the pair.
+        ("align_s2c", 0, "99-99",
+         "{align_s2c}:1: alignment link 99-99 out of bounds (utterance '0')"),
+        ("align_s2c", 6, "0-0 0-99",
+         "{align_s2c}:7: alignment link 0-99 out of bounds (utterance '6')"),
+        ("align_c2s", 6, "99-0",
+         "{align_c2s}:7: alignment link 99-0 out of bounds (utterance '6')"),
+        ("pos_captions", 20, "1\tThe", "{pos_captions}:21: expected 10 columns, got 2"),
     ],
-    ids=["pos-tag-count", "pharaoh-line-count", "pharaoh-link-bounds", "empty-utterance"],
+    ids=[
+        "pos-tag-count", "pharaoh-line-count", "pharaoh-link-bounds", "empty-utterance",
+        "pharaoh-s2c-link-bounds", "pharaoh-s2c-link-bounds-pair-7",
+        "pharaoh-c2s-link-bounds-pair-7", "conllu-line",
+    ],
 )
 def test_eval_input_error_names_file_and_line(micro_paths, tmp_path, capsys, key, at, text,
                                               message):
@@ -313,6 +325,32 @@ def test_eval_input_error_names_file_and_line(micro_paths, tmp_path, capsys, key
         fh.write("\n".join(lines))
     assert main(eval_args(paths, "--pos-captions", paths["pos_captions"])) == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+
+def test_eval_srt_error_names_file_and_line(micro_paths, tmp_path, capsys):
+    path = tmp_path / "captions.srt"
+    path.write_text(
+        "1\n00:00:01,000 --> 00:00:02,000\nhello\n\n2\n00:00:04,000 --> 00:00:03,000\nthere\n",
+        encoding="utf-8",
+    )
+    args = eval_args(micro_paths, "--format", "srt")
+    args[args.index("--captions-hyp") + 1] = str(path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {path}:6: cue 2: non-positive duration\n"
+
+
+def test_eval_checks_each_pharaoh_link_once(micro_paths, monkeypatch, capsys):
+    checked = Counter()
+
+    def check_links(alignment, *args):
+        checked[id(alignment)] += 1
+        return real(alignment, *args)
+
+    real = consistency.check_links
+    monkeypatch.setattr(consistency, "check_links", check_links)
+    assert main(eval_args(micro_paths)) == 0
+    # Each of the 20 lines of both Pharaoh files, once.
+    assert sorted(checked.values()) == [1] * 40
 
 
 # One mutation of one micro-corpus file per example.
@@ -747,9 +785,9 @@ def test_significance_input_error_names_file(tmp_path, capsys, fmt, text, messag
     bad.write_text(text, encoding="utf-8")
     args = ["significance", "--metric", "bleu", "--format", fmt]
     assert main(args + ["--hyp-a", str(bad), "--hyp-b", str(bad), "--ref", str(bad)]) == 2
-    # A marked-text error names its line; an SRT error names its cue.
-    where = f"{bad}:1" if fmt == "mustcinema" else bad
-    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    # The marked-text line, the cue's timing line or its text line.
+    line = {"empty segment (utterance 0)": 1, "cue 1: non-positive duration": 2}.get(message, 3)
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +830,27 @@ def test_significance_empty_wer_reference_prints_only_the_error(tmp_path):
     proc = _run_cli(tmp_path, "significance", "--metric", "wer",
                     "--hyp-a", "hyp.txt", "--hyp-b", "hyp.txt", "--ref", "ref.txt")
     assert (proc.returncode, proc.stderr) == (
-        2, "error: reference corpus is empty after normalization\n"
+        2, "error: hyp.txt and hyp.txt vs ref.txt: reference corpus is empty after normalization\n"
     )
+
+
+@pytest.mark.parametrize(
+    "hyp_a, hyp_b, ref, message",
+    [
+        (3, 2, 2, "utterance count mismatch: 3 vs 2"),
+        (2, 1, 2, "utterance count mismatch: 1 vs 2"),
+        (1, 1, 1, "need at least 2 segments, got 1"),
+    ],
+)
+def test_significance_comparison_error_names_its_files(tmp_path, capsys, hyp_a, hyp_b, ref,
+                                                       message):
+    paths = []
+    for name, lines in (("a.txt", hyp_a), ("b.txt", hyp_b), ("ref.txt", ref)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text("word <eob>\n" * lines, encoding="utf-8")
+    a, b, r = paths
+    assert main(["significance", "--metric", "bleu", "--hyp-a", a, "--hyp-b", b, "--ref", r]) == 2
+    assert capsys.readouterr().err == f"error: {a} and {b} vs {r}: {message}\n"
 
 
 # What a fresh interpreter has imported after each step: numpy is loaded
@@ -900,6 +957,28 @@ def test_validate_lexical_non_numeric_score_names_file_and_line(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"error: {paths['auto']}:2: expected a number, got 'high'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "manual, manualj, message",
+    [
+        ("0.7\n", "1\n0\n", "score vector length mismatch: 2 vs 1"),
+        ("0.7\n0.9\n", "1\n", "judgement vector length mismatch: 2 vs 1"),
+    ],
+)
+def test_validate_lexical_comparison_error_names_its_files(tmp_path, capsys, manual, manualj,
+                                                           message):
+    texts = {"auto": "0.5\n0.9\n", "manual": manual, "autoj": "1\n0\n", "manualj": manualj}
+    paths = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    args = ["validate-lexical"]
+    for flag, name in (("auto-scores", "auto"), ("manual-scores", "manual"),
+                       ("auto-judgements", "autoj"), ("manual-judgements", "manualj")):
+        args += [f"--{flag}", str(paths[name])]
+    assert main(args) == 2
+    files = "{auto} vs {manual}, {autoj} vs {manualj}".format(**paths)
+    assert capsys.readouterr().err == f"error: {files}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_corpus_alignment_count_mismatch():
         corpus_lexical_consistency([pair], [])
 
 
+@pytest.mark.parametrize("score", [corpus_lexical_consistency, consistency_report])
+def test_count_mismatch_is_raised_before_a_link_out_of_bounds(score):
+    pair = make_pair("a <eob>", "x <eob>")
+    stray = (parse_pharaoh("0-5"), parse_pharaoh("7-0"))
+    with pytest.raises(DataError, match="pair/alignment count mismatch: 1 vs 2"):
+        score([pair], [stray, stray])
+    with pytest.raises(DataError, match="empty pair list"):
+        score([], [])
+    # With the counts right, the first pair in order with a stray link raises.
+    pairs = [make_pair("a <eob>", "x <eob>", "u0"), make_pair("b <eob>", "y <eob>", "u1")]
+    fine = (parse_pharaoh("0-0"), parse_pharaoh(""))
+    with pytest.raises(DataError, match=r"^alignment link 7-0 out of bounds \(utterance 'u1'\)$"):
+        score(pairs, [fine, (fine[0], stray[1])])
+
+
 def test_micro_corpus_matches_directional_oracle(micro_docs, micro_paths):
     from subeval.align import load_pharaoh
     from subeval.textproc import tokenize

@@ -99,9 +99,32 @@ def test_each_error_text(text, error, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+# Each error is on the cue's index line, on its timing line (also when
+# the cue has no text line) or on the text line that holds the break.
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (THREE_CUES + "\nfour\n00:00:01,000 --> 00:00:02,000\nhi\n", 14),
+        (THREE_CUES + "\n4\n", 14),
+        (THREE_CUES + "\n4\n00:00:01.000 --> 00:00:02,000\nhi\n", 15),
+        (THREE_CUES + "\n4\n00:00:02,000 --> 00:00:01,000\nhi\n", 15),
+        (THREE_CUES + "\n4\n00:00:01,000 --> 00:00:02,000\n", 15),
+        (THREE_CUES + "\n4\n00:00:01,000 --> 00:00:02,000\nhi\nsay <eol> it\n", 17),
+        (THREE_CUES + "\n\n\n2\n00:00:01,000 --> 00:00:02,000\nhi\n", 16),
+        ("\n\r\n" + PAPER_CUE.replace("clearly:", "<eob>"), 5),
+    ],
+    ids=["index", "missing-timing", "malformed-timing", "duration", "no-text", "break",
+         "duplicate", "leading-blank-lines"],
+)
+def test_each_error_line(text, line):
+    with pytest.raises(SubevalError) as info:
+        parse_srt(text)
+    assert info.value.line == line
+
+
 def test_load_names_the_file_and_keeps_the_error_class(tmp_path):
     path = tmp_path / "bad.srt"
     path.write_text("1\n00:00:01,000 --> 00:00:02,000\n<eob>\n", encoding="utf-8")
     with pytest.raises(DataError) as info:
         load_srt(str(path))
-    assert str(info.value) == f"{path}: line text contains a break token literal: '<eob>'"
+    assert str(info.value) == f"{path}:3: line text contains a break token literal: '<eob>'"
