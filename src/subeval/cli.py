@@ -7,13 +7,17 @@ validate-lexical.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import logging
+import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from contextlib import contextmanager, suppress
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
+from . import conformity as conformity_mod
 from . import consistency as consistency_mod
 from . import links
 from . import quality as quality_mod
@@ -23,14 +27,20 @@ from .conformity import (
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
-    conformity_report,
 )
-from .errors import DataError, FormatError, SubevalError, located, open_utf8
-from .markers import load_marked_text
-from .model import SubtitleDocument, pair_documents
+from .errors import DataError, FormatError, SubevalError, located, open_utf8, stream_file
+from .markers import iter_marked_text, load_marked_text
+from .model import SubtitleDocument, UtterancePair, add_counts, check_count
 from .report import EvaluationReport, report_to_json, report_to_tsv
 from .srt import load_srt
-from .textproc import Scheme, TokenizedUtterance, attach_tags, load_conllu, tokenize
+from .textproc import (
+    Scheme,
+    TaggedUtterance,
+    TokenizedUtterance,
+    attach_tags,
+    iter_conllu,
+    tokenize,
+)
 
 # `align` loads numpy, so only the paths that train or align import it.
 if TYPE_CHECKING:
@@ -196,19 +206,6 @@ def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
     return load_marked_text(path, lenient=lenient)
 
 
-def _tag_document(
-    doc: SubtitleDocument, tokens: Sequence[TokenizedUtterance], pos_path: str
-):
-    sentences = load_conllu(pos_path)
-    with located(pos_path):
-        if len(sentences) != len(doc.utterances):
-            raise DataError(f"{len(sentences)} sentences for {len(doc.utterances)} utterances")
-        return [
-            attach_tags(utt_tokens, [upos for _, upos in sentence], utt_id=utt.id)
-            for utt, utt_tokens, sentence in zip(doc.utterances, tokens, sentences)
-        ]
-
-
 def _training_files(opts) -> list[str]:
     """The bitext files an aligner trains on: --train-bitext, --extra-bitext."""
     return [path for path in (opts["train-bitext"], opts["extra-bitext"]) if path]
@@ -239,27 +236,10 @@ def _train(opts, corpus) -> align_mod.TranslationModel:
     )
 
 
-def _alignments_for_pairs(opts, pairs, token_pairs):
-    """The (c2s, s2c) alignment of each pair of (caption, subtitle) tokens:
-    loaded from Pharaoh files and checked, or from aligners trained on the
-    bitext files plus the system pairs, one direction after the other."""
-    if opts["align-c2s"]:
-        paths = (opts["align-c2s"], opts["align-s2c"])
-        c2s, s2c = (links.load_pharaoh(path) for path in paths)
-        for path, alignments in zip(paths, (c2s, s2c)):
-            if len(alignments) != len(token_pairs):
-                with located(path):
-                    raise DataError(f"{len(alignments)} lines for {len(token_pairs)} pairs")
-        # Pair order, c2s first; the error names the file whose line raised.
-        try:
-            for line, (pair, tokens, *both) in enumerate(zip(pairs, token_pairs, c2s, s2c), 1):
-                words = [len(side.words()) for side in tokens]
-                for path, alignment, (own, other) in zip(paths, both, (words, words[::-1])):
-                    consistency_mod.check_links(alignment, own, other, pair.id, line)
-        except DataError:
-            with located(path):
-                raise
-        return list(zip(c2s, s2c))
+def _trained_alignments(opts, token_pairs):
+    """The (c2s, s2c) alignment of each pair of (caption, subtitle) tokens,
+    from aligners trained on the bitext files plus the system pairs, one
+    direction after the other."""
     from . import align as align_mod
 
     system = [align_mod.BitextPair(tuple(c.words()), tuple(s.words())) for c, s in token_pairs]
@@ -269,96 +249,225 @@ def _alignments_for_pairs(opts, pairs, token_pairs):
     c2s = align_mod.viterbi_align_corpus(_train(opts, forward), system)
     backward = [align_mod.BitextPair(pair.target, pair.source) for pair in forward]
     s2c = align_mod.viterbi_align_corpus(_train(opts, backward), backward[tail:])
-    return list(zip(c2s, s2c))
+    return zip(c2s, s2c)
 
 
-# The two sides `eval` scores: the keys of the hypothesis, reference,
-# POS file and language options, and the side's quality score.
+# The inputs `eval` reads in lockstep, one item per pair from each, in
+# the order it reads them: each side's hypothesis, reference and POS
+# file, then the Pharaoh files.
+_STREAMS = (
+    "captions-hyp", "captions-ref", "pos-captions",
+    "subtitles-hyp", "subtitles-ref", "pos-subtitles",
+    "align-c2s", "align-s2c",
+)
+_END = object()
+
+
+def _open_stream(opts, key: str) -> Optional[Iterator]:
+    """The items of input `key`, read as they are asked for, or None
+    without the input.  SRT documents are loaded whole."""
+    path = opts[key]
+    if not path:
+        return None
+    if key.startswith("pos-"):
+        return stream_file(path, iter_conllu)
+    if key.startswith("align-"):
+        return stream_file(path, links.iter_pharaoh)
+    if opts["format"] == "srt":
+        return iter(load_srt(path))
+    return stream_file(path, iter_marked_text, opts["lenient"])
+
+
+def _lockstep(streams: Sequence[Optional[Iterator]], counts: list) -> Iterator[list]:
+    """One list per pair: the next item of each stream, None for an
+    absent one, until a stream ends.  Then the rest of every stream is
+    read, and `counts` becomes the number of items in each."""
+    pairs = 0
+    while True:
+        items = [None if stream is None else next(stream, _END) for stream in streams]
+        if _END not in items:
+            yield items
+            pairs += 1
+            continue
+        counts[:] = [
+            None if stream is None else pairs + (item is not _END) + sum(1 for _ in stream)
+            for stream, item in zip(streams, items)
+        ]
+        return
+
+
+def _check_counts(opts, counts: Sequence[Optional[int]]) -> None:
+    """Raise the first count error of `eval`'s inputs, given the number
+    of items in each."""
+    n = dict(zip(_STREAMS, counts))
+    for hyp, ref, pos in (_STREAMS[0:3], _STREAMS[3:6]):
+        with located(f"{opts[hyp]} vs {opts[ref]}"):
+            if not n[ref]:
+                raise DataError("empty corpus")
+            check_count(n[hyp], n[ref])
+        if n[pos] is not None and n[pos] != n[hyp]:
+            with located(opts[pos]):
+                raise DataError(f"{n[pos]} sentences for {n[hyp]} utterances")
+    pairs = n["captions-hyp"]
+    with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
+        check_count(pairs, n["subtitles-hyp"])
+    for key in _STREAMS[6:]:
+        if n[key] is not None and n[key] != pairs:
+            with located(opts[key]):
+                raise DataError(f"{n[key]} lines for {pairs} pairs")
+
+
+def _tag(tokens: TokenizedUtterance, pos, path: str, utt_id: str) -> TaggedUtterance:
+    """`tokens` tagged with `pos`, a sentence of the POS file at `path`:
+    (the line of its first token, its (FORM, UPOS) pairs)."""
+    line, sentence = pos
+    try:
+        return attach_tags(tokens, [upos for _, upos in sentence], utt_id=utt_id)
+    except DataError as exc:
+        exc.line = line
+        with located(path):
+            raise
+
+
+def _check_links(opts, line: int, pair_id: str, tokens, c2s, s2c) -> None:
+    """Check the pair's links against its tokens, c2s first; an error
+    names the file and line of the link."""
+    words = [len(side.words()) for side in tokens]
+    for key, alignment, (own, other) in (
+        ("align-c2s", c2s, words), ("align-s2c", s2c, words[::-1])
+    ):
+        try:
+            consistency_mod.check_links(alignment, own, other, pair_id, line)
+        except DataError:
+            with located(opts[key]):
+                raise
+
+
+@contextmanager
+def _diagnostics(path: Optional[str]):
+    """A function that writes one record as a JSON line, or drops it
+    without `path`.
+
+    A regular or missing file, the one a symlink names included, is
+    written through a temporary file beside it that replaces it only if
+    the block ends without an error.  Any other target, such as a pipe
+    or /dev/stdout, or a file in a directory that cannot be written, is
+    written to directly as the records come."""
+    if not path:
+        yield lambda record: None
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    staged = (os.path.isfile(target) or not os.path.lexists(target)) and os.access(head, os.W_OK)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if staged else path
+    fh = open(temporary, "x" if staged else "w", encoding="utf-8")
+    try:
+        with fh:
+            yield lambda record: fh.write(
+                json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+            )
+        if staged:
+            os.replace(temporary, target)
+    except BaseException:
+        if staged:
+            with suppress(OSError):
+                os.remove(temporary)
+        raise
+
+
+# The two sides `eval` scores: the keys of the POS file and language
+# options, and the per-utterance counts of the side's quality metric.
 _SIDES = (
-    (
-        "captions-hyp", "captions-ref", "pos-captions", "caption-lang",
-        lambda hyp, ref: quality_mod.wer(hyp.utterances, ref.utterances).wer,
-    ),
-    (
-        "subtitles-hyp", "subtitles-ref", "pos-subtitles", "subtitle-lang",
-        lambda hyp, ref: quality_mod.corpus_bleu(hyp.utterances, ref.utterances).score,
-    ),
+    ("pos-captions", "caption-lang", quality_mod.wer_counts),
+    ("pos-subtitles", "subtitle-lang", quality_mod.bleu_counts),
 )
 
 
 def run_eval(opts: dict[str, Any]) -> int:
-    fmt, lenient = opts["format"], opts["lenient"]
-    thresholds = ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"])
-    aggregation = LengthAggregation(opts["aggregation"])
-    breaks = BreakSelection(opts["breaks"])
-    include_trailing = not opts["exclude-trailing-eob"]
-    hyps, tokens, quality, conformity = [], [], [], []
-    for hyp_key, ref_key, pos_key, lang_key, score in _SIDES:
-        hyp = _load_document(opts[hyp_key], fmt, lenient)
-        # The reference is dropped as soon as it is scored.
-        ref = _load_document(opts[ref_key], fmt, lenient)
-        with located(f"{opts[hyp_key]} vs {opts[ref_key]}"):
-            quality.append(score(hyp, ref))
-        del ref
-        # One MT tokenization per hypothesis utterance feeds tagging, the
-        # system bitext and lexical consistency.
-        mt = [tokenize(utt.text(), Scheme.MT_DETACHED, opts[lang_key]) for utt in hyp]
-        conformity.append(
-            conformity_report(
-                hyp,
-                thresholds,
-                aggregation,
-                _tag_document(hyp, mt, opts[pos_key]) if opts[pos_key] else None,
-                include_trailing_eob=include_trailing,
-                breaks=breaks,
-            )
+    """Score the pairs one at a time, adding each pair's counts to
+    running sums, and compute the rates from the sums at the end."""
+    conformity = functools.partial(
+        conformity_mod.conformity_counts,
+        thresholds=ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"]),
+        aggregation=LengthAggregation(opts["aggregation"]),
+        include_trailing_eob=not opts["exclude-trailing-eob"],
+        breaks=BreakSelection(opts["breaks"]),
+    )
+    quality_sums: list[list] = [[] for _ in _SIDES]
+    conformity_sums: list[list] = [[] for _ in _SIDES]
+    pair_sums: list = []
+    lexical = 0.0
+    # Without Pharaoh files: each pair's id, block counts and MT tokens,
+    # scored once the aligners are trained.
+    kept = []
+    streams = [_open_stream(opts, key) for key in _STREAMS]
+    counts: list = []
+    with _diagnostics(opts["diagnostics"]) as write:
+
+        def score_lexical(pair_id, blocks, tokens, c2s, s2c) -> float:
+            result = consistency_mod.lexical_from_tokens(tokens, c2s, s2c, opts["skip-unaligned"])
+            write({"id": pair_id, "blocks_c": blocks[0], "blocks_s": blocks[1], **vars(result)})
+            return result.lex_pair
+
+        for index, items in enumerate(_lockstep(streams, counts)):
+            # One MT tokenization per hypothesis utterance feeds tagging,
+            # the system bitext and lexical consistency.
+            tokens = []
+            for (pos_key, lang_key, quality_counts), (hyp, ref, pos), q_sums, c_sums in zip(
+                _SIDES, (items[0:3], items[3:6]), quality_sums, conformity_sums
+            ):
+                add_counts(q_sums, quality_counts(hyp, ref))
+                mt = tokenize(hyp.text(), Scheme.MT_DETACHED, opts[lang_key])
+                tagged = None if pos is None else _tag(mt, pos, opts[pos_key], hyp.id)
+                add_counts(c_sums, conformity(hyp, tagged=tagged, index=index))
+                tokens.append(mt)
+            caption, _, _, subtitle, _, _, c2s, s2c = items
+            try:
+                pair = UtterancePair(caption, subtitle)
+            except DataError:
+                with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
+                    raise
+            add_counts(pair_sums, consistency_mod.pair_counts(pair))
+            blocks = (len(caption.blocks), len(subtitle.blocks))
+            if c2s is None:
+                kept.append((pair.id, blocks, tokens))
+                continue
+            _check_links(opts, index + 1, pair.id, tokens, c2s, s2c)
+            lexical += score_lexical(pair.id, blocks, tokens, c2s, s2c)
+
+        _check_counts(opts, counts)
+        with located(f"{opts['captions-hyp']} vs {opts['captions-ref']}"):
+            wer = quality_mod.wer_from_sums(quality_sums[0]).wer
+        bleu = quality_mod.bleu_from_sums(quality_sums[1]).score
+        conf_captions, conf_subtitles = map(conformity_mod.conformity_from_sums, conformity_sums)
+        if not opts["align-c2s"]:
+            alignments = _trained_alignments(opts, [tokens for *_, tokens in kept])
+            for (pair_id, blocks, tokens), (c2s, s2c) in zip(kept, alignments):
+                lexical += score_lexical(pair_id, blocks, tokens, c2s, s2c)
+        cons = consistency_mod.consistency_from_sums(pair_sums, lexical)
+
+        report = EvaluationReport(
+            system_name=opts["system-name"],
+            wer=wer,
+            bleu=bleu,
+            length_captions=conf_captions.length_rate,
+            length_subtitles=conf_subtitles.length_rate,
+            reading_speed_captions=conf_captions.reading_speed_rate,
+            reading_speed_subtitles=conf_subtitles.reading_speed_rate,
+            segmentation_captions=conf_captions.segmentation_rate,
+            segmentation_subtitles=conf_subtitles.segmentation_rate,
+            structural=cons.structural,
+            lexical=cons.lexical,
+            line_count=cons.line_count,
+            char_ratio=cons.char_ratio,
+            config_echo={k: v for k, v in sorted(opts.items())},
         )
-        hyps.append(hyp)
-        tokens.append(mt)
-
-    with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
-        pairs = pair_documents(*hyps)
-    token_pairs = list(zip(*tokens))
-    alignments = _alignments_for_pairs(opts, pairs, token_pairs)
-    cons = consistency_mod.consistency_report_from_tokens(
-        pairs, token_pairs, alignments, skip_unaligned=opts["skip-unaligned"]
-    )
-
-    (wer, bleu), (conf_captions, conf_subtitles) = quality, conformity
-    report = EvaluationReport(
-        system_name=opts["system-name"],
-        wer=wer,
-        bleu=bleu,
-        length_captions=conf_captions.length_rate,
-        length_subtitles=conf_subtitles.length_rate,
-        reading_speed_captions=conf_captions.reading_speed_rate,
-        reading_speed_subtitles=conf_subtitles.reading_speed_rate,
-        segmentation_captions=conf_captions.segmentation_rate,
-        segmentation_subtitles=conf_subtitles.segmentation_rate,
-        structural=cons.structural,
-        lexical=cons.lexical,
-        line_count=cons.line_count,
-        char_ratio=cons.char_ratio,
-        config_echo={k: v for k, v in sorted(opts.items())},
-    )
-
-    if opts["diagnostics"]:
-        with open(opts["diagnostics"], "w", encoding="utf-8") as fh:
-            for pair, result in zip(pairs, cons.per_pair):
-                record = {
-                    "id": pair.id,
-                    "blocks_c": len(pair.caption.blocks),
-                    "blocks_s": len(pair.subtitle.blocks),
-                    **vars(result),
-                }
-                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-
-    chunks = []
-    if opts["out"] in ("json", "both"):
-        chunks.append(report_to_json(report))
-    if opts["out"] in ("tsv", "both"):
-        chunks.append(report_to_tsv(report))
-    _emit("".join(chunks), opts["out-file"])
+        chunks = []
+        if opts["out"] in ("json", "both"):
+            chunks.append(report_to_json(report))
+        if opts["out"] in ("tsv", "both"):
+            chunks.append(report_to_tsv(report))
+        _emit("".join(chunks), opts["out-file"])
     return 0
 
 

@@ -8,7 +8,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .model import BREAKS, EOB, EOL, SubtitleDocument
+from .model import BREAKS, EOB, EOL, SubtitleDocument, Utterance, column_sums
 from .textproc import TaggedUtterance, WordClass, classify_chunk_chink
 
 DEFAULT_MAX_CPL = 42
@@ -56,25 +56,45 @@ def _rate(hits: int, units: int) -> Optional[float]:
     return hits / units if units else None
 
 
+def _block_counts(
+    utt: Utterance,
+    thresholds: ConformityThresholds,
+    aggregation: LengthAggregation = LengthAggregation.PER_LINE,
+) -> tuple[int, int, int, int, int]:
+    """(lines or blocks within the CPL bound, inclusive, lines or blocks,
+    timed blocks read at or below the CPS bound, timed blocks, untimed
+    blocks) of one utterance.
+
+    Characters of a block are the sum of its trimmed line counts; no
+    synthetic inter-line spaces are added.
+    """
+    per_line = aggregation is LengthAggregation.PER_LINE
+    max_cpl = thresholds.max_cpl
+    cpl_hits = cpl_units = cps_hits = timed = 0
+    for block in utt.blocks:
+        if per_line:
+            for line in block.lines:
+                cpl_units += 1
+                if len(line.strip()) <= max_cpl:
+                    cpl_hits += 1
+        else:
+            cpl_units += 1
+            if all(len(line.strip()) <= max_cpl for line in block.lines):
+                cpl_hits += 1
+        if block.timed:
+            timed += 1
+            if block.char_count() / block.duration_s() <= thresholds.max_cps:
+                cps_hits += 1
+    return cpl_hits, cpl_units, cps_hits, timed, len(utt.blocks) - timed
+
+
 def length_conformity(
     doc: SubtitleDocument,
     thresholds: ConformityThresholds = ConformityThresholds(),
     aggregation: LengthAggregation = LengthAggregation.PER_LINE,
 ) -> Optional[float]:
     """Fraction of lines (or blocks) within the CPL bound, inclusive."""
-    conforming = 0
-    units = 0
-    for utt in doc.utterances:
-        for block in utt.blocks:
-            if aggregation is LengthAggregation.PER_LINE:
-                for line in block.lines:
-                    units += 1
-                    if len(line.strip()) <= thresholds.max_cpl:
-                        conforming += 1
-            else:
-                units += 1
-                if all(len(line.strip()) <= thresholds.max_cpl for line in block.lines):
-                    conforming += 1
+    conforming, units, *_ = _block_sums(doc, thresholds, aggregation)
     return _rate(conforming, units)
 
 
@@ -82,27 +102,22 @@ def reading_speed_conformity(
     doc: SubtitleDocument,
     thresholds: ConformityThresholds = ConformityThresholds(),
 ) -> Optional[float]:
-    """Fraction of blocks read at or below the CPS bound.
-
-    Characters of a block are the sum of its trimmed line counts; no
-    synthetic inter-line spaces are added.
-    """
-    conforming = 0
-    units = 0
+    """Fraction of blocks read at or below the CPS bound."""
+    conforming = units = 0
     for utt in doc.utterances:
-        for block in utt.blocks:
-            if not block.timed:
-                raise DataError(f"utterance {utt.id!r}: a block has no timing")
-            units += 1
-            if block.char_count() / block.duration_s() <= thresholds.max_cps:
-                conforming += 1
+        *_, hits, timed, untimed = _block_counts(utt, thresholds)
+        if untimed:
+            raise DataError(f"utterance {utt.id!r}: a block has no timing")
+        conforming += hits
+        units += timed
     return _rate(conforming, units)
 
 
 def _break_counts(
-    tagged: Sequence[TaggedUtterance], include_trailing_eob: bool, breaks: BreakSelection
+    utt: TaggedUtterance, index: int, include_trailing_eob: bool, breaks: BreakSelection
 ) -> tuple[int, int, int]:
-    """(plausible, judged, selected) break counts, in one walk per utterance.
+    """(plausible, judged, selected) break counts of the utterance at
+    `index`, in one walk.
 
     A run of selected breaks shares its neighbouring words, so it is
     judged as a whole when the next word arrives, or at the end of the
@@ -110,36 +125,51 @@ def _break_counts(
     """
     selected = _SELECTED_BREAKS[breaks]
     plausible = judged = n_selected = 0
-    for utt_index, utt in enumerate(tagged):
-        prev_tag = None
-        run = 0  # selected breaks since the last word
-        for token, tag in utt.items:
-            if token in BREAKS:
-                if token in selected:
-                    if prev_tag is None:
-                        raise DataError(
-                            "break without a preceding word token "
-                            f"(utterance index {utt_index})"
-                        )
-                    run += 1
-                    n_selected += 1
-                continue
-            if run:
-                prev_class = classify_chunk_chink(prev_tag)
-                next_class = classify_chunk_chink(tag)
-                judged += run
-                if prev_class is WordClass.PUNCT or (
-                    prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION
-                ):
-                    plausible += run
-                run = 0
-            prev_tag = tag
-        # An utterance-final run is plausible only after punctuation.
-        if run and include_trailing_eob:
+    prev_tag = None
+    run = 0  # selected breaks since the last word
+    for token, tag in utt.items:
+        if token in BREAKS:
+            if token in selected:
+                if prev_tag is None:
+                    raise DataError(
+                        f"break without a preceding word token (utterance index {index})"
+                    )
+                run += 1
+                n_selected += 1
+            continue
+        if run:
+            prev_class = classify_chunk_chink(prev_tag)
+            next_class = classify_chunk_chink(tag)
             judged += run
-            if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
+            if prev_class is WordClass.PUNCT or (
+                prev_class is WordClass.CONTENT and next_class is WordClass.FUNCTION
+            ):
                 plausible += run
+            run = 0
+        prev_tag = tag
+    # An utterance-final run is plausible only after punctuation.
+    if run and include_trailing_eob:
+        judged += run
+        if classify_chunk_chink(prev_tag) is WordClass.PUNCT:
+            plausible += run
     return plausible, judged, n_selected
+
+
+def _block_sums(
+    doc: SubtitleDocument, thresholds: ConformityThresholds, aggregation: LengthAggregation
+) -> list[int]:
+    counts = (_block_counts(utt, thresholds, aggregation) for utt in doc.utterances)
+    return column_sums(counts) or [0] * 5
+
+
+def _break_sums(
+    tagged: Sequence[TaggedUtterance], include_trailing_eob: bool, breaks: BreakSelection
+) -> list[int]:
+    counts = (
+        _break_counts(utt, index, include_trailing_eob, breaks)
+        for index, utt in enumerate(tagged)
+    )
+    return column_sums(counts) or [0] * 3
 
 
 def segmentation_plausibility(
@@ -153,8 +183,40 @@ def segmentation_plausibility(
     or when it separates a content word from a following function word.
     An utterance-final break is plausible only after punctuation.
     """
-    plausible, judged, _ = _break_counts(tagged, include_trailing_eob, breaks)
+    plausible, judged, _ = _break_sums(tagged, include_trailing_eob, breaks)
     return _rate(plausible, judged)
+
+
+def conformity_counts(
+    utt: Utterance,
+    thresholds: ConformityThresholds = ConformityThresholds(),
+    aggregation: LengthAggregation = LengthAggregation.PER_LINE,
+    tagged: Optional[TaggedUtterance] = None,
+    include_trailing_eob: bool = True,
+    breaks: BreakSelection = BreakSelection.BOTH,
+    index: int = 0,
+) -> tuple[int, ...]:
+    """The conformity counts of the utterance at `index`, and of its tags
+    when given: CPL hits and units, CPS hits, timed and untimed blocks,
+    and plausible, judged and selected breaks."""
+    segmentation = (
+        (0, 0, 0) if tagged is None
+        else _break_counts(tagged, index, include_trailing_eob, breaks)
+    )
+    return _block_counts(utt, thresholds, aggregation) + segmentation
+
+
+def conformity_from_sums(sums: Sequence[int]) -> ConformityReport:
+    """A document's report from the column sums of `conformity_counts`
+    over one or more utterances.  Reading speed is scored only when
+    every block is timed."""
+    cpl_hits, cpl_units, cps_hits, timed, untimed, plausible, judged, selected = sums
+    return ConformityReport(
+        length_rate=_rate(cpl_hits, cpl_units),
+        reading_speed_rate=None if untimed else _rate(cps_hits, timed),
+        segmentation_rate=_rate(plausible, judged),
+        breaks=selected,
+    )
 
 
 def conformity_report(
@@ -167,13 +229,7 @@ def conformity_report(
 ) -> ConformityReport:
     """All conformity rates for one document; rates whose denominator is
     empty (or whose inputs are missing) are reported as None."""
-    timed = all(block.timed for utt in doc.utterances for block in utt.blocks)
-    plausible = judged = n_breaks = 0
-    if tagged is not None:
-        plausible, judged, n_breaks = _break_counts(tagged, include_trailing_eob, breaks)
-    return ConformityReport(
-        length_rate=length_conformity(doc, thresholds, aggregation),
-        reading_speed_rate=reading_speed_conformity(doc, thresholds) if timed else None,
-        segmentation_rate=_rate(plausible, judged),
-        breaks=n_breaks,
-    )
+    # The tagged utterances are scored on their own, as
+    # `segmentation_plausibility` scores them.
+    break_sums = [0] * 3 if tagged is None else _break_sums(tagged, include_trailing_eob, breaks)
+    return conformity_from_sums(_block_sums(doc, thresholds, aggregation) + break_sums)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DataError
 from .links import SentenceAlignment
-from .model import EOB, EOL, Utterance, UtterancePair
+from .model import EOB, EOL, Utterance, UtterancePair, column_sums
 from .textproc import Scheme, TokenizedUtterance, tokenize
 
 log = logging.getLogger(__name__)
@@ -50,15 +50,30 @@ class ConsistencyReport:
     per_pair: tuple[LexicalConsistencyPair, ...]
 
 
+def pair_counts(pair: UtterancePair) -> tuple[int, int, int, int, int, int]:
+    """The structural counts of one pair: 1 (the pair itself), 1 when its
+    block counts are equal, and then its block pairs with equal line
+    counts and its block pairs (else 0 and 0), and its caption and
+    subtitle characters."""
+    cap_blocks, sub_blocks = pair.caption.blocks, pair.subtitle.blocks
+    same = equal = compared = 0
+    if len(cap_blocks) == len(sub_blocks):
+        same, compared = 1, len(cap_blocks)
+        equal = sum(len(c.lines) == len(s.lines) for c, s in zip(cap_blocks, sub_blocks))
+    return 1, same, equal, compared, pair.caption.char_count(), pair.subtitle.char_count()
+
+
+def _pair_sums(pairs: Sequence[UtterancePair]) -> list[int]:
+    return column_sums(map(pair_counts, pairs))
+
+
 def structural_consistency(pairs: Sequence[UtterancePair]) -> float:
     """Fraction of pairs whose caption and subtitle have equal block
     counts."""
     if not pairs:
         raise DataError("empty pair list")
-    same = sum(
-        1 for p in pairs if len(p.caption.blocks) == len(p.subtitle.blocks)
-    )
-    return same / len(pairs)
+    n, same, *_ = _pair_sums(pairs)
+    return same / n
 
 
 def block_index_map(utt: Utterance, lang: str = "en") -> BlockIndexMap:
@@ -121,15 +136,18 @@ def lexical_consistency_pair(
     Indices count break-stripped MT tokens.
     """
     tokens = _tokenize_pair(pair, align_c2s, align_s2c, caption_lang, subtitle_lang)
-    return _lexical_consistency_pair(tokens, align_c2s, align_s2c, skip_unaligned)
+    return lexical_from_tokens(tokens, align_c2s, align_s2c, skip_unaligned)
 
 
-def _lexical_consistency_pair(
+def lexical_from_tokens(
     tokens: tuple[TokenizedUtterance, TokenizedUtterance],
     align_c2s: SentenceAlignment,
     align_s2c: SentenceAlignment,
-    skip_unaligned: bool,
+    skip_unaligned: bool = False,
 ) -> LexicalConsistencyPair:
+    """`lexical_consistency_pair` of a pair's (caption, subtitle) MT
+    tokens.  Every link must index within them: this function does not
+    check them."""
     cap_tokens, sub_tokens = tokens
     cap_blocks = _block_index_map(cap_tokens).word_to_block
     sub_blocks = _block_index_map(sub_tokens).word_to_block
@@ -160,6 +178,27 @@ def _lexical_consistency_pair(
     )
 
 
+def _lexical_results(
+    pairs: Sequence[UtterancePair],
+    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
+    caption_lang: str,
+    subtitle_lang: str,
+    skip_unaligned: bool,
+) -> list[LexicalConsistencyPair]:
+    """The lexical result of each pair, in pair order, once the counts
+    are checked and then each pair's links."""
+    if len(pairs) != len(alignments):
+        raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
+    if not pairs:
+        raise DataError("empty pair list")
+    return [
+        lexical_from_tokens(
+            _tokenize_pair(pair, c2s, s2c, caption_lang, subtitle_lang), c2s, s2c, skip_unaligned
+        )
+        for pair, (c2s, s2c) in zip(pairs, alignments)
+    ]
+
+
 def corpus_lexical_consistency(
     pairs: Sequence[UtterancePair],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
@@ -169,55 +208,35 @@ def corpus_lexical_consistency(
 ) -> tuple[float, list[LexicalConsistencyPair]]:
     """Unweighted mean of lex_pair over the corpus, plus per-pair
     diagnostics."""
-    # Lazy, so that the scorer's count and empty-list checks come first.
-    tokens = (_tokenize_pair(p, *a, caption_lang, subtitle_lang) for p, a in zip(pairs, alignments))
-    return _corpus_lexical_consistency(pairs, tokens, alignments, skip_unaligned)
-
-
-def _corpus_lexical_consistency(
-    pairs: Sequence[UtterancePair],
-    tokens: Iterable[tuple[TokenizedUtterance, TokenizedUtterance]],
-    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    skip_unaligned: bool,
-) -> tuple[float, list[LexicalConsistencyPair]]:
-    if len(pairs) != len(alignments):
-        raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
-    if not pairs:
-        raise DataError("empty pair list")
-    per_pair = [
-        _lexical_consistency_pair(pair_tokens, c2s, s2c, skip_unaligned)
-        for pair_tokens, (c2s, s2c) in zip(tokens, alignments, strict=True)
-    ]
+    per_pair = _lexical_results(pairs, alignments, caption_lang, subtitle_lang, skip_unaligned)
     return sum(p.lex_pair for p in per_pair) / len(per_pair), per_pair
+
+
+def _line_count_rate(equal: int, compared: int) -> Optional[float]:
+    if compared == 0:
+        log.warning("no structurally consistent pairs; line-count rate undefined")
+        return None
+    return equal / compared
 
 
 def line_count_consistency(pairs: Sequence[UtterancePair]) -> Optional[float]:
     """Fraction of positionally paired blocks with equal line counts,
     over structurally consistent pairs only."""
-    equal = 0
-    total = 0
-    for pair in pairs:
-        if len(pair.caption.blocks) != len(pair.subtitle.blocks):
-            continue
-        for cap_block, sub_block in zip(pair.caption.blocks, pair.subtitle.blocks):
-            total += 1
-            if len(cap_block.lines) == len(sub_block.lines):
-                equal += 1
-    if total == 0:
-        log.warning("no structurally consistent pairs; line-count rate undefined")
-        return None
-    return equal / total
+    _, _, equal, compared, _, _ = _pair_sums(pairs)
+    return _line_count_rate(equal, compared)
+
+
+def _char_ratio(cap_chars: int, sub_chars: int) -> float:
+    if sub_chars == 0:
+        raise DataError("subtitle corpus has zero characters")
+    return cap_chars / sub_chars
 
 
 def char_ratio(pairs: Sequence[UtterancePair]) -> float:
     """Total caption characters over total subtitle characters."""
     if not pairs:
         raise DataError("empty pair list")
-    cap_chars = sum(p.caption.char_count() for p in pairs)
-    sub_chars = sum(p.subtitle.char_count() for p in pairs)
-    if sub_chars == 0:
-        raise DataError("subtitle corpus has zero characters")
-    return cap_chars / sub_chars
+    return _char_ratio(*_pair_sums(pairs)[4:])
 
 
 def subtitle_block_judgements(
@@ -261,6 +280,23 @@ def validate_lexical_metric(
     return mae, agreement
 
 
+def consistency_from_sums(
+    sums: Sequence[int], lex_sum: float, per_pair: Sequence[LexicalConsistencyPair] = ()
+) -> ConsistencyReport:
+    """The report of a corpus from the column sums of `pair_counts` over
+    its pairs and the sum of their lex_pair, added in pair order."""
+    if not sums:
+        raise DataError("empty pair list")
+    n, same, equal, compared, cap_chars, sub_chars = sums
+    return ConsistencyReport(
+        structural=same / n,
+        lexical=lex_sum / n,
+        line_count=_line_count_rate(equal, compared),
+        char_ratio=_char_ratio(cap_chars, sub_chars),
+        per_pair=tuple(per_pair),
+    )
+
+
 def consistency_report(
     pairs: Sequence[UtterancePair],
     alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
@@ -268,27 +304,7 @@ def consistency_report(
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
-    # Lazy, so that the scorer's count and empty-list checks come first.
-    tokens = (_tokenize_pair(p, *a, caption_lang, subtitle_lang) for p, a in zip(pairs, alignments))
-    return consistency_report_from_tokens(pairs, tokens, alignments, skip_unaligned)
-
-
-def consistency_report_from_tokens(
-    pairs: Sequence[UtterancePair],
-    tokens: Iterable[tuple[TokenizedUtterance, TokenizedUtterance]],
-    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    skip_unaligned: bool = False,
-) -> ConsistencyReport:
-    """`consistency_report` with each pair's (caption, subtitle) tokens
-    given, in pair order.  Every link must index within its pair's
-    tokens: this function does not check them."""
-    lexical, per_pair = _corpus_lexical_consistency(
-        pairs, tokens, alignments, skip_unaligned
-    )
-    return ConsistencyReport(
-        structural=structural_consistency(pairs),
-        lexical=lexical,
-        line_count=line_count_consistency(pairs),
-        char_ratio=char_ratio(pairs),
-        per_pair=tuple(per_pair),
+    per_pair = _lexical_results(pairs, alignments, caption_lang, subtitle_lang, skip_unaligned)
+    return consistency_from_sums(
+        _pair_sums(pairs), sum(p.lex_pair for p in per_pair), per_pair
     )

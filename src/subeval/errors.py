@@ -1,8 +1,11 @@
 """Exception hierarchy shared by all subeval modules, `located`, which
-names the input file in an error, and the UTF-8 opener loaders use."""
+names the input file in an error, and the UTF-8 opener and streaming
+reader that loaders use."""
 
 from contextlib import contextmanager
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class SubevalError(Exception):
@@ -35,10 +38,12 @@ def located(label: str):
 
 @contextmanager
 def open_utf8(path: str):
-    """Open `path` as UTF-8 text.  A decode error raised while the file
-    is read becomes a FormatError naming the path and the 1-based line of
-    the first invalid byte; the line is found only on that error path."""
-    with open(path, encoding="utf-8") as fh:
+    """Open `path` as UTF-8 text whose lines end at each LF alone, so a
+    CR stays in its line.  A decode error raised while the file is read
+    becomes a FormatError naming the path and the 1-based line of the
+    first invalid byte, counted in LFs as well; the line is found only on
+    that error path."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -50,3 +55,10 @@ def open_utf8(path: str):
                 line = raw.count(b"\n", 0, exc.start) + 1
                 raise FormatError(f"{path}:{line}: not valid UTF-8") from None
             raise
+
+
+def stream_file(path: str, reader: Callable[..., Iterable[T]], *args) -> Iterator[T]:
+    """Yield what `reader(fh, *args)` yields from the file at `path`, as
+    the file is read; its errors name the path."""
+    with open_utf8(path) as fh, located(path):
+        yield from reader(fh, *args)

@@ -9,8 +9,9 @@ trains and applies the aligner, imports these names back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .errors import FormatError, located, open_utf8
+from .errors import FormatError, stream_file
 
 # Training defaults, and the range EM keeps the diagonal prior's tension in.
 DEFAULT_ITERATIONS = 5
@@ -48,13 +49,17 @@ def write_pharaoh(alignment: SentenceAlignment) -> str:
     return " ".join(f"{i}-{j}" for i, j in sorted(alignment.links))
 
 
-def load_pharaoh(path: str) -> list[SentenceAlignment]:
-    alignments = []
-    with open_utf8(path) as fh, located(path):
+def iter_pharaoh(source: Iterable[str]) -> Iterator[SentenceAlignment]:
+    """Yield the alignment of each line of Pharaoh text as it is read;
+    a malformed line's error gives its 1-based line."""
+    for lineno, line in enumerate(source, start=1):
         try:
-            for line in fh:
-                alignments.append(parse_pharaoh(line.rstrip("\n")))
+            alignment = parse_pharaoh(line.rstrip("\n"))
         except FormatError as exc:
-            exc.line = len(alignments) + 1
+            exc.line = lineno
             raise
-    return alignments
+        yield alignment
+
+
+def load_pharaoh(path: str) -> list[SentenceAlignment]:
+    return list(stream_file(path, iter_pharaoh))

@@ -8,9 +8,9 @@ input and always produced on output.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
-from .errors import FormatError, located, open_utf8
+from .errors import FormatError, stream_file
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 log = logging.getLogger(__name__)
@@ -50,23 +50,27 @@ def parse_utterance_text(text: str, index: int, lenient: bool = False) -> Uttera
     return Utterance(id=str(index), blocks=tuple(blocks))
 
 
+def iter_marked_text(
+    source: Union[str, TextIO, Iterable[str]], lenient: bool = False
+) -> Iterator[Utterance]:
+    """Yield the utterances of marker-format text as it is read, one per
+    line; utterance ids are the 0-based line numbers."""
+    if isinstance(source, str):
+        lines = source.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+    else:
+        lines = (line.rstrip("\n") for line in source)
+    for i, raw in enumerate(lines):
+        yield parse_utterance_text(raw, i, lenient=lenient)
+
+
 def parse_marked_text(
     source: Union[str, TextIO, Iterable[str]], lenient: bool = False
 ) -> SubtitleDocument:
     """Parse marker-format text, one utterance per line; utterance ids
     are the 0-based line numbers."""
-    if isinstance(source, str):
-        raw_lines = source.split("\n")
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
-    else:
-        raw_lines = [line.rstrip("\n") for line in source]
-    return SubtitleDocument(
-        tuple(
-            parse_utterance_text(raw, i, lenient=lenient)
-            for i, raw in enumerate(raw_lines)
-        )
-    )
+    return SubtitleDocument(tuple(iter_marked_text(source, lenient)))
 
 
 def serialize_marked_text(doc: SubtitleDocument) -> str:
@@ -76,5 +80,4 @@ def serialize_marked_text(doc: SubtitleDocument) -> str:
 
 
 def load_marked_text(path: str, lenient: bool = False) -> SubtitleDocument:
-    with open_utf8(path) as fh, located(path):
-        return parse_marked_text(fh, lenient=lenient)
+    return SubtitleDocument(tuple(stream_file(path, iter_marked_text, lenient)))

@@ -14,7 +14,8 @@ constructing them directly validates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sized
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from .errors import DataError
 
@@ -88,17 +89,33 @@ class SubtitleDocument:
         return iter(self.utterances)
 
 
-def check_count(a: Sized, b: Sized) -> None:
-    """Raise a DataError unless `a` and `b` hold as many utterances."""
-    if len(a) != len(b):
-        raise DataError(f"utterance count mismatch: {len(a)} vs {len(b)}")
+def check_count(a: int, b: int) -> None:
+    """Raise a DataError unless two inputs hold as many utterances, `a`
+    and `b`."""
+    if a != b:
+        raise DataError(f"utterance count mismatch: {a} vs {b}")
+
+
+def add_counts(sums: list, counts: Sequence) -> None:
+    """Add `counts` to `sums` in place, column by column; empty `sums`
+    start as a copy of the first `counts`."""
+    sums[:] = map(add, sums, counts) if sums else counts
+
+
+def column_sums(rows: Iterable[Sequence]) -> list:
+    """The sum of each column of `rows`, added in row order: the corpus
+    counts that per-pair counts add up to.  No rows sum to []."""
+    sums: list = []
+    for row in rows:
+        add_counts(sums, row)
+    return sums
 
 
 def pair_documents(
     captions: SubtitleDocument, subtitles: SubtitleDocument
 ) -> list[UtterancePair]:
     """Pair the i-th caption utterance with the i-th subtitle utterance."""
-    check_count(captions, subtitles)
+    check_count(len(captions), len(subtitles))
     return [
         UtterancePair(caption=c, subtitle=s)
         for c, s in zip(captions.utterances, subtitles.utterances)

@@ -8,10 +8,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DataError
-from .model import Utterance, check_count
+from .model import Utterance, check_count, column_sums
 from .textproc import Scheme, normalize_for_wer, tokenize
 
 log = logging.getLogger(__name__)
@@ -110,34 +110,36 @@ def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[tuple[int, i
     return [(*edit_operations(_wer_words(h), ref_words), len(ref_words)) for h in hyps]
 
 
-def _warn_empty_references(
-    edits_and_lengths: Iterable[Sequence[int]], ref: Sequence[Utterance]
-) -> None:
+def _warn_empty_reference(edits: int, ref_len: int, ref: Utterance) -> None:
     # Against an empty reference every edit is an insertion, so edits
     # mean the hypothesis had words.
-    for (edits, ref_len), r in zip(edits_and_lengths, ref):
-        if ref_len == 0 and edits:
-            log.warning(
-                "utterance %s: empty reference after normalization; "
-                "hypothesis words counted as insertions", r.id,
-            )
+    if ref_len == 0 and edits:
+        log.warning(
+            "utterance %s: empty reference after normalization; "
+            "hypothesis words counted as insertions", ref.id,
+        )
+
+
+def wer_counts(hyp: Utterance, ref: Utterance) -> tuple[int, int, int, int]:
+    """(S, D, I, reference_length) of one utterance after WER
+    normalization; warns when only the hypothesis has words."""
+    ((subs, dels, ins, ref_len),) = _wer_segment((hyp,), ref)
+    _warn_empty_reference(subs + dels + ins, ref_len, ref)
+    return subs, dels, ins, ref_len
 
 
 def wer_segment_stats(
     hyp: Sequence[Utterance], ref: Sequence[Utterance]
 ) -> list[tuple[int, int, int, int]]:
     """Per-utterance (S, D, I, reference_length) after WER normalization."""
-    check_count(hyp, ref)
-    stats = [_wer_segment((h,), r)[0] for h, r in zip(hyp, ref)]
-    _warn_empty_references([(s + d + i, n) for s, d, i, n in stats], ref)
-    return stats
+    check_count(len(hyp), len(ref))
+    return [wer_counts(h, r) for h, r in zip(hyp, ref)]
 
 
-def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
-    """Corpus WER on unpunctuated, lowercased text, breaks removed."""
-    if not ref:
-        raise DataError("empty corpus")
-    subs, dels, ins, ref_len = map(sum, zip(*wer_segment_stats(hyp, ref)))
+def wer_from_sums(sums: Sequence[int]) -> WerBreakdown:
+    """Corpus WER from the column sums of `wer_counts` over one or more
+    utterances."""
+    subs, dels, ins, ref_len = sums
     if ref_len == 0:
         raise DataError("reference corpus is empty after normalization")
     return WerBreakdown(
@@ -147,6 +149,13 @@ def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
         reference_length=ref_len,
         wer=100.0 * (subs + dels + ins) / ref_len,
     )
+
+
+def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
+    """Corpus WER on unpunctuated, lowercased text, breaks removed."""
+    if not ref:
+        raise DataError("empty corpus")
+    return wer_from_sums(column_sums(wer_segment_stats(hyp, ref)))
 
 
 def _bleu_tokens(utt: Utterance, keep_breaks: bool) -> list[str]:
@@ -168,8 +177,8 @@ def _ngram_counts(words: Sequence[str]) -> Counter:
 
 def _bleu_segment(
     hyps: Sequence[Utterance], ref: Utterance, keep_breaks: bool
-) -> list[tuple[list[int], list[int], int, int]]:
-    """(correct[4], total[4], hyp_len, ref_len) of each hypothesis
+) -> list[tuple[int, ...]]:
+    """(correct 1..4, total 1..4, hyp_len, ref_len) of each hypothesis
     against one reference, which is tokenized and counted once."""
     ref_words = _bleu_tokens(ref, keep_breaks)
     ref_counts = _ngram_counts(ref_words)
@@ -183,8 +192,14 @@ def _bleu_segment(
             if ref_count:
                 correct[len(gram) - 1] += count if count < ref_count else ref_count
         total = [max(len(hyp_words) - n, 0) for n in range(NGRAM_ORDER)]
-        stats.append((correct, total, len(hyp_words), len(ref_words)))
+        stats.append((*correct, *total, len(hyp_words), len(ref_words)))
     return stats
+
+
+def bleu_counts(hyp: Utterance, ref: Utterance, keep_breaks: bool = True) -> tuple[int, ...]:
+    """(correct 1..4, total 1..4, hyp_len, ref_len) of one utterance
+    under 13a tokenization: BLEU's sufficient statistics."""
+    return _bleu_segment((hyp,), ref, keep_breaks)[0]
 
 
 def bleu_segment_stats(
@@ -192,8 +207,11 @@ def bleu_segment_stats(
 ) -> list[tuple[list[int], list[int], int, int]]:
     """Per-utterance (correct[4], total[4], hyp_len, ref_len) sufficient
     statistics under 13a tokenization."""
-    check_count(hyp, ref)
-    return [_bleu_segment((h,), r, keep_breaks)[0] for h, r in zip(hyp, ref)]
+    check_count(len(hyp), len(ref))
+    return [
+        (list(stats[:4]), list(stats[4:8]), stats[8], stats[9])
+        for stats in (bleu_counts(h, r, keep_breaks) for h, r in zip(hyp, ref))
+    ]
 
 
 def bleu_from_stats(
@@ -230,19 +248,22 @@ def bleu_from_stats(
     )
 
 
+def bleu_from_sums(sums: Sequence[int]) -> BleuScore:
+    """Corpus BLEU from the column sums of `bleu_counts` over one or
+    more utterances."""
+    if sums[8] == 0:
+        log.warning("hypothesis corpus is empty; BLEU = 0")
+    return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9])
+
+
 def corpus_bleu(
     hyp: Sequence[Utterance], ref: Sequence[Utterance], keep_breaks: bool = True
 ) -> BleuScore:
     if not ref:
         raise DataError("empty corpus")
-    stats = bleu_segment_stats(hyp, ref, keep_breaks=keep_breaks)
-    correct = [sum(seg[0][n] for seg in stats) for n in range(NGRAM_ORDER)]
-    total = [sum(seg[1][n] for seg in stats) for n in range(NGRAM_ORDER)]
-    hyp_len = sum(seg[2] for seg in stats)
-    ref_len = sum(seg[3] for seg in stats)
-    if hyp_len == 0:
-        log.warning("hypothesis corpus is empty; BLEU = 0")
-    return bleu_from_stats(correct, total, hyp_len, ref_len)
+    check_count(len(hyp), len(ref))
+    counts = (bleu_counts(h, r, keep_breaks) for h, r in zip(hyp, ref))
+    return bleu_from_sums(column_sums(counts))
 
 
 def bootstrap_significance(
@@ -271,16 +292,15 @@ def bootstrap_significance(
         raise DataError("resamples must be positive")
     if metric not in ("bleu", "wer"):
         raise DataError(f"unknown metric {metric!r}")
-    check_count(hyp_a, ref)
-    check_count(hyp_b, ref)
+    check_count(len(hyp_a), n)
+    check_count(len(hyp_b), n)
     # WER is negated so that higher is better for both metrics.  Negation
     # is exact, so every comparison and difference below is unchanged.
     if metric == "bleu":
         width = 2 * NGRAM_ORDER + 2
 
         def row(a: Utterance, b: Utterance, r: Utterance) -> list[int]:
-            stats = _bleu_segment((a, b), r, keep_breaks)
-            return [x for correct, total, *lengths in stats for x in (*correct, *total, *lengths)]
+            return [x for stats in _bleu_segment((a, b), r, keep_breaks) for x in stats]
 
         def score(sums: list[int]) -> float:
             return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9]).score
@@ -302,8 +322,9 @@ def bootstrap_significance(
     for i, segment in enumerate(zip(hyp_a, hyp_b, ref)):
         both[i] = row(*segment)
     if metric == "wer":
-        _warn_empty_references(both[:, :2].tolist(), ref)
-        _warn_empty_references(both[:, 2:].tolist(), ref)
+        for system in (both[:, :2], both[:, 2:]):
+            for (edits, ref_len), r in zip(system.tolist(), ref):
+                _warn_empty_reference(edits, ref_len, r)
     full = both.sum(axis=0).tolist()
     if metric == "wer" and full[1] == 0:
         raise DataError("reference corpus is empty after normalization")

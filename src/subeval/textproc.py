@@ -11,9 +11,9 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .errors import DataError, FormatError, located, open_utf8
+from .errors import DataError, FormatError, stream_file
 from .model import BREAKS, EOB, EOL
 
 
@@ -212,22 +212,23 @@ def normalize_for_wer(tokens: TokenizedUtterance) -> list[str]:
     return out
 
 
-def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[str, str]]]:
-    """Read (FORM, UPOS) sequences from CoNLL-U text.
+def iter_conllu(
+    source: Union[str, TextIO, Iterable[str]]
+) -> Iterator[tuple[int, list[tuple[str, str]]]]:
+    """Yield each sentence of CoNLL-U text as it is read: the 1-based
+    line of its first token and its (FORM, UPOS) sequence.
 
     Multiword-token ranges ("n-m") and empty nodes ("n.m") are skipped;
     their parts carry the tags.
     """
-    if isinstance(source, str):
-        lines = source.split("\n")
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    sentences: list[list[tuple[str, str]]] = []
+    lines = source.split("\n") if isinstance(source, str) else source
     current: list[tuple[str, str]] = []
+    first = 0
     for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
         if not line.strip():
             if current:
-                sentences.append(current)
+                yield first, current
                 current = []
             continue
         if line.startswith("#"):
@@ -240,15 +241,20 @@ def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[s
             continue
         if upos not in UPOS_TAGS:
             raise FormatError(f"unknown UPOS {upos!r}", line=lineno)
+        if not current:
+            first = lineno
         current.append((form, upos))
     if current:
-        sentences.append(current)
-    return sentences
+        yield first, current
+
+
+def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[str, str]]]:
+    """Read (FORM, UPOS) sequences from CoNLL-U text, as `iter_conllu`."""
+    return [sentence for _, sentence in iter_conllu(source)]
 
 
 def load_conllu(path: str) -> list[list[tuple[str, str]]]:
-    with open_utf8(path) as fh, located(path):
-        return parse_conllu(fh)
+    return [sentence for _, sentence in stream_file(path, iter_conllu)]
 
 
 def attach_tags(

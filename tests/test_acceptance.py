@@ -7,7 +7,10 @@ glance from the run log.
 
 import contextlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import oracles
@@ -27,6 +30,8 @@ from subeval.model import pair_documents
 from subeval.quality import bootstrap_significance, corpus_bleu, wer
 from subeval.report import TSV_COLUMNS
 from subeval.textproc import Scheme, attach_tags, load_conllu, tokenize
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @contextlib.contextmanager
@@ -469,3 +474,60 @@ def test_end_to_end_throughput_and_determinism(capsys, tmp_path):
         assert out.read_bytes() == first
         report = json.loads(first.decode().split("system\twer")[0])
         assert report["wer"] is not None and report["bleu"] is not None
+
+
+def _eval_args(directory, n_pairs):
+    """`eval` with Pharaoh files and diagnostics on a generated corpus of
+    `n_pairs` pairs written to `directory`."""
+    directory.mkdir(parents=True)
+    paths = _write_large_corpus(directory, n_pairs=n_pairs)
+    return [
+        "eval",
+        "--captions-hyp", paths["captions.hyp"],
+        "--captions-ref", paths["captions.ref"],
+        "--subtitles-hyp", paths["subtitles.hyp"],
+        "--subtitles-ref", paths["subtitles.ref"],
+        "--align-c2s", paths["align.c2s"],
+        "--align-s2c", paths["align.s2c"],
+        "--subtitle-lang", "fr",
+        "--out-file", str(directory / "report.json"),
+        "--diagnostics", str(directory / "diag.jsonl"),
+    ]
+
+
+# Runs `cli.main` on the arguments before `--`, unmeasured, then prints
+# tracemalloc's peak over `cli.main` on the arguments after it.
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from subeval.cli import main
+split = sys.argv.index("--")
+assert main(sys.argv[1:split]) == 0
+tracemalloc.start()
+assert main(sys.argv[split + 1:]) == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_eval_memory_does_not_grow_with_the_corpus(capsys, tmp_path):
+    with criterion(capsys, "eval memory flat from 1,000 to 4,000 pairs"):
+        # The generated corpus draws from 14 words per language, so the
+        # tokenizer memos (bounded at 2**16 entries each by design) stay
+        # small, and the peaks measure the state `eval` keeps per pair.
+        # Each peak is taken in a new interpreter after an unmeasured
+        # 1,000-pair run.  That run makes what every run builds once, such
+        # as those memos, and fills the interpreter's bounded free lists
+        # (tuples, for instance), whose level otherwise depends on what
+        # ran before and on when the collector last emptied them.
+        warm = _eval_args(tmp_path / "warm", 1_000)
+
+        def peak(n_pairs):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_SCRIPT, *warm, "--",
+                 *_eval_args(tmp_path / str(n_pairs), n_pairs)],
+                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        small, large = peak(1_000), peak(4_000)
+        assert large <= 1.1 * small, (small, large)

@@ -251,6 +251,15 @@ def test_parse_pharaoh_column_of_repeated_token():
         parse_pharaoh("1-2 1")
 
 
+def test_crlf_pharaoh_file_parses_as_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(b"0-0 1-2\n\n2-1\n")
+    crlf.write_bytes(b"0-0 1-2\r\n\r\n2-1\r\n")
+    expected = [{(0, 0), (1, 2)}, set(), {(2, 1)}]
+    assert [a.links for a in load_pharaoh(str(crlf))] == expected
+    assert load_pharaoh(str(crlf)) == load_pharaoh(str(lf))
+
+
 def test_load_pharaoh_names_path_and_line(tmp_path):
     path = tmp_path / "align.c2s"
     path.write_text("0-0\n0-0 x-1\n")

@@ -294,7 +294,9 @@ def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys)
 @pytest.mark.parametrize(
     "key, at, text, message",
     [
-        ("pos_captions", 1, None, "{pos_captions}: utterance '0': 8 word tokens but 7 tags"),
+        ("pos_captions", 1, None, "{pos_captions}:1: utterance '0': 8 word tokens but 7 tags"),
+        # The line of the sentence's first token.
+        ("pos_captions", 10, None, "{pos_captions}:10: utterance '1': 10 word tokens but 9 tags"),
         ("align_c2s", 19, None, "{align_c2s}: 19 lines for 20 pairs"),
         ("align_c2s", 0, "99-99",
          "{align_c2s}:1: alignment link 99-99 out of bounds (utterance '0')"),
@@ -309,8 +311,8 @@ def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys)
         ("pos_captions", 20, "1\tThe", "{pos_captions}:21: expected 10 columns, got 2"),
     ],
     ids=[
-        "pos-tag-count", "pharaoh-line-count", "pharaoh-link-bounds", "empty-utterance",
-        "pharaoh-s2c-link-bounds", "pharaoh-s2c-link-bounds-pair-7",
+        "pos-tag-count", "pos-tag-count-sentence-2", "pharaoh-line-count",
+        "pharaoh-link-bounds", "empty-utterance", "pharaoh-s2c-link-bounds", "pharaoh-s2c-link-bounds-pair-7",
         "pharaoh-c2s-link-bounds-pair-7", "conllu-line",
     ],
 )
@@ -341,9 +343,13 @@ def test_eval_srt_error_names_file_and_line(micro_paths, tmp_path, capsys):
 
 def test_eval_checks_each_pharaoh_link_once(micro_paths, monkeypatch, capsys):
     checked = Counter()
+    # `eval` drops each pair's alignments once it is scored; holding them
+    # here keeps their ids from being reused.
+    held = []
 
     def check_links(alignment, *args):
         checked[id(alignment)] += 1
+        held.append(alignment)
         return real(alignment, *args)
 
     real = consistency.check_links

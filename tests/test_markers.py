@@ -3,7 +3,7 @@ import logging
 import pytest
 
 from subeval.errors import FormatError
-from subeval.markers import parse_marked_text, serialize_marked_text
+from subeval.markers import load_marked_text, parse_marked_text, serialize_marked_text
 
 
 def test_two_block_utterance():
@@ -82,3 +82,20 @@ def test_block_counts_match_marker_counts():
     utt = doc.utterances[0]
     assert len(utt.blocks) == raw.count("<eob>")
     assert sum(len(b.lines) - 1 for b in utt.blocks) == raw.count("<eol>")
+
+
+def test_lone_cr_stays_in_its_line(tmp_path):
+    # Lines end at LF alone, as the UTF-8 error's line count has them.
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"a\rb <eob>\n")
+    doc = load_marked_text(str(path))
+    assert len(doc) == 1
+    assert doc.utterances[0].blocks[0].lines == ("a b",)
+
+
+def test_crlf_file_parses_as_lf(tmp_path):
+    text = "Hello <eol> there <eob> friend <eob>\nGoodbye. <eob>\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert load_marked_text(str(crlf)) == load_marked_text(str(lf)) == parse_marked_text(text)

@@ -128,3 +128,12 @@ def test_load_names_the_file_and_keeps_the_error_class(tmp_path):
     with pytest.raises(DataError) as info:
         load_srt(str(path))
     assert str(info.value) == f"{path}:3: line text contains a break token literal: '<eob>'"
+
+
+def test_load_keeps_a_lone_cr_in_its_cue_line(tmp_path):
+    text = "1\n00:00:01,000 --> 00:00:02,000\nhi\rthere\n"
+    path = tmp_path / "cues.srt"
+    path.write_bytes(text.encode())
+    doc = load_srt(str(path))
+    assert doc == parse_srt(text)
+    assert doc.utterances[0].blocks[0].lines == ("hi\rthere",)

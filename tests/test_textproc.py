@@ -233,6 +233,25 @@ def test_parse_conllu_skips_multiword_ranges():
     assert sentences[1] == [("de", "ADP"), ("le", "DET")]
 
 
+def test_crlf_conllu_file_parses_as_lf(tmp_path):
+    text = (
+        "# sent_id = 1\n1\tHello\t_\tINTJ\t_\t_\t0\t_\t_\t_\n"
+        "2\t.\t_\tPUNCT\t_\t_\t1\t_\t_\t_\n\n"
+        "1\tBye\t_\tINTJ\t_\t_\t0\t_\t_\t_\n"
+    )
+    lf, crlf = tmp_path / "lf.conllu", tmp_path / "crlf.conllu"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    expected = [[("Hello", "INTJ"), (".", "PUNCT")], [("Bye", "INTJ")]]
+    assert textproc.load_conllu(str(crlf)) == textproc.load_conllu(str(lf)) == expected
+
+
+def test_iter_conllu_gives_the_line_of_each_first_token():
+    text = "# a\n1-2\tdu\t_\t_\t_\t_\t_\t_\t_\t_\n1\tde\t_\tADP\t_\t_\t0\t_\t_\t_\n\n\n" \
+        "1\tx\t_\tX\t_\t_\t0\t_\t_\t_\n"
+    assert list(textproc.iter_conllu(text)) == [(3, [("de", "ADP")]), (6, [("x", "X")])]
+
+
 def test_parse_conllu_unknown_upos():
     bad = "1\tx\t_\tFOO\t_\t_\t0\t_\t_\t_\n"
     with pytest.raises(FormatError, match="unknown UPOS 'FOO'") as info:
