@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, located, open_utf8
+from .errors import DataError, FormatError, located, numbered_lines, open_utf8
 from .links import (  # noqa: F401  (re-exported)
     DEFAULT_ITERATIONS,
     DEFAULT_P0,
@@ -459,7 +459,10 @@ def load_model(path: str) -> TranslationModel:
         if len(header) != 6 or header[0] != "tension" or header[2] != "p0":
             raise FormatError("bad model header", line=1)
         try:
-            tension, p0, diagonal = float(header[1]), float(header[3]), bool(int(header[5]))
+            tension, p0, diagonal = float(header[1]), float(header[3]), int(header[5])
+            # Only values a trained model can hold: p0 as `train_aligner` takes it.
+            if not (math.isfinite(tension) and 0.0 <= p0 < 1.0 and diagonal in (0, 1)):
+                raise ValueError
         except ValueError:
             raise FormatError("bad number in model header", line=1) from None
         lineno = 2
@@ -481,7 +484,7 @@ def load_model(path: str) -> TranslationModel:
             sources += _word_ids(source_ids, cells[0::3])
             targets += _word_ids(target_ids, cells[1::3])
             lineno += rows
-    model = TranslationModel({}, tension, p0, diagonal)
+    model = TranslationModel({}, tension, p0, bool(diagonal))
     probs = np.concatenate([np.empty(0), *blocks])
     model._set_entries(list(source_ids), sources, list(target_ids), targets, probs)
     return model
@@ -530,8 +533,7 @@ def load_bitext(path: str) -> list[tuple[str, str]]:
     break tokens."""
     pairs = []
     with open_utf8(path) as fh, located(path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+        for lineno, line in numbered_lines(fh):
             if not line.strip():
                 continue
             if "|||" not in line:

@@ -11,6 +11,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -28,11 +29,11 @@ from .conformity import (
     ConformityThresholds,
     LengthAggregation,
 )
-from .errors import DataError, FormatError, SubevalError, located, open_utf8, stream_file
+from .errors import DataError, FormatError, SubevalError, located, numbered_lines, stream_file
 from .markers import iter_marked_text, load_marked_text
-from .model import SubtitleDocument, UtterancePair, add_counts, check_count
+from .model import UtterancePair, add_counts, check_count
 from .report import EvaluationReport, report_to_json, report_to_tsv
-from .srt import load_srt
+from .srt import iter_srt, load_srt
 from .textproc import (
     Scheme,
     TaggedUtterance,
@@ -95,20 +96,17 @@ OPTIONS: dict[str, tuple[type, Any]] = {
     "resamples": (int, 1000),
 }
 
-def _parse_config_file(path: str) -> dict[str, Any]:
-    """key -> the value the config file at `path` gives it."""
-    values: dict[str, Any] = {}
-    with open_utf8(path) as fh, located(path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=" if "=" in line else " ")
-            key, value = key.strip(), value.strip()
-            if key not in EVAL_OPTIONS:
-                raise FormatError(f"unknown key {key!r}", line=lineno)
-            values[key] = _coerce(key, value, lineno)
-    return values
+def _parse_config_file(source) -> Iterator[tuple[str, Any]]:
+    """Yield (key, value) for each line of a config file that sets one."""
+    for lineno, line in numbered_lines(source):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=" if "=" in line else " ")
+        key, value = key.strip(), value.strip()
+        if key not in EVAL_OPTIONS:
+            raise FormatError(f"unknown key {key!r}", line=lineno)
+        yield key, _coerce(key, value, lineno)
 
 
 def _coerce(key: str, raw: str, lineno: int) -> Any:
@@ -132,7 +130,7 @@ def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any
     _check_text("config", path)
     if path == "":
         raise UsageError("--config must be a non-empty path, got ''")
-    config = _parse_config_file(path) if path else {}
+    config = dict(stream_file(path, _parse_config_file)) if path else {}
     flags = {key: args[key.replace("-", "_")] for key in keys}
     return {key: config.get(key, OPTIONS[key][1]) if v is None else v for key, v in flags.items()}
 
@@ -200,12 +198,6 @@ def _validate_options(opts: dict[str, Any]) -> None:
         raise UsageError("--lenient applies to marked text, not to --format srt")
 
 
-def _load_document(path: str, fmt: str, lenient: bool) -> SubtitleDocument:
-    if fmt == "srt":
-        return load_srt(path)
-    return load_marked_text(path, lenient=lenient)
-
-
 def _training_files(opts) -> list[str]:
     """The bitext files an aligner trains on: --train-bitext, --extra-bitext."""
     return [path for path in (opts["train-bitext"], opts["extra-bitext"]) if path]
@@ -265,7 +257,7 @@ _END = object()
 
 def _open_stream(opts, key: str) -> Optional[Iterator]:
     """The items of input `key`, read as they are asked for, or None
-    without the input.  SRT documents are loaded whole."""
+    without the input."""
     path = opts[key]
     if not path:
         return None
@@ -274,7 +266,7 @@ def _open_stream(opts, key: str) -> Optional[Iterator]:
     if key.startswith("align-"):
         return stream_file(path, links.iter_pharaoh)
     if opts["format"] == "srt":
-        return iter(load_srt(path))
+        return stream_file(path, iter_srt)
     return stream_file(path, iter_marked_text, opts["lenient"])
 
 
@@ -499,10 +491,8 @@ def run_align_apply(opts: dict[str, Any]) -> int:
 
 
 def run_significance(opts: dict[str, Any]) -> int:
-    hyp_a, hyp_b, ref = (
-        _load_document(opts[key], opts["format"], lenient=False)
-        for key in ("hyp-a", "hyp-b", "ref")
-    )
+    load = load_srt if opts["format"] == "srt" else load_marked_text
+    hyp_a, hyp_b, ref = (load(opts[key]) for key in ("hyp-a", "hyp-b", "ref"))
     with located(f"{opts['hyp-a']} and {opts['hyp-b']} vs {opts['ref']}"):
         result = quality_mod.bootstrap_significance(
             hyp_a.utterances,
@@ -522,29 +512,34 @@ _BOOL_WORDS = {
 }
 
 
-def _read_values(path: str, parse, expected: str) -> list:
-    """One value per non-blank line; a line `parse` rejects is a
-    FormatError naming the path and line."""
-    out = []
-    with open_utf8(path) as fh, located(path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse(line))
-            except (KeyError, ValueError):
-                raise FormatError(f"expected {expected}, got {line!r}", line=lineno) from None
-    return out
+def _read_values(source, parse, expected: str) -> Iterator:
+    """Yield one value per non-blank line; a line `parse` rejects is a
+    FormatError giving its line."""
+    for lineno, line in numbered_lines(source):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = parse(line)
+        except (KeyError, ValueError):
+            raise FormatError(f"expected {expected}, got {line!r}", line=lineno) from None
+        yield value
+
+
+def _finite(line: str) -> float:
+    value = float(line)
+    if not math.isfinite(value):
+        raise ValueError(line)
+    return value
 
 
 def run_validate_lexical(opts: dict[str, Any]) -> int:
-    def read_bools(path):
-        return _read_values(path, lambda line: _BOOL_WORDS[line.lower()], "a boolean")
+    def read(paths, parse, expected):
+        return [list(stream_file(path, _read_values, parse, expected)) for path in paths]
 
     auto, manual, auto_j, manual_j = (opts[key] for key in _VALIDATE_INPUTS)
-    scores = [_read_values(path, float, "a number") for path in (auto, manual)]
-    judgements = [read_bools(path) for path in (auto_j, manual_j)]
+    scores = read((auto, manual), _finite, "a number")
+    judgements = read((auto_j, manual_j), lambda line: _BOOL_WORDS[line.lower()], "a boolean")
     with located(f"{auto} vs {manual}, {auto_j} vs {manual_j}"):
         mae, agreement = consistency_mod.validate_lexical_metric(*scores, *judgements)
     sys.stdout.write(

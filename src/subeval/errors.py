@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all subeval modules, `located`, which
-names the input file in an error, and the UTF-8 opener and streaming
-reader that loaders use."""
+names the input file in an error, and the UTF-8 opener, line source and
+streaming reader that every input reader uses."""
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -38,12 +39,12 @@ def located(label: str):
 
 @contextmanager
 def open_utf8(path: str):
-    """Open `path` as UTF-8 text whose lines end at each LF alone, so a
-    CR stays in its line.  A decode error raised while the file is read
-    becomes a FormatError naming the path and the 1-based line of the
-    first invalid byte, counted in LFs as well; the line is found only on
-    that error path."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    """Open `path` as UTF-8 text, less a leading byte order mark, whose
+    lines end at each LF alone, so a CR stays in its line.  A decode
+    error raised while the file is read becomes a FormatError naming the
+    path and the 1-based line of the first invalid byte, counted in LFs
+    as well; the line is found only on that error path."""
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -55,6 +56,20 @@ def open_utf8(path: str):
                 line = raw.count(b"\n", 0, exc.start) + 1
                 raise FormatError(f"{path}:{line}: not valid UTF-8") from None
             raise
+
+
+def numbered_lines(source: Union[str, Iterable[str]]) -> Iterator[tuple[int, str]]:
+    """(1-based line, its text without the LF) for each line of `source`:
+    a string, or the lines of a file opened by `open_utf8`.  A string
+    loses its leading U+FEFF, as the file loses its byte order mark, and
+    is split at each LF alone; a final LF ends the last line and starts
+    no new one, as in a file."""
+    if isinstance(source, str):
+        lines = source.lstrip("\ufeff").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        return enumerate(lines, start=1)
+    return enumerate(map(str.rstrip, source, repeat("\n")), start=1)
 
 
 def stream_file(path: str, reader: Callable[..., Iterable[T]], *args) -> Iterator[T]:

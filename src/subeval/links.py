@@ -9,9 +9,9 @@ trains and applies the aligner, imports these names back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
-from .errors import FormatError, stream_file
+from .errors import FormatError, numbered_lines, stream_file
 
 # Training defaults, and the range EM keeps the diagonal prior's tension in.
 DEFAULT_ITERATIONS = 5
@@ -32,16 +32,11 @@ def parse_pharaoh(line: str) -> SentenceAlignment:
         offset = line.index(token, offset)
         column = offset + 1
         offset += len(token)
-        parts = token.split("-")
-        if len(parts) != 2:
+        i, _, j = token.partition("-")
+        # ASCII digits only: int() would also take "+1", "1_0" and "١".
+        if not (token.isascii() and i.isdigit() and j.isdigit()):
             raise FormatError(f"malformed alignment token {token!r} at column {column}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"malformed alignment token {token!r} at column {column}")
-        if i < 0 or j < 0:
-            raise FormatError(f"negative index in alignment token {token!r}")
-        links.add((i, j))
+        links.add((int(i), int(j)))
     return SentenceAlignment(frozenset(links))
 
 
@@ -49,12 +44,12 @@ def write_pharaoh(alignment: SentenceAlignment) -> str:
     return " ".join(f"{i}-{j}" for i, j in sorted(alignment.links))
 
 
-def iter_pharaoh(source: Iterable[str]) -> Iterator[SentenceAlignment]:
+def iter_pharaoh(source: Union[str, Iterable[str]]) -> Iterator[SentenceAlignment]:
     """Yield the alignment of each line of Pharaoh text as it is read;
     a malformed line's error gives its 1-based line."""
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in numbered_lines(source):
         try:
-            alignment = parse_pharaoh(line.rstrip("\n"))
+            alignment = parse_pharaoh(line)
         except FormatError as exc:
             exc.line = lineno
             raise

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Iterator, TextIO, Union
 
-from .errors import FormatError, stream_file
+from .errors import FormatError, numbered_lines, stream_file
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 log = logging.getLogger(__name__)
@@ -55,14 +55,8 @@ def iter_marked_text(
 ) -> Iterator[Utterance]:
     """Yield the utterances of marker-format text as it is read, one per
     line; utterance ids are the 0-based line numbers."""
-    if isinstance(source, str):
-        lines = source.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-    else:
-        lines = (line.rstrip("\n") for line in source)
-    for i, raw in enumerate(lines):
-        yield parse_utterance_text(raw, i, lenient=lenient)
+    for lineno, text in numbered_lines(source):
+        yield parse_utterance_text(text, lineno - 1, lenient=lenient)
 
 
 def parse_marked_text(

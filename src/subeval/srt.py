@@ -6,10 +6,11 @@ cue's timing.
 
 from __future__ import annotations
 
+import bisect
 import re
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Iterator, Union
 
-from .errors import DataError, FormatError, located, open_utf8
+from .errors import DataError, FormatError, numbered_lines, stream_file
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 _TIMING_RE = re.compile(
@@ -28,26 +29,47 @@ def format_timestamp(ms: int) -> str:
     return f"{h:02d}:{m:02d}:{s:02d},{milli:03d}"
 
 
-def _cue_chunks(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
+def _cue_chunks(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, list[str]]]:
     """Each run of non-blank lines, with the 1-based line of its first."""
     chunk: list[str] = []
-    # A blank line after the last ends the last run.
-    for lineno, line in enumerate([*lines, ""], start=1):
+    first = 0
+    for lineno, line in lines:
         if line.strip():
+            if not chunk:
+                first = lineno
             chunk.append(line)
         elif chunk:
-            yield lineno - len(chunk), chunk
+            yield first, chunk
             chunk = []
+    if chunk:
+        yield first, chunk
 
 
-def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
-    """Parse SRT text into a document: each cue becomes one single-block
-    utterance whose id is the cue index as a string."""
-    text = source if isinstance(source, str) else source.read()
-    text = text.lstrip("﻿")
-    utterances: list[Utterance] = []
-    seen: set[int] = set()
-    for first, chunk in _cue_chunks(text.split("\n")):
+def _add_index(runs: list[int], index: int) -> bool:
+    """Add `index` to `runs`, the start and end (exclusive) of each run of
+    consecutive cue indices seen, in order; False if it was there.  A
+    file numbered in order keeps one run, however long it is."""
+    k = bisect.bisect_right(runs, index)
+    if k % 2:
+        return False
+    joins_previous = k > 0 and runs[k - 1] == index
+    joins_next = k < len(runs) and runs[k] == index + 1
+    if joins_previous and joins_next:
+        del runs[k - 1 : k + 1]
+    elif joins_previous:
+        runs[k - 1] = index + 1
+    elif joins_next:
+        runs[k] = index
+    else:
+        runs[k:k] = (index, index + 1)
+    return True
+
+
+def iter_srt(source: Union[str, Iterable[str]]) -> Iterator[Utterance]:
+    """Yield the cues of SRT text as they are read: each becomes one
+    single-block utterance whose id is the cue index as a string."""
+    runs: list[int] = []  # the cue indices seen, as `_add_index` keeps them
+    for first, chunk in _cue_chunks(numbered_lines(source)):
         index_line = chunk[0].strip()
         # ASCII digits only: int() would also take "+1", "1_0" and "١".
         if not (index_line.isascii() and index_line.isdigit()):
@@ -70,12 +92,15 @@ def parse_srt(source: Union[str, TextIO]) -> SubtitleDocument:
         for lineno, line in enumerate(text_lines, start=first + 2):
             if EOB in line or EOL in line:
                 raise DataError(f"line text contains a break token literal: {line!r}", line=lineno)
-        if cue_index in seen:
+        if not _add_index(runs, cue_index):
             raise FormatError(f"duplicate cue index {cue_index}", line=first)
-        seen.add(cue_index)
         block = SubtitleBlock(text_lines, start_ms=start_ms, end_ms=end_ms)
-        utterances.append(Utterance(str(cue_index), (block,)))
-    return SubtitleDocument(tuple(utterances))
+        yield Utterance(str(cue_index), (block,))
+
+
+def parse_srt(source: Union[str, Iterable[str]]) -> SubtitleDocument:
+    """Parse SRT text into a document, as `iter_srt`."""
+    return SubtitleDocument(tuple(iter_srt(source)))
 
 
 def serialize_srt(doc: SubtitleDocument) -> str:
@@ -99,5 +124,4 @@ def serialize_srt(doc: SubtitleDocument) -> str:
 
 
 def load_srt(path: str) -> SubtitleDocument:
-    with open_utf8(path) as fh, located(path):
-        return parse_srt(fh)
+    return SubtitleDocument(tuple(stream_file(path, iter_srt)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .errors import DataError, FormatError, stream_file
+from .errors import DataError, FormatError, numbered_lines, stream_file
 from .model import BREAKS, EOB, EOL
 
 
@@ -221,11 +221,9 @@ def iter_conllu(
     Multiword-token ranges ("n-m") and empty nodes ("n.m") are skipped;
     their parts carry the tags.
     """
-    lines = source.split("\n") if isinstance(source, str) else source
     current: list[tuple[str, str]] = []
     first = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in numbered_lines(source):
         if not line.strip():
             if current:
                 yield first, current

@@ -29,6 +29,7 @@ from subeval.markers import load_marked_text
 from subeval.model import pair_documents
 from subeval.quality import bootstrap_significance, corpus_bleu, wer
 from subeval.report import TSV_COLUMNS
+from subeval.srt import format_timestamp
 from subeval.textproc import Scheme, attach_tags, load_conllu, tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -476,13 +477,32 @@ def test_end_to_end_throughput_and_determinism(capsys, tmp_path):
         assert report["wer"] is not None and report["bleu"] is not None
 
 
-def _eval_args(directory, n_pairs):
+def _write_as_srt(path):
+    """Rewrite the marked-text file at `path` as SRT: one cue per line,
+    holding the line's words, so the Pharaoh files still fit."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cues = []
+    for index, line in enumerate(lines, start=1):
+        words = " ".join(w for w in line.split() if w not in ("<eob>", "<eol>"))
+        start = format_timestamp(index * 2_000)
+        end = format_timestamp(index * 2_000 + 1_500)
+        cues.append(f"{index}\n{start} --> {end}\n{words}\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(cues))
+
+
+def _eval_args(directory, n_pairs, srt=False):
     """`eval` with Pharaoh files and diagnostics on a generated corpus of
-    `n_pairs` pairs written to `directory`."""
+    `n_pairs` pairs written to `directory`, as SRT if `srt`."""
     directory.mkdir(parents=True)
     paths = _write_large_corpus(directory, n_pairs=n_pairs)
+    if srt:
+        for key in ("captions.hyp", "captions.ref", "subtitles.hyp", "subtitles.ref"):
+            _write_as_srt(paths[key])
     return [
         "eval",
+        *(["--format", "srt"] if srt else []),
         "--captions-hyp", paths["captions.hyp"],
         "--captions-ref", paths["captions.ref"],
         "--subtitles-hyp", paths["subtitles.hyp"],
@@ -508,26 +528,35 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
+def _assert_eval_memory_flat(tmp_path, srt=False):
+    # The generated corpus draws from 14 words per language, so the
+    # tokenizer memos (bounded at 2**16 entries each by design) stay
+    # small, and the peaks measure the state `eval` keeps per pair.
+    # Each peak is taken in a new interpreter after an unmeasured
+    # 1,000-pair run.  That run makes what every run builds once, such
+    # as those memos, and fills the interpreter's bounded free lists
+    # (tuples, for instance), whose level otherwise depends on what
+    # ran before and on when the collector last emptied them.
+    warm = _eval_args(tmp_path / "warm", 1_000, srt)
+
+    def peak(n_pairs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT, *warm, "--",
+             *_eval_args(tmp_path / str(n_pairs), n_pairs, srt)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    small, large = peak(1_000), peak(4_000)
+    assert large <= 1.1 * small, (small, large)
+
+
 def test_eval_memory_does_not_grow_with_the_corpus(capsys, tmp_path):
     with criterion(capsys, "eval memory flat from 1,000 to 4,000 pairs"):
-        # The generated corpus draws from 14 words per language, so the
-        # tokenizer memos (bounded at 2**16 entries each by design) stay
-        # small, and the peaks measure the state `eval` keeps per pair.
-        # Each peak is taken in a new interpreter after an unmeasured
-        # 1,000-pair run.  That run makes what every run builds once, such
-        # as those memos, and fills the interpreter's bounded free lists
-        # (tuples, for instance), whose level otherwise depends on what
-        # ran before and on when the collector last emptied them.
-        warm = _eval_args(tmp_path / "warm", 1_000)
+        _assert_eval_memory_flat(tmp_path)
 
-        def peak(n_pairs):
-            proc = subprocess.run(
-                [sys.executable, "-c", _PEAK_SCRIPT, *warm, "--",
-                 *_eval_args(tmp_path / str(n_pairs), n_pairs)],
-                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
 
-        small, large = peak(1_000), peak(4_000)
-        assert large <= 1.1 * small, (small, large)
+def test_eval_srt_memory_does_not_grow_with_the_corpus(capsys, tmp_path):
+    with criterion(capsys, "eval --format srt memory flat from 1,000 to 4,000 cues"):
+        _assert_eval_memory_flat(tmp_path, srt=True)

@@ -244,6 +244,11 @@ def test_parse_pharaoh_malformed():
         parse_pharaoh("0-x")
     with pytest.raises(FormatError, match="malformed alignment token"):
         parse_pharaoh("012")
+    # int() would take each of these indices; only ASCII digits are indices.
+    for token in ("+1-2", "1_0-2", "\u0661-2"):
+        message = f"malformed alignment token {token!r} at column 5"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_pharaoh(f"0-0 {token}")
 
 
 def test_parse_pharaoh_column_of_repeated_token():
@@ -297,6 +302,20 @@ def test_load_model_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not a header\n")
     with pytest.raises(FormatError, match="bad model header"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tension", "nan"), ("tension", "inf"), ("p0", "1.5"), ("p0", "1.0"), ("p0", "-0.1"),
+     ("diagonal", "7"), ("diagonal", "-1")],
+)
+def test_load_model_header_value_out_of_range(tmp_path, field, value):
+    cells = ["tension", "4.0", "p0", "0.08", "diagonal", "1"]
+    cells[cells.index(field) + 1] = value
+    path = tmp_path / "model.tsv"
+    path.write_text("\t".join(cells) + "\na\tx\t0.5\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:1: bad number in model header$"):
         load_model(str(path))
 
 

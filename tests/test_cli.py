@@ -329,13 +329,20 @@ def test_eval_input_error_names_file_and_line(micro_paths, tmp_path, capsys, key
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
 
 
-def test_eval_srt_error_names_file_and_line(micro_paths, tmp_path, capsys):
+def test_eval_srt_error_names_file_and_line(tmp_path, capsys):
+    # Pairs are read in order, so the three other inputs are valid SRT
+    # too: the error of the hypothesis's second cue is the first one met.
+    good = "1\n00:00:01,000 --> 00:00:02,000\nhello\n\n2\n00:00:04,000 --> 00:00:05,000\nthere\n"
+    args = ["eval", "--format", "srt"]
+    for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
+        path = tmp_path / f"{key}.srt"
+        path.write_text(good, encoding="utf-8")
+        args += [f"--{key}", str(path)]
+    for key in ("align-c2s", "align-s2c"):
+        (tmp_path / key).write_text("0-0\n0-0\n", encoding="utf-8")
+        args += [f"--{key}", str(tmp_path / key)]
     path = tmp_path / "captions.srt"
-    path.write_text(
-        "1\n00:00:01,000 --> 00:00:02,000\nhello\n\n2\n00:00:04,000 --> 00:00:03,000\nthere\n",
-        encoding="utf-8",
-    )
-    args = eval_args(micro_paths, "--format", "srt")
+    path.write_text(good.replace("00:00:05,000", "00:00:03,000"), encoding="utf-8")
     args[args.index("--captions-hyp") + 1] = str(path)
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {path}:6: cue 2: non-positive duration\n"
@@ -962,6 +969,23 @@ def test_validate_lexical_non_numeric_score_names_file_and_line(tmp_path, capsys
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: {paths['auto']}:2: expected a number, got 'high'\n"
+    )
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
+def test_validate_lexical_non_finite_score_names_file_and_line(tmp_path, capsys, score):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("auto", "manual", "autoj", "manualj")}
+    paths["auto"].write_text("0.5\n0.9\n")
+    paths["manual"].write_text(f"0.7\n{score}\n")
+    paths["autoj"].write_text("1\n0\n")
+    paths["manualj"].write_text("1\n0\n")
+    args = ["validate-lexical"]
+    for flag, name in (("auto-scores", "auto"), ("manual-scores", "manual"),
+                       ("auto-judgements", "autoj"), ("manual-judgements", "manualj")):
+        args += [f"--{flag}", str(paths[name])]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['manual']}:2: expected a number, got {score!r}\n"
     )
 
 
