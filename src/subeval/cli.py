@@ -30,10 +30,10 @@ from .conformity import (
     LengthAggregation,
 )
 from .errors import DataError, FormatError, SubevalError, located, numbered_lines, stream_file
-from .markers import iter_marked_text, load_marked_text
+from .markers import iter_marked_text
 from .model import UtterancePair, add_counts, check_count
 from .report import EvaluationReport, report_to_json, report_to_tsv
-from .srt import iter_srt, load_srt
+from .srt import iter_srt
 from .textproc import (
     Scheme,
     TaggedUtterance,
@@ -491,16 +491,20 @@ def run_align_apply(opts: dict[str, Any]) -> int:
 
 
 def run_significance(opts: dict[str, Any]) -> int:
-    load = load_srt if opts["format"] == "srt" else load_marked_text
-    hyp_a, hyp_b, ref = (load(opts[key]) for key in ("hyp-a", "hyp-b", "ref"))
+    """Read the three inputs in lockstep, keeping one row of statistics
+    per segment, then check their counts and resample."""
+    reader = iter_srt if opts["format"] == "srt" else iter_marked_text
+    streams = [stream_file(opts[key], reader) for key in ("hyp-a", "hyp-b", "ref")]
+    counts: list = []
+    stats = quality_mod.significance_rows(_lockstep(streams, counts), opts["metric"])
+    n_a, n_b, n = counts
     with located(f"{opts['hyp-a']} and {opts['hyp-b']} vs {opts['ref']}"):
-        result = quality_mod.bootstrap_significance(
-            hyp_a.utterances,
-            hyp_b.utterances,
-            ref.utterances,
-            metric=opts["metric"],
-            resamples=opts["resamples"],
-            seed=opts["seed"],
+        if n < 2:
+            raise DataError(f"need at least 2 segments, got {n}")
+        check_count(n_a, n)
+        check_count(n_b, n)
+        result = quality_mod.significance_from_rows(
+            stats, opts["metric"], opts["resamples"], opts["seed"]
         )
     sys.stdout.write(json.dumps(vars(result), sort_keys=True) + "\n")
     return 0

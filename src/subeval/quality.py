@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError
 from .model import Utterance, check_count, column_sums
@@ -110,13 +111,13 @@ def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[tuple[int, i
     return [(*edit_operations(_wer_words(h), ref_words), len(ref_words)) for h in hyps]
 
 
-def _warn_empty_reference(edits: int, ref_len: int, ref: Utterance) -> None:
+def _warn_empty_reference(edits: int, ref_len: int, ref_id: str) -> None:
     # Against an empty reference every edit is an insertion, so edits
     # mean the hypothesis had words.
     if ref_len == 0 and edits:
         log.warning(
             "utterance %s: empty reference after normalization; "
-            "hypothesis words counted as insertions", ref.id,
+            "hypothesis words counted as insertions", ref_id,
         )
 
 
@@ -124,7 +125,7 @@ def wer_counts(hyp: Utterance, ref: Utterance) -> tuple[int, int, int, int]:
     """(S, D, I, reference_length) of one utterance after WER
     normalization; warns when only the hypothesis has words."""
     ((subs, dels, ins, ref_len),) = _wer_segment((hyp,), ref)
-    _warn_empty_reference(subs + dels + ins, ref_len, ref)
+    _warn_empty_reference(subs + dels + ins, ref_len, ref.id)
     return subs, dels, ins, ref_len
 
 
@@ -283,8 +284,6 @@ def bootstrap_significance(
     resample whose references are all empty after normalization is a
     tie; an empty reference corpus is an error.
     """
-    import numpy as np  # here only, so scoring without resampling never loads it
-
     n = len(ref)
     if n < 2:
         raise DataError(f"need at least 2 segments, got {n}")
@@ -294,13 +293,42 @@ def bootstrap_significance(
         raise DataError(f"unknown metric {metric!r}")
     check_count(len(hyp_a), n)
     check_count(len(hyp_b), n)
+    stats = significance_rows(zip(hyp_a, hyp_b, ref), metric, keep_breaks)
+    return significance_from_rows(stats, metric, resamples, seed)
+
+
+def significance_rows(
+    segments: Iterable[Sequence[Utterance]], metric: str = "bleu", keep_breaks: bool = True
+) -> tuple[array, list[tuple[int, str]]]:
+    """The statistics of (hypothesis A, hypothesis B, reference) segments,
+    each scored as it is read and then dropped: an int64 array holding
+    one row per segment, A's statistics then B's, and under WER the
+    (row, id) of each reference that is empty after normalization."""
+    flat = array("q")
+    empty_refs = []
+    for i, (a, b, r) in enumerate(segments):
+        if metric == "bleu":
+            for stats in _bleu_segment((a, b), r, keep_breaks):
+                flat.extend(stats)
+        else:
+            for s, d, ins, ref_len in _wer_segment((a, b), r):
+                flat.extend((s + d + ins, ref_len))
+            if ref_len == 0:
+                empty_refs.append((i, r.id))
+    return flat, empty_refs
+
+
+def significance_from_rows(
+    stats: tuple[array, Sequence[tuple[int, str]]], metric: str, resamples: int, seed: int
+) -> SignificanceResult:
+    """`bootstrap_significance` on what `significance_rows` returned for
+    at least 2 segments."""
+    import numpy as np  # here only, so scoring without resampling never loads it
+
     # WER is negated so that higher is better for both metrics.  Negation
     # is exact, so every comparison and difference below is unchanged.
     if metric == "bleu":
         width = 2 * NGRAM_ORDER + 2
-
-        def row(a: Utterance, b: Utterance, r: Utterance) -> list[int]:
-            return [x for stats in _bleu_segment((a, b), r, keep_breaks) for x in stats]
 
         def score(sums: list[int]) -> float:
             return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9]).score
@@ -308,30 +336,26 @@ def bootstrap_significance(
     else:
         width = 2
 
-        def row(a: Utterance, b: Utterance, r: Utterance) -> list[int]:
-            return [x for s, d, i, ref_len in _wer_segment((a, b), r) for x in (s + d + i, ref_len)]
-
         def score(sums: list[int]) -> float:
             # Both systems share the reference, so a resample of empty
             # references scores 0 for each: a tie.
             edits, total_ref = sums
             return -100.0 * edits / total_ref if total_ref else 0.0
 
-    # One row per segment: A's statistics, then B's.
-    both = np.empty((n, 2 * width), dtype=np.int64)
-    for i, segment in enumerate(zip(hyp_a, hyp_b, ref)):
-        both[i] = row(*segment)
-    if metric == "wer":
-        for system in (both[:, :2], both[:, 2:]):
-            for (edits, ref_len), r in zip(system.tolist(), ref):
-                _warn_empty_reference(edits, ref_len, r)
+    flat, empty_refs = stats
+    both = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2 * width)
+    n = len(both)
+    for column in (0, width):
+        for i, ref_id in empty_refs:
+            _warn_empty_reference(both[i, column], 0, ref_id)
     full = both.sum(axis=0).tolist()
     if metric == "wer" and full[1] == 0:
         raise DataError("reference corpus is empty after normalization")
     a_is_better = score(full[:width]) >= score(full[width:])
-    # Better system first, one row per statistic.  Integer sums are exact,
-    # so a resample's sums do not depend on the order of addition.
-    both = np.ascontiguousarray((both if a_is_better else np.roll(both, width, axis=1)).T)
+    # Better system first, one row per statistic, in one copy.  Integer sums
+    # are exact, so a resample's sums do not depend on the order of addition.
+    order = np.roll(np.arange(2 * width), 0 if a_is_better else width)
+    both = np.ascontiguousarray(both.T[order])
 
     rng = np.random.default_rng(seed)
     wins_against = 0

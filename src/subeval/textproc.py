@@ -212,6 +212,11 @@ def normalize_for_wer(tokens: TokenizedUtterance) -> list[str]:
     return out
 
 
+# A token ID: a word's "n", a multiword-token range "n-m" or an empty
+# node "n.m", in ASCII digits only.
+_TOKEN_ID_RE = re.compile(r"[0-9]+(?:[-.][0-9]+)?")
+
+
 def iter_conllu(
     source: Union[str, TextIO, Iterable[str]]
 ) -> Iterator[tuple[int, list[tuple[str, str]]]]:
@@ -235,7 +240,9 @@ def iter_conllu(
         if len(cols) != 10:
             raise FormatError(f"expected 10 columns, got {len(cols)}", line=lineno)
         token_id, form, upos = cols[0], cols[1], cols[3]
-        if "-" in token_id or "." in token_id:
+        if not _TOKEN_ID_RE.fullmatch(token_id):
+            raise FormatError(f"malformed token ID {token_id!r}", line=lineno)
+        if not token_id.isdigit():
             continue
         if upos not in UPOS_TAGS:
             raise FormatError(f"unknown UPOS {upos!r}", line=lineno)

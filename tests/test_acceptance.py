@@ -528,27 +528,33 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def _assert_eval_memory_flat(tmp_path, srt=False):
-    # The generated corpus draws from 14 words per language, so the
-    # tokenizer memos (bounded at 2**16 entries each by design) stay
-    # small, and the peaks measure the state `eval` keeps per pair.
-    # Each peak is taken in a new interpreter after an unmeasured
-    # 1,000-pair run.  That run makes what every run builds once, such
-    # as those memos, and fills the interpreter's bounded free lists
-    # (tuples, for instance), whose level otherwise depends on what
-    # ran before and on when the collector last emptied them.
-    warm = _eval_args(tmp_path / "warm", 1_000, srt)
+def _peaks(tmp_path, cli_args):
+    """tracemalloc's peak over `cli.main` on `cli_args(directory, n)`
+    at 1,000 and at 4,000 items.
 
-    def peak(n_pairs):
+    The generated corpus draws from 14 words per language, so the
+    tokenizer memos (bounded at 2**16 entries each by design) stay
+    small, and the peaks measure the state a command keeps per item.
+    Each peak is taken in a new interpreter after an unmeasured
+    1,000-item run.  That run makes what every run builds once, such
+    as those memos, and fills the interpreter's bounded free lists
+    (tuples, for instance), whose level otherwise depends on what
+    ran before and on when the collector last emptied them."""
+    warm = cli_args(tmp_path / "warm", 1_000)
+
+    def peak(n):
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_SCRIPT, *warm, "--",
-             *_eval_args(tmp_path / str(n_pairs), n_pairs, srt)],
+            [sys.executable, "-c", _PEAK_SCRIPT, *warm, "--", *cli_args(tmp_path / str(n), n)],
             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
+        return int(proc.stdout.splitlines()[-1])  # after what the command printed
 
-    small, large = peak(1_000), peak(4_000)
+    return peak(1_000), peak(4_000)
+
+
+def _assert_eval_memory_flat(tmp_path, srt=False):
+    small, large = _peaks(tmp_path, lambda directory, n: _eval_args(directory, n, srt))
     assert large <= 1.1 * small, (small, large)
 
 
@@ -560,3 +566,37 @@ def test_eval_memory_does_not_grow_with_the_corpus(capsys, tmp_path):
 def test_eval_srt_memory_does_not_grow_with_the_corpus(capsys, tmp_path):
     with criterion(capsys, "eval --format srt memory flat from 1,000 to 4,000 cues"):
         _assert_eval_memory_flat(tmp_path, srt=True)
+
+
+def _significance_args(directory, n_segments, metric):
+    """`significance` on SRT files of `n_segments` cues written to
+    `directory`: the captions of two generated corpora and one reference."""
+    directory.mkdir(parents=True)
+    (directory / "b").mkdir()
+    paths = _write_large_corpus(directory, n_pairs=n_segments)
+    hyp_b = _write_large_corpus(directory / "b", n_pairs=n_segments, seed=78)["captions.hyp"]
+    files = [paths["captions.hyp"], hyp_b, paths["captions.ref"]]
+    for path in files:
+        _write_as_srt(path)
+    return [
+        "significance", "--metric", metric, "--resamples", "10", "--format", "srt",
+        *(arg for flag, path in zip(("--hyp-a", "--hyp-b", "--ref"), files) for arg in (flag, path)),
+    ]
+
+
+def _assert_significance_memory_per_segment(tmp_path, metric):
+    # A BLEU row is 20 int64 statistics, 160 bytes, and one reordered
+    # copy of the rows is made for resampling.  Keeping each segment's
+    # utterances would cost more than 1 KB a segment.
+    small, large = _peaks(tmp_path, lambda directory, n: _significance_args(directory, n, metric))
+    assert large - small <= 1024 * 3_000, (small, large)
+
+
+def test_significance_bleu_memory_grows_by_a_row_per_segment(capsys, tmp_path):
+    with criterion(capsys, "significance --metric bleu under 1 KB per added segment"):
+        _assert_significance_memory_per_segment(tmp_path, "bleu")
+
+
+def test_significance_wer_memory_grows_by_a_row_per_segment(capsys, tmp_path):
+    with criterion(capsys, "significance --metric wer under 1 KB per added segment"):
+        _assert_significance_memory_per_segment(tmp_path, "wer")

@@ -847,6 +847,43 @@ def test_significance_empty_wer_reference_prints_only_the_error(tmp_path):
     )
 
 
+def test_significance_wer_prints_warnings_for_a_then_b(tmp_path):
+    for name, lines in (
+        ("a.txt", ["a b", "x", "c", "y z"]), ("b.txt", ["a", "w", "c d", "v"]),
+        ("ref.txt", ["a b", "...", "c", "!"]),
+    ):
+        (tmp_path / name).write_text("".join(f"{line} <eob>\n" for line in lines), encoding="utf-8")
+    proc = _run_cli(tmp_path, "significance", "--metric", "wer", "--resamples", "20",
+                    "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--ref", "ref.txt")
+    warning = "utterance {}: empty reference after normalization; " \
+        "hypothesis words counted as insertions\n"
+    assert (proc.returncode, proc.stderr) == (0, "".join(warning.format(i) for i in "1313"))
+    assert json.loads(proc.stdout)["resamples"] == 20
+
+
+def test_significance_reports_the_first_error_in_segment_order(tmp_path, capsys):
+    # The three inputs are read in lockstep, one segment from each, so a
+    # bad reference cue at segment 2 is met before a bad hypothesis A cue
+    # at segment 5.
+    def cue(index, start="00:00:01,000"):
+        return f"{index}\n{start} --> 00:00:02,000\nword\n\n"
+
+    good = "".join(cue(i) for i in range(1, 6))
+    texts = {
+        "a.srt": "".join(cue(i, "00:00:03,000" if i == 5 else "00:00:01,000") for i in range(1, 6)),
+        "b.srt": good,
+        "ref.srt": "".join(cue(i, "00:00:03,000" if i == 2 else "00:00:01,000") for i in range(1, 6)),
+    }
+    paths = []
+    for name, text in texts.items():
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    a, b, r = paths
+    args = ["significance", "--metric", "bleu", "--format", "srt", "--hyp-a", a, "--hyp-b", b]
+    assert main(args + ["--ref", r]) == 2
+    assert capsys.readouterr().err == f"error: {r}:6: cue 2: non-positive duration\n"
+
+
 @pytest.mark.parametrize(
     "hyp_a, hyp_b, ref, message",
     [

@@ -252,6 +252,22 @@ def test_iter_conllu_gives_the_line_of_each_first_token():
     assert list(textproc.iter_conllu(text)) == [(3, [("de", "ADP")]), (6, [("x", "X")])]
 
 
+def test_parse_conllu_skips_empty_nodes():
+    text = "1\tde\t_\tADP\t_\t_\t0\t_\t_\t_\n1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" \
+        "10\tle\t_\tDET\t_\t_\t0\t_\t_\t_\n"
+    assert parse_conllu(text) == [[("de", "ADP"), ("le", "DET")]]
+
+
+@pytest.mark.parametrize(
+    "token_id", ["abc", "١", "+1", "1_0", "1-", "-1", "1.", "1-2-3", "1.2.3", "1 ", ""]
+)
+def test_parse_conllu_malformed_token_id(token_id):
+    bad = f"1\tde\t_\tADP\t_\t_\t0\t_\t_\t_\n{token_id}\tHello\t_\tINTJ\t_\t_\t_\t_\t_\t_\n"
+    with pytest.raises(FormatError) as info:
+        parse_conllu(bad)
+    assert (str(info.value), info.value.line) == (f"malformed token ID {token_id!r}", 2)
+
+
 def test_parse_conllu_unknown_upos():
     bad = "1\tx\t_\tFOO\t_\t_\t0\t_\t_\t_\n"
     with pytest.raises(FormatError, match="unknown UPOS 'FOO'") as info:
