@@ -298,7 +298,7 @@ def bootstrap_significance(
 
 
 def significance_rows(
-    segments: Iterable[Sequence[Utterance]], metric: str = "bleu", keep_breaks: bool = True
+    segments: Iterable[Sequence[Utterance]], metric: str, keep_breaks: bool = True
 ) -> tuple[array, list[tuple[int, str]]]:
     """The statistics of (hypothesis A, hypothesis B, reference) segments,
     each scored as it is read and then dropped: an int64 array holding

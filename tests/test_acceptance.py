@@ -575,13 +575,11 @@ def _significance_args(directory, n_segments, metric):
     (directory / "b").mkdir()
     paths = _write_large_corpus(directory, n_pairs=n_segments)
     hyp_b = _write_large_corpus(directory / "b", n_pairs=n_segments, seed=78)["captions.hyp"]
-    files = [paths["captions.hyp"], hyp_b, paths["captions.ref"]]
-    for path in files:
+    hyp_a, ref = paths["captions.hyp"], paths["captions.ref"]
+    for path in (hyp_a, hyp_b, ref):
         _write_as_srt(path)
-    return [
-        "significance", "--metric", metric, "--resamples", "10", "--format", "srt",
-        *(arg for flag, path in zip(("--hyp-a", "--hyp-b", "--ref"), files) for arg in (flag, path)),
-    ]
+    return ["significance", "--metric", metric, "--resamples", "10", "--format", "srt",
+            "--hyp-a", hyp_a, "--hyp-b", hyp_b, "--ref", ref]
 
 
 def _assert_significance_memory_per_segment(tmp_path, metric):
