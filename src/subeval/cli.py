@@ -127,6 +127,8 @@ def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any
     """The value of each option in `keys`: its flag, else `eval`'s config
     file, else its default."""
     path = args.get("config")
+    if isinstance(path, list):  # argparse reads `--config=--` as []
+        raise UsageError("--config expected one argument")
     _check_text("config", path)
     if path == "":
         raise UsageError("--config must be a non-empty path, got ''")
@@ -150,6 +152,7 @@ _RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "aggregation": _one_of(*(a.value for a in LengthAggregation)),
     "out": _one_of("json", "tsv", "both"),
     "metric": _one_of("bleu", "wer"),
+    "system-name": (lambda v: not re.search("[\t\r\n]", v), "free of TAB, CR and LF"),
     "iterations": (lambda v: v >= 0, "non-negative"),
     "p0": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "tension": (lambda v: _LOW <= v <= _HIGH, f"in [{_LOW:g}, {_HIGH:g}]"),  # EM's clamp
@@ -175,6 +178,9 @@ def _check_text(key: str, value: Any) -> None:
 def _validate_options(opts: dict[str, Any]) -> None:
     """The usage checks of every subcommand, made before any file is
     read.  Each check applies to the options present."""
+    for key, value in opts.items():
+        if isinstance(value, list):  # argparse reads `--key=--` as [] and skips `type=`
+            raise UsageError(f"--{key} expected one argument")
     for key in ("captions-hyp", "captions-ref", "subtitles-hyp", "subtitles-ref"):
         if key in opts and not opts[key]:
             raise UsageError(f"--{key} is required")
@@ -183,6 +189,9 @@ def _validate_options(opts: dict[str, Any]) -> None:
     for key, (valid, what) in _RULES.items():
         if key in opts and not valid(opts[key]):
             raise UsageError(f"--{key} must be {what}, got {opts[key]!r}")
+    outputs = [os.path.realpath(opts[key]) for key in ("out-file", "diagnostics") if opts.get(key)]
+    if len(outputs) == 2 and outputs[0] == outputs[1]:
+        raise UsageError("--out-file and --diagnostics must name different files")
     if opts.get("segmentation") and not (opts["pos-captions"] and opts["pos-subtitles"]):
         raise UsageError("--segmentation requires --pos-captions and --pos-subtitles")
     if "align-c2s" in opts:
@@ -315,9 +324,8 @@ def _tag(tokens: TokenizedUtterance, pos, path: str, utt_id: str) -> TaggedUtter
     line, sentence = pos
     try:
         return attach_tags(tokens, [upos for _, upos in sentence], utt_id=utt_id)
-    except DataError as exc:
-        exc.line = line
-        with located(path):
+    except DataError:
+        with located(path, line):
             raise
 
 
@@ -329,9 +337,9 @@ def _check_links(opts, line: int, pair_id: str, tokens, c2s, s2c) -> None:
         ("align-c2s", c2s, words), ("align-s2c", s2c, words[::-1])
     ):
         try:
-            consistency_mod.check_links(alignment, own, other, pair_id, line)
+            consistency_mod.check_links(alignment, own, other, pair_id)
         except DataError:
-            with located(opts[key]):
+            with located(opts[key], line):
                 raise
 
 
@@ -475,8 +483,11 @@ def _emit(text: str, path: Optional[str]) -> None:
 def run_align_train(opts: dict[str, Any]) -> int:
     from . import align as align_mod
 
-    corpus = _file_bitext(_training_files(opts), opts["source-lang"], opts["target-lang"])
-    align_mod.save_model(_train(opts, corpus), opts["model-out"])
+    files = _training_files(opts)
+    corpus = _file_bitext(files, opts["source-lang"], opts["target-lang"])
+    with located(" and ".join(files)):
+        model = _train(opts, corpus)
+    align_mod.save_model(model, opts["model-out"])
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .errors import DataError
@@ -88,31 +89,6 @@ def _block_counts(
     return cpl_hits, cpl_units, cps_hits, timed, len(utt.blocks) - timed
 
 
-def length_conformity(
-    doc: SubtitleDocument,
-    thresholds: ConformityThresholds = ConformityThresholds(),
-    aggregation: LengthAggregation = LengthAggregation.PER_LINE,
-) -> Optional[float]:
-    """Fraction of lines (or blocks) within the CPL bound, inclusive."""
-    conforming, units, *_ = _block_sums(doc, thresholds, aggregation)
-    return _rate(conforming, units)
-
-
-def reading_speed_conformity(
-    doc: SubtitleDocument,
-    thresholds: ConformityThresholds = ConformityThresholds(),
-) -> Optional[float]:
-    """Fraction of blocks read at or below the CPS bound."""
-    conforming = units = 0
-    for utt in doc.utterances:
-        *_, hits, timed, untimed = _block_counts(utt, thresholds)
-        if untimed:
-            raise DataError(f"utterance {utt.id!r}: a block has no timing")
-        conforming += hits
-        units += timed
-    return _rate(conforming, units)
-
-
 def _break_counts(
     utt: TaggedUtterance, index: int, include_trailing_eob: bool, breaks: BreakSelection
 ) -> tuple[int, int, int]:
@@ -155,40 +131,8 @@ def _break_counts(
     return plausible, judged, n_selected
 
 
-def _block_sums(
-    doc: SubtitleDocument, thresholds: ConformityThresholds, aggregation: LengthAggregation
-) -> list[int]:
-    counts = (_block_counts(utt, thresholds, aggregation) for utt in doc.utterances)
-    return column_sums(counts) or [0] * 5
-
-
-def _break_sums(
-    tagged: Sequence[TaggedUtterance], include_trailing_eob: bool, breaks: BreakSelection
-) -> list[int]:
-    counts = (
-        _break_counts(utt, index, include_trailing_eob, breaks)
-        for index, utt in enumerate(tagged)
-    )
-    return column_sums(counts) or [0] * 3
-
-
-def segmentation_plausibility(
-    tagged: Sequence[TaggedUtterance],
-    include_trailing_eob: bool = True,
-    breaks: BreakSelection = BreakSelection.BOTH,
-) -> Optional[float]:
-    """Fraction of break tokens placed plausibly.
-
-    A break is plausible when the nearest preceding word is punctuation,
-    or when it separates a content word from a following function word.
-    An utterance-final break is plausible only after punctuation.
-    """
-    plausible, judged, _ = _break_sums(tagged, include_trailing_eob, breaks)
-    return _rate(plausible, judged)
-
-
 def conformity_counts(
-    utt: Utterance,
+    utt: Optional[Utterance],
     thresholds: ConformityThresholds = ConformityThresholds(),
     aggregation: LengthAggregation = LengthAggregation.PER_LINE,
     tagged: Optional[TaggedUtterance] = None,
@@ -196,14 +140,14 @@ def conformity_counts(
     breaks: BreakSelection = BreakSelection.BOTH,
     index: int = 0,
 ) -> tuple[int, ...]:
-    """The conformity counts of the utterance at `index`, and of its tags
-    when given: CPL hits and units, CPS hits, timed and untimed blocks,
-    and plausible, judged and selected breaks."""
+    """The conformity counts of the utterance at `index` and of its tags,
+    each when given: CPL hits and units, CPS hits, timed and untimed
+    blocks, and plausible, judged and selected breaks."""
     segmentation = (
         (0, 0, 0) if tagged is None
         else _break_counts(tagged, index, include_trailing_eob, breaks)
     )
-    return _block_counts(utt, thresholds, aggregation) + segmentation
+    return ((0,) * 5 if utt is None else _block_counts(utt, thresholds, aggregation)) + segmentation
 
 
 def conformity_from_sums(sums: Sequence[int]) -> ConformityReport:
@@ -227,9 +171,52 @@ def conformity_report(
     include_trailing_eob: bool = True,
     breaks: BreakSelection = BreakSelection.BOTH,
 ) -> ConformityReport:
-    """All conformity rates for one document; rates whose denominator is
-    empty (or whose inputs are missing) are reported as None."""
-    # The tagged utterances are scored on their own, as
-    # `segmentation_plausibility` scores them.
-    break_sums = [0] * 3 if tagged is None else _break_sums(tagged, include_trailing_eob, breaks)
-    return conformity_from_sums(_block_sums(doc, thresholds, aggregation) + break_sums)
+    """All conformity rates for one document, from the column sums of
+    `conformity_counts` over its utterances; rates whose denominator is
+    empty (or whose inputs are missing) are reported as None.
+
+    `tagged` is scored on its own: it need not match `doc` utterance for
+    utterance, and with an empty `doc` only segmentation is scored."""
+    rows = (
+        conformity_counts(utt, thresholds, aggregation, tags, include_trailing_eob, breaks, index)
+        for index, (utt, tags) in enumerate(zip_longest(doc.utterances, tagged or ()))
+    )
+    return conformity_from_sums(column_sums(rows) or [0] * 8)
+
+
+def length_conformity(
+    doc: SubtitleDocument,
+    thresholds: ConformityThresholds = ConformityThresholds(),
+    aggregation: LengthAggregation = LengthAggregation.PER_LINE,
+) -> Optional[float]:
+    """Fraction of lines (or blocks) within the CPL bound, inclusive."""
+    return conformity_report(doc, thresholds, aggregation).length_rate
+
+
+def reading_speed_conformity(
+    doc: SubtitleDocument,
+    thresholds: ConformityThresholds = ConformityThresholds(),
+) -> Optional[float]:
+    """Fraction of blocks read at or below the CPS bound; every block
+    must be timed."""
+    for utt in doc.utterances:
+        if not all(block.timed for block in utt.blocks):
+            raise DataError(f"utterance {utt.id!r}: a block has no timing")
+    return conformity_report(doc, thresholds).reading_speed_rate
+
+
+def segmentation_plausibility(
+    tagged: Sequence[TaggedUtterance],
+    include_trailing_eob: bool = True,
+    breaks: BreakSelection = BreakSelection.BOTH,
+) -> Optional[float]:
+    """Fraction of break tokens placed plausibly.
+
+    A break is plausible when the nearest preceding word is punctuation,
+    or when it separates a content word from a following function word.
+    An utterance-final break is plausible only after punctuation.
+    """
+    return conformity_report(
+        SubtitleDocument(()), tagged=tagged, include_trailing_eob=include_trailing_eob,
+        breaks=breaks,
+    ).segmentation_rate

@@ -94,31 +94,12 @@ def _block_index_map(tokens: TokenizedUtterance) -> BlockIndexMap:
     return BlockIndexMap(tuple(mapping), blocks=block)
 
 
-def check_links(
-    alignment: SentenceAlignment, own: int, other: int, utt_id: str, line: Optional[int] = None
-) -> None:
-    """Raise a DataError, on `line` when given, for a link that indexes
-    past the `own` words of its side or the `other` words of the other."""
+def check_links(alignment: SentenceAlignment, own: int, other: int, utt_id: str) -> None:
+    """Raise a DataError for a link that indexes past the `own` words of
+    its side or the `other` words of the other."""
     for i, j in alignment.links:
         if not (0 <= i < own and 0 <= j < other):
-            message = f"alignment link {i}-{j} out of bounds (utterance {utt_id!r})"
-            raise DataError(message, line=line)
-
-
-def _tokenize_pair(
-    pair: UtterancePair, c2s: SentenceAlignment, s2c: SentenceAlignment,
-    caption_lang: str, subtitle_lang: str,
-) -> tuple[TokenizedUtterance, TokenizedUtterance]:
-    """The pair's (caption, subtitle) tokens, once its links are checked
-    against them, c2s first."""
-    tokens = (
-        tokenize(pair.caption.text(), Scheme.MT_DETACHED, caption_lang),
-        tokenize(pair.subtitle.text(), Scheme.MT_DETACHED, subtitle_lang),
-    )
-    cap_words, sub_words = (len(side.words()) for side in tokens)
-    check_links(c2s, cap_words, sub_words, pair.id)
-    check_links(s2c, sub_words, cap_words, pair.id)
-    return tokens
+            raise DataError(f"alignment link {i}-{j} out of bounds (utterance {utt_id!r})")
 
 
 def lexical_consistency_pair(
@@ -129,13 +110,20 @@ def lexical_consistency_pair(
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> LexicalConsistencyPair:
-    """Both directional scores and their average for one pair.
+    """Both directional scores and their average for one pair, once its
+    links are checked against its tokens, c2s first.
 
     `align_c2s` links caption token indices to subtitle token indices;
     `align_s2c` links subtitle token indices to caption token indices.
     Indices count break-stripped MT tokens.
     """
-    tokens = _tokenize_pair(pair, align_c2s, align_s2c, caption_lang, subtitle_lang)
+    tokens = (
+        tokenize(pair.caption.text(), Scheme.MT_DETACHED, caption_lang),
+        tokenize(pair.subtitle.text(), Scheme.MT_DETACHED, subtitle_lang),
+    )
+    cap_words, sub_words = (len(side.words()) for side in tokens)
+    check_links(align_c2s, cap_words, sub_words, pair.id)
+    check_links(align_s2c, sub_words, cap_words, pair.id)
     return lexical_from_tokens(tokens, align_c2s, align_s2c, skip_unaligned)
 
 
@@ -192,9 +180,7 @@ def _lexical_results(
     if not pairs:
         raise DataError("empty pair list")
     return [
-        lexical_from_tokens(
-            _tokenize_pair(pair, c2s, s2c, caption_lang, subtitle_lang), c2s, s2c, skip_unaligned
-        )
+        lexical_consistency_pair(pair, c2s, s2c, caption_lang, subtitle_lang, skip_unaligned)
         for pair, (c2s, s2c) in zip(pairs, alignments)
     ]
 

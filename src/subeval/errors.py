@@ -27,13 +27,15 @@ class DataError(SubevalError):
 
 
 @contextmanager
-def located(label: str):
+def located(label: str, line: Optional[int] = None):
     """Re-raise a SubevalError of the block as the same class, its message
-    prefixed with `label:line:`, or with `label:` when the line is unknown."""
+    prefixed with `label:line:`, or with `label:` when the line is unknown.
+    `line` is the line of an error that carries none."""
     try:
         yield
     except SubevalError as exc:
-        where = label if exc.line is None else f"{label}:{exc.line}"
+        line = line if exc.line is None else exc.line
+        where = label if line is None else f"{label}:{line}"
         raise type(exc)(f"{where}: {exc}") from None
 
 

@@ -118,6 +118,23 @@ def test_eval_missing_required_flag(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flag",
+    [("eval", "--iterations"), ("eval", "--config"), ("eval", "--captions-hyp"),
+     ("align train", "--iterations"), ("significance", "--resamples")],
+)
+def test_option_given_double_dash_is_usage_error(micro_paths, tmp_path, capsys, command, flag):
+    # argparse reads `--key=--` as an empty list and skips the option's type.
+    required = {
+        "eval": eval_args(micro_paths)[1:],
+        "align train": ["--train-bitext", "bitext.txt", "--model-out", str(tmp_path / "m.tsv")],
+        "significance": ["--metric", "bleu", "--hyp-a", "a", "--hyp-b", "b", "--ref", "ref"],
+    }[command]
+    assert main([*command.split(), *required, f"{flag}=--"]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag} expected one argument\n"
+    assert not (tmp_path / "m.tsv").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt"),
@@ -126,6 +143,7 @@ def test_eval_missing_required_flag(capsys):
         ("--p0", "1.5"), ("--p0", "nan"), ("--tension", "-1000"), ("--tension", "20"),
         ("--train-bitext", ""), ("--extra-bitext", ""), ("--diagnostics", ""), ("--out-file", ""),
         ("--pos-captions", ""), ("--pos-subtitles", ""), ("--align-c2s", ""), ("--align-s2c", ""),
+        ("--system-name", "a\tb"), ("--system-name", "a\nb"),
     ],
 )
 def test_eval_invalid_choice_is_usage_error_before_reading(micro_paths, capsys, flag, value):
@@ -1220,6 +1238,9 @@ def _base_argv(command, micro_paths):
 @example(run=("eval", set(), [["--captions-hyp", "a\x00b"]]))
 @example(run=("eval", set(), [["--config", "a\x00b"]]))
 @example(run=("eval", set(), [["--system-name", "\udc80"], ["--out-file", "out.txt"]]))
+# Runs that once raised a TypeError: argparse reads `--key=--` as [].
+@example(run=("eval", set(), [["--iterations=--"]]))
+@example(run=("eval", set(), [["--max-cpl=--"]]))
 # Runs that once printed warnings before their error line.
 @example(run=("eval", set(), [["--lenient", "--captions-hyp", "marked.txt",
                                ("marked.txt", "a <eob> <eob>\nb <eob>\n")]]))
@@ -1336,6 +1357,7 @@ def test_spelled_out_defaults_change_no_output(micro_paths, tmp_path, monkeypatc
 
 _UNUSED_BITEXT = "--train-bitext and --extra-bitext are unused with --align-c2s/--align-s2c"
 _LENIENT_SRT = "--lenient applies to marked text, not to --format srt"
+_SAME_OUTPUT = "--out-file and --diagnostics must name different files"
 
 
 @pytest.mark.parametrize(
@@ -1348,9 +1370,12 @@ _LENIENT_SRT = "--lenient applies to marked text, not to --format srt"
         (["--format", "srt"], "lenient = yes\n", _LENIENT_SRT),
         ([], "diagnostics = \n", "--diagnostics must be a non-empty path, got ''"),
         ([], "pos-subtitles\n", "--pos-subtitles must be a non-empty path, got ''"),
+        (["--out-file", "same.out", "--diagnostics", "./same.out"], "", _SAME_OUTPUT),
+        (["--out-file", "same.out"], "diagnostics = same.out\n", _SAME_OUTPUT),
     ],
     ids=["train-bitext", "extra-bitext", "extra-bitext-in-config", "lenient", "lenient-in-config",
-         "empty-diagnostics-in-config", "empty-pos-in-config"],
+         "empty-diagnostics-in-config", "empty-pos-in-config", "same-output",
+         "same-output-in-config"],
 )
 def test_eval_option_without_effect_is_usage_error(micro_paths, tmp_path, capsys, extra, config,
                                                    message):
@@ -1373,3 +1398,16 @@ def test_bitext_side_without_words_names_file_and_line(tmp_path, capsys, line, s
     args = ["align", "train", "--train-bitext", str(bad), "--model-out", str(tmp_path / "m.tsv")]
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {bad}:1: no word on the {side} side\n"
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["train", "train-and-extra"])
+def test_align_train_empty_corpus_names_its_files(tmp_path, capsys, extra):
+    # An empty file and a blank one hold no pair.
+    files = [tmp_path / "train.txt", tmp_path / "extra.txt"][: 1 + extra]
+    args = ["align", "train", "--model-out", str(tmp_path / "m.tsv")]
+    for path, flag, text in zip(files, ("--train-bitext", "--extra-bitext"), ("", " \n\n")):
+        path.write_text(text, encoding="utf-8")
+        args += [flag, str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {' and '.join(map(str, files))}: empty corpus\n"
+    assert not (tmp_path / "m.tsv").exists()
