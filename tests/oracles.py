@@ -74,6 +74,40 @@ def char_count(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Line length and reading speed of timed cues (a loop over the cue text
+# and timings a test wrote)
+
+
+def cue_conformity(
+    cues: Sequence[tuple[Sequence[str], int, int]],
+    max_cpl: int,
+    max_cps: float,
+    per_block: bool = False,
+) -> tuple[Optional[float], Optional[float]]:
+    """(CPL rate, CPS rate) of cues given as (text lines, start ms, end
+    ms), one block each.  A line's characters are its trimmed length and
+    a block's the sum over its lines, with nothing counted between them;
+    both bounds are inclusive."""
+    cpl_hits = cpl_units = cps_hits = 0
+    for lines, start_ms, end_ms in cues:
+        lengths = [char_count(text) for text in lines]
+        if per_block:
+            cpl_units += 1
+            if max(lengths) <= max_cpl:
+                cpl_hits += 1
+        else:
+            for length in lengths:
+                cpl_units += 1
+                if length <= max_cpl:
+                    cpl_hits += 1
+        if sum(lengths) / ((end_ms - start_ms) / 1000) <= max_cps:
+            cps_hits += 1
+    if not cues:
+        return None, None
+    return cpl_hits / cpl_units, cps_hits / len(cues)
+
+
+# ---------------------------------------------------------------------------
 # Edit distance (memoized recursion)
 
 

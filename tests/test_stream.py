@@ -13,6 +13,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from subeval import cli
 from subeval.conformity import (
     BreakSelection,
@@ -78,6 +79,35 @@ def _replace(index, text):
     return lambda lines: lines[:index] + [text] + lines[index + 1:]
 
 
+def _eval_report(paths, *options):
+    """The report `eval` computes on `paths`, before it is written."""
+    reports = []
+    real = cli.report_to_json
+    with mock.patch.object(cli, "report_to_json", lambda r: reports.append(r) or real(r)):
+        assert cli.main(_args(paths, *options)) == 0
+    (report,) = reports
+    return report
+
+
+def _pharaoh_lines(data, tokens):
+    """Random in-range (c2s, s2c) alignments of each pair of (caption,
+    subtitle) MT tokens, and the Pharaoh lines of each direction."""
+    alignments = []
+    for cap, sub in tokens:
+        n_cap, n_sub = len(cap.words()), len(sub.words())
+        alignments.append(tuple(
+            SentenceAlignment(frozenset(data.draw(st.lists(
+                st.tuples(st.integers(0, own - 1), st.integers(0, other - 1)), max_size=6
+            ))))
+            for own, other in ((n_cap, n_sub), (n_sub, n_cap))
+        ))
+    lines = [
+        [" ".join(f"{i}-{j}" for i, j in sorted(pair[side].links)) for pair in alignments]
+        for side in (0, 1)
+    ]
+    return alignments, lines
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -114,29 +144,17 @@ def test_streamed_report_equals_the_whole_corpus_functions(
                         for i, (w, tag) in enumerate(zip(t.words(), sentence), 1))
                 for t, sentence in zip(tokens[key], tags[key])
             ])
-        alignments = []
-        for cap, sub in zip(tokens["captions_hyp"], tokens["subtitles_hyp"]):
-            n_cap, n_sub = len(cap.words()), len(sub.words())
-            c2s, s2c = (
-                SentenceAlignment(frozenset(data.draw(st.lists(
-                    st.tuples(st.integers(0, own - 1), st.integers(0, other - 1)), max_size=6
-                ))))
-                for own, other in ((n_cap, n_sub), (n_sub, n_cap))
-            )
-            alignments.append((c2s, s2c))
-        for key, side in (("align_c2s", 0), ("align_s2c", 1)):
-            paths[key] = _write(tmp, key, [
-                " ".join(f"{i}-{j}" for i, j in sorted(pair[side].links)) for pair in alignments
-            ])
+        alignments, pharaoh = _pharaoh_lines(
+            data, zip(tokens["captions_hyp"], tokens["subtitles_hyp"])
+        )
+        for key, side in zip(FILES[6:], pharaoh):
+            paths[key] = _write(tmp, key, side)
         options = ["--max-cpl", str(max_cpl), "--aggregation", aggregation.value,
                    "--breaks", breaks.value, "--out-file", os.path.join(tmp, "report.json"),
                    "--diagnostics", os.path.join(tmp, "diag.jsonl")]
         options += ["--exclude-trailing-eob"] * exclude_trailing_eob
         options += ["--skip-unaligned"] * skip_unaligned
-        reports = []
-        real = cli.report_to_json
-        with mock.patch.object(cli, "report_to_json", lambda r: reports.append(r) or real(r)):
-            assert cli.main(_args(paths, *options)) == 0
+        streamed = _eval_report(paths, *options)
         with open(os.path.join(tmp, "diag.jsonl"), encoding="utf-8") as fh:
             diagnostics = [json.loads(record) for record in fh]
 
@@ -151,7 +169,6 @@ def test_streamed_report_equals_the_whole_corpus_functions(
     ]
     pairs = pair_documents(docs["captions_hyp"], docs["subtitles_hyp"])
     cons = consistency_report(pairs, alignments, "en", "fr", skip_unaligned=skip_unaligned)
-    (streamed,) = reports
     assert streamed == EvaluationReport(
         system_name="system",
         wer=wer(docs["captions_hyp"].utterances, docs["captions_ref"].utterances).wer,
@@ -174,6 +191,67 @@ def test_streamed_report_equals_the_whole_corpus_functions(
         for pair, result in zip(pairs, cons.per_pair)
     ]
 
+
+def _timestamp(ms):
+    return f"{ms // 3_600_000:02d}:{ms // 60_000 % 60:02d}:{ms // 1000 % 60:02d},{ms % 1000:03d}"
+
+
+# A cue's text lines, and its gap from the previous cue and duration in ms.
+cue = st.tuples(st.lists(line, min_size=1, max_size=3), st.integers(0, 3000), st.integers(1, 9000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n_pairs=st.integers(min_value=1, max_value=4),
+    aggregation=st.sampled_from(list(LengthAggregation)),
+)
+def test_srt_eval_matches_the_cue_oracles(data, n_pairs, aggregation):
+    cues, markers = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key in FILES[:4]:
+            srt, cues[key], end = [], [], 0
+            for index, (text, gap, duration) in enumerate(
+                data.draw(st.lists(cue, min_size=n_pairs, max_size=n_pairs)), 1
+            ):
+                start, end = end + gap, end + gap + duration
+                cues[key].append((text, start, end))
+                srt += [str(index), f"{_timestamp(start)} --> {_timestamp(end)}", *text, ""]
+            paths[key] = _write(tmp, key, srt)
+            markers[key] = [" <eol> ".join(text) + " <eob>" for text, _, _ in cues[key]]
+        tokens = zip(*(
+            [tokenize(marker, Scheme.MT_DETACHED, lang) for marker in markers[key]]
+            for key, lang in (("captions_hyp", "en"), ("subtitles_hyp", "fr"))
+        ))
+        for key, side in zip(FILES[6:], _pharaoh_lines(data, tokens)[1]):
+            paths[key] = _write(tmp, key, side)
+        # Either bound may sit exactly on a hypothesis line or cue, so
+        # that the inclusive comparisons are exercised.
+        hyp_cues = cues["captions_hyp"] + cues["subtitles_hyp"]
+        max_cpl = data.draw(st.one_of(
+            st.integers(5, 42), st.sampled_from([len(t) for text, _, _ in hyp_cues for t in text])
+        ))
+        max_cps = data.draw(st.one_of(
+            st.integers(5, 30).map(float),
+            st.sampled_from([len("".join(text)) / ((end - start) / 1000)
+                             for text, start, end in hyp_cues]),
+        ))
+        report = _eval_report(
+            paths, "--format", "srt", "--max-cpl", str(max_cpl), "--max-cps", repr(max_cps),
+            "--aggregation", aggregation.value, "--out-file", os.path.join(tmp, "report.json"),
+        )
+
+    per_block = aggregation is LengthAggregation.PER_BLOCK
+    for key, length, reading_speed in (
+        ("captions_hyp", report.length_captions, report.reading_speed_captions),
+        ("subtitles_hyp", report.length_subtitles, report.reading_speed_subtitles),
+    ):
+        assert (length, reading_speed) == oracles.cue_conformity(
+            cues[key], max_cpl, max_cps, per_block
+        )
+    assert report.wer == oracles.corpus_wer(markers["captions_hyp"], markers["captions_ref"])
+    assert report.bleu == oracles.corpus_bleu(markers["subtitles_hyp"], markers["subtitles_ref"])
 
 def test_first_error_in_pair_order_is_reported(micro_paths, tmp_path, capsys):
     # A bad reference line at pair 7 and a link out of bounds at pair 3.
