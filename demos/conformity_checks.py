@@ -10,8 +10,6 @@ and the plausibility of break placement given part-of-speech tags.
 from subeval.conformity import (
     ConformityThresholds,
     conformity_report,
-    length_conformity,
-    reading_speed_conformity,
     segmentation_plausibility,
 )
 from subeval.model import SubtitleBlock, SubtitleDocument, Utterance
@@ -35,14 +33,15 @@ document = parse_srt(
     "Sea levels are rising everywhere, faster than anyone expected.\n"
 )
 
-print("line length  :", length_conformity(document))
-print("reading speed:", reading_speed_conformity(document))
+# conformity_report scores every rate in one pass over the document.
+report = conformity_report(document)
+print("line length  :", report.length_rate)
+print("reading speed:", report.reading_speed_rate)
 
 # Thresholds are plain data and inclusive: a 42-character line and a
 # 21.0 cps block both conform.
-relaxed = ConformityThresholds(max_cpl=70, max_cps=60.0)
-print("relaxed      :", length_conformity(document, relaxed),
-      reading_speed_conformity(document, relaxed))
+relaxed = conformity_report(document, ConformityThresholds(max_cpl=70, max_cps=60.0))
+print("relaxed      :", relaxed.length_rate, relaxed.reading_speed_rate)
 
 # Segmentation plausibility needs POS tags.  A break is plausible
 # after punctuation, or between a content word (chunk) and a function
@@ -56,7 +55,7 @@ good_tagged = attach_tags(good, ["PRON", "VERB", "SCONJ", "PRON", "VERB", "PUNCT
 print("bad split    :", segmentation_plausibility([bad_tagged]))
 print("good split   :", segmentation_plausibility([good_tagged]))
 
-# conformity_report bundles all three rates and the selected break
+# The report also carries the segmentation rate and the selected break
 # count, and degrades gracefully: without timing the speed rate is None,
 # without tags the segmentation rate is None.
 untimed = SubtitleDocument(

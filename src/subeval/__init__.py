@@ -8,15 +8,13 @@ the statistical word alignment the lexical metric depends on.
 
 from .conformity import (
     ConformityThresholds,
-    length_conformity,
-    reading_speed_conformity,
+    conformity_report,
     segmentation_plausibility,
 )
 from .consistency import (
     block_index_map,
     char_ratio,
     consistency_report,
-    corpus_lexical_consistency,
     lexical_consistency_pair,
     line_count_consistency,
     structural_consistency,

@@ -9,7 +9,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .model import BREAKS, EOB, EOL, SubtitleDocument, Utterance, column_sums
+from .model import BREAKS, EOB, EOL, SubtitleDocument, Utterance, check_count, column_sums
 from .textproc import TaggedUtterance, WordClass, classify_chunk_chink
 
 DEFAULT_MAX_CPL = 42
@@ -175,34 +175,16 @@ def conformity_report(
     `conformity_counts` over its utterances; rates whose denominator is
     empty (or whose inputs are missing) are reported as None.
 
-    `tagged` is scored on its own: it need not match `doc` utterance for
-    utterance, and with an empty `doc` only segmentation is scored."""
+    `tagged` holds the tags of each utterance of `doc`, in order.  With
+    an empty `doc`, only the tags are scored: that is
+    `segmentation_plausibility`."""
+    if tagged is not None and doc.utterances:
+        check_count(len(doc.utterances), len(tagged))
     rows = (
         conformity_counts(utt, thresholds, aggregation, tags, include_trailing_eob, breaks, index)
         for index, (utt, tags) in enumerate(zip_longest(doc.utterances, tagged or ()))
     )
     return conformity_from_sums(column_sums(rows) or [0] * 8)
-
-
-def length_conformity(
-    doc: SubtitleDocument,
-    thresholds: ConformityThresholds = ConformityThresholds(),
-    aggregation: LengthAggregation = LengthAggregation.PER_LINE,
-) -> Optional[float]:
-    """Fraction of lines (or blocks) within the CPL bound, inclusive."""
-    return conformity_report(doc, thresholds, aggregation).length_rate
-
-
-def reading_speed_conformity(
-    doc: SubtitleDocument,
-    thresholds: ConformityThresholds = ConformityThresholds(),
-) -> Optional[float]:
-    """Fraction of blocks read at or below the CPS bound; every block
-    must be timed."""
-    for utt in doc.utterances:
-        if not all(block.timed for block in utt.blocks):
-            raise DataError(f"utterance {utt.id!r}: a block has no timing")
-    return conformity_report(doc, thresholds).reading_speed_rate
 
 
 def segmentation_plausibility(

@@ -64,14 +64,15 @@ def pair_counts(pair: UtterancePair) -> tuple[int, int, int, int, int, int]:
 
 
 def _pair_sums(pairs: Sequence[UtterancePair]) -> list[int]:
+    """The column sums of `pair_counts` over a non-empty pair list."""
+    if not pairs:
+        raise DataError("empty pair list")
     return column_sums(map(pair_counts, pairs))
 
 
 def structural_consistency(pairs: Sequence[UtterancePair]) -> float:
     """Fraction of pairs whose caption and subtitle have equal block
     counts."""
-    if not pairs:
-        raise DataError("empty pair list")
     n, same, *_ = _pair_sums(pairs)
     return same / n
 
@@ -166,38 +167,6 @@ def lexical_from_tokens(
     )
 
 
-def _lexical_results(
-    pairs: Sequence[UtterancePair],
-    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    caption_lang: str,
-    subtitle_lang: str,
-    skip_unaligned: bool,
-) -> list[LexicalConsistencyPair]:
-    """The lexical result of each pair, in pair order, once the counts
-    are checked and then each pair's links."""
-    if len(pairs) != len(alignments):
-        raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
-    if not pairs:
-        raise DataError("empty pair list")
-    return [
-        lexical_consistency_pair(pair, c2s, s2c, caption_lang, subtitle_lang, skip_unaligned)
-        for pair, (c2s, s2c) in zip(pairs, alignments)
-    ]
-
-
-def corpus_lexical_consistency(
-    pairs: Sequence[UtterancePair],
-    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
-    caption_lang: str = "en",
-    subtitle_lang: str = "en",
-    skip_unaligned: bool = False,
-) -> tuple[float, list[LexicalConsistencyPair]]:
-    """Unweighted mean of lex_pair over the corpus, plus per-pair
-    diagnostics."""
-    per_pair = _lexical_results(pairs, alignments, caption_lang, subtitle_lang, skip_unaligned)
-    return sum(p.lex_pair for p in per_pair) / len(per_pair), per_pair
-
-
 def _line_count_rate(equal: int, compared: int) -> Optional[float]:
     if compared == 0:
         log.warning("no structurally consistent pairs; line-count rate undefined")
@@ -208,8 +177,7 @@ def _line_count_rate(equal: int, compared: int) -> Optional[float]:
 def line_count_consistency(pairs: Sequence[UtterancePair]) -> Optional[float]:
     """Fraction of positionally paired blocks with equal line counts,
     over structurally consistent pairs only."""
-    _, _, equal, compared, _, _ = _pair_sums(pairs)
-    return _line_count_rate(equal, compared)
+    return _line_count_rate(*_pair_sums(pairs)[2:4])
 
 
 def _char_ratio(cap_chars: int, sub_chars: int) -> float:
@@ -220,8 +188,6 @@ def _char_ratio(cap_chars: int, sub_chars: int) -> float:
 
 def char_ratio(pairs: Sequence[UtterancePair]) -> float:
     """Total caption characters over total subtitle characters."""
-    if not pairs:
-        raise DataError("empty pair list")
     return _char_ratio(*_pair_sums(pairs)[4:])
 
 
@@ -290,7 +256,14 @@ def consistency_report(
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
-    per_pair = _lexical_results(pairs, alignments, caption_lang, subtitle_lang, skip_unaligned)
-    return consistency_from_sums(
-        _pair_sums(pairs), sum(p.lex_pair for p in per_pair), per_pair
-    )
+    """Every consistency rate of a corpus, and the lexical result of each
+    pair; lexical consistency is the unweighted mean of lex_pair.  The
+    pair and alignment counts are checked first, then each pair's links
+    in pair order; an empty pair list is a DataError."""
+    if len(pairs) != len(alignments):
+        raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
+    per_pair = [
+        lexical_consistency_pair(pair, c2s, s2c, caption_lang, subtitle_lang, skip_unaligned)
+        for pair, (c2s, s2c) in zip(pairs, alignments)
+    ]
+    return consistency_from_sums(_pair_sums(pairs), sum(p.lex_pair for p in per_pair), per_pair)

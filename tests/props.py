@@ -12,8 +12,8 @@ import math
 import random
 import unicodedata
 
-from subeval.conformity import ConformityThresholds, length_conformity, reading_speed_conformity
-from subeval.consistency import lexical_consistency_pair, structural_consistency
+from subeval.conformity import ConformityThresholds, conformity_report
+from subeval.consistency import consistency_report, lexical_consistency_pair, structural_consistency
 from subeval.align import SentenceAlignment
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import (
@@ -110,10 +110,10 @@ def check_conformity_bounds_and_monotonicity(n_cases: int = 1000, seed: int = 2)
         doc = SubtitleDocument(tuple(utterances))
         cpl_low, cpl_high = sorted(rng.sample(range(1, 100), 2))
         cps_low, cps_high = sorted(rng.uniform(1, 60) for _ in range(2))
-        length_low = length_conformity(doc, ConformityThresholds(max_cpl=cpl_low))
-        length_high = length_conformity(doc, ConformityThresholds(max_cpl=cpl_high))
-        speed_low = reading_speed_conformity(doc, ConformityThresholds(max_cps=cps_low))
-        speed_high = reading_speed_conformity(doc, ConformityThresholds(max_cps=cps_high))
+        low = conformity_report(doc, ConformityThresholds(max_cpl=cpl_low, max_cps=cps_low))
+        high = conformity_report(doc, ConformityThresholds(max_cpl=cpl_high, max_cps=cps_high))
+        length_low, speed_low = low.length_rate, low.reading_speed_rate
+        length_high, speed_high = high.length_rate, high.reading_speed_rate
         for rate in (length_low, length_high, speed_low, speed_high):
             assert 0.0 <= rate <= 1.0
         assert length_low <= length_high
@@ -217,15 +217,13 @@ def _report_for(captions_hyp, captions_ref, subtitles_hyp, subtitles_ref) -> str
         n_sub = len(tokenize(pair.subtitle.text(), Scheme.MT_DETACHED).words())
         links = SentenceAlignment(frozenset((i, i) for i in range(min(n_cap, n_sub))))
         identity.append((links, links))
-    from subeval.consistency import consistency_report
-
     cons = consistency_report(pairs, identity)
     report = EvaluationReport(
         system_name="prop",
         wer=wer(captions_hyp.utterances, captions_ref.utterances).wer,
         bleu=corpus_bleu(subtitles_hyp.utterances, subtitles_ref.utterances).score,
-        length_captions=length_conformity(captions_hyp),
-        length_subtitles=length_conformity(subtitles_hyp),
+        length_captions=conformity_report(captions_hyp).length_rate,
+        length_subtitles=conformity_report(subtitles_hyp).length_rate,
         reading_speed_captions=None,
         reading_speed_subtitles=None,
         segmentation_captions=None,

@@ -17,10 +17,10 @@ import oracles
 import props
 from subeval.align import load_pharaoh, train_aligner, viterbi_align
 from subeval.cli import main
-from subeval.conformity import length_conformity, segmentation_plausibility
+from subeval.conformity import conformity_report, segmentation_plausibility
 from subeval.consistency import (
     char_ratio,
-    corpus_lexical_consistency,
+    consistency_report,
     lexical_consistency_pair,
     line_count_consistency,
     structural_consistency,
@@ -208,7 +208,7 @@ def test_micro_corpus_matches_oracles(capsys, micro_docs, micro_raw, micro_paths
             expected = sum(
                 1 for text in lines if oracles.char_count(text) <= 42
             ) / len(lines)
-            assert rel(length_conformity(micro_docs[doc_key]), expected)
+            assert rel(conformity_report(micro_docs[doc_key]).length_rate, expected)
 
         # Segmentation plausibility from independently parsed tag streams.
         for doc_key, pos_key, lang in (
@@ -263,9 +263,9 @@ def test_micro_corpus_matches_oracles(capsys, micro_docs, micro_raw, micro_paths
                 sub_blocks, cap_blocks, set(a_s2c.links)
             )
             expected_pairs.append((lex_c2s + lex_s2c) / 2)
-        mean, _ = corpus_lexical_consistency(
+        mean = consistency_report(
             pairs, list(zip(c2s, s2c)), caption_lang="en", subtitle_lang="fr"
-        )
+        ).lexical
         assert rel(mean, sum(expected_pairs) / len(expected_pairs))
 
         # Line-count consistency over structurally consistent pairs

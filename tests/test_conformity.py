@@ -7,8 +7,6 @@ from subeval.conformity import (
     ConformityThresholds,
     LengthAggregation,
     conformity_report,
-    length_conformity,
-    reading_speed_conformity,
     segmentation_plausibility,
 )
 from subeval.errors import DataError
@@ -40,26 +38,26 @@ def tag_text(text, tags):
 
 
 def test_length_42_conforms_inclusive():
-    assert length_conformity(doc_of_lines(42)) == 1.0
+    assert conformity_report(doc_of_lines(42)).length_rate == 1.0
 
 
 def test_length_43_does_not_conform():
-    assert length_conformity(doc_of_lines(43)) == 0.0
+    assert conformity_report(doc_of_lines(43)).length_rate == 0.0
 
 
 def test_length_mixed_lines():
-    assert length_conformity(doc_of_lines(10, 50, 42)) == pytest.approx(2 / 3)
+    assert conformity_report(doc_of_lines(10, 50, 42)).length_rate == pytest.approx(2 / 3)
 
 
 def test_length_per_block_aggregation():
     block = SubtitleBlock(("x" * 10, "x" * 50))
     doc = SubtitleDocument((Utterance(id="0", blocks=(block,)),))
-    assert length_conformity(doc, aggregation=LengthAggregation.PER_BLOCK) == 0.0
-    assert length_conformity(doc, aggregation=LengthAggregation.PER_LINE) == 0.5
+    assert conformity_report(doc, aggregation=LengthAggregation.PER_BLOCK).length_rate == 0.0
+    assert conformity_report(doc, aggregation=LengthAggregation.PER_LINE).length_rate == 0.5
 
 
 def test_length_custom_threshold():
-    assert length_conformity(doc_of_lines(10), ConformityThresholds(max_cpl=9)) == 0.0
+    assert conformity_report(doc_of_lines(10), ConformityThresholds(max_cpl=9)).length_rate == 0.0
 
 
 def test_thresholds_must_be_positive():
@@ -81,25 +79,26 @@ def test_nan_threshold_rejected(field):
 
 def test_reading_speed_boundary_conforms():
     doc = timed_doc((84, 0, 4000))
-    assert reading_speed_conformity(doc) == 1.0
+    assert conformity_report(doc).reading_speed_rate == 1.0
 
 
 def test_reading_speed_above_boundary():
     doc = timed_doc((85, 0, 4000))
-    assert reading_speed_conformity(doc) == 0.0
+    assert conformity_report(doc).reading_speed_rate == 0.0
 
 
 def test_reading_speed_missing_timing():
-    doc = doc_of_lines(10)
-    with pytest.raises(DataError, match="utterance '0': a block has no timing"):
-        reading_speed_conformity(doc)
+    # One untimed block leaves the rate without a value, as `eval` reports it.
+    timed = SubtitleBlock(("x" * 10,), start_ms=0, end_ms=1000)
+    doc = SubtitleDocument((Utterance(id="0", blocks=(timed, SubtitleBlock(("x" * 10,)))),))
+    assert conformity_report(doc).reading_speed_rate is None
 
 
 def test_reading_speed_no_interline_spaces():
     # Two 42-char lines in a 4-second block: 84 chars, exactly 21 cps.
     block = SubtitleBlock(("x" * 42, "x" * 42), start_ms=0, end_ms=4000)
     doc = SubtitleDocument((Utterance(id="0", blocks=(block,)),))
-    assert reading_speed_conformity(doc) == 1.0
+    assert conformity_report(doc).reading_speed_rate == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +228,15 @@ def test_report_with_tags_counts_breaks():
     assert report.segmentation_rate == 1.0
     assert report.breaks == 1
 
+
+
+def test_report_tags_must_match_the_document():
+    doc = parse_marked_text("a b <eob>\nc d <eob>\n")
+    tagged = [tag_text("a b <eob>", ["NOUN", "NOUN"])] * 3
+    with pytest.raises(DataError, match=r"^utterance count mismatch: 2 vs 3$"):
+        conformity_report(doc, tagged=tagged)
+    # Without a document, the tags are scored on their own.
+    assert conformity_report(SubtitleDocument(()), tagged=tagged).breaks == 3
 
 @pytest.mark.parametrize(
     "selection, expected",

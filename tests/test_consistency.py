@@ -7,7 +7,6 @@ from subeval.consistency import (
     block_index_map,
     char_ratio,
     consistency_report,
-    corpus_lexical_consistency,
     lexical_consistency_pair,
     line_count_consistency,
     structural_consistency,
@@ -160,31 +159,30 @@ def test_corpus_mean_is_unweighted():
         (parse_pharaoh("0-0"), parse_pharaoh("0-0")),
         (parse_pharaoh("0-0"), parse_pharaoh("0-0 1-1")),
     ]
-    mean, per_pair = corpus_lexical_consistency([pair_full, pair_half], alignments)
-    assert per_pair[0].lex_pair == 1.0
-    assert per_pair[1].lex_pair == 0.75
-    assert mean == pytest.approx(0.875)
+    report = consistency_report([pair_full, pair_half], alignments)
+    assert report.per_pair[0].lex_pair == 1.0
+    assert report.per_pair[1].lex_pair == 0.75
+    assert report.lexical == pytest.approx(0.875)
 
 
 def test_corpus_alignment_count_mismatch():
     pair = make_pair("a <eob>", "x <eob>")
     with pytest.raises(DataError, match="pair/alignment count mismatch"):
-        corpus_lexical_consistency([pair], [])
+        consistency_report([pair], [])
 
 
-@pytest.mark.parametrize("score", [corpus_lexical_consistency, consistency_report])
-def test_count_mismatch_is_raised_before_a_link_out_of_bounds(score):
+def test_count_mismatch_is_raised_before_a_link_out_of_bounds():
     pair = make_pair("a <eob>", "x <eob>")
     stray = (parse_pharaoh("0-5"), parse_pharaoh("7-0"))
     with pytest.raises(DataError, match="pair/alignment count mismatch: 1 vs 2"):
-        score([pair], [stray, stray])
+        consistency_report([pair], [stray, stray])
     with pytest.raises(DataError, match="empty pair list"):
-        score([], [])
+        consistency_report([], [])
     # With the counts right, the first pair in order with a stray link raises.
     pairs = [make_pair("a <eob>", "x <eob>", "u0"), make_pair("b <eob>", "y <eob>", "u1")]
     fine = (parse_pharaoh("0-0"), parse_pharaoh(""))
     with pytest.raises(DataError, match=r"^alignment link 7-0 out of bounds \(utterance 'u1'\)$"):
-        score(pairs, [fine, (fine[0], stray[1])])
+        consistency_report(pairs, [fine, (fine[0], stray[1])])
 
 
 def test_micro_corpus_matches_directional_oracle(micro_docs, micro_paths):
@@ -194,9 +192,9 @@ def test_micro_corpus_matches_directional_oracle(micro_docs, micro_paths):
     pairs = pair_documents(micro_docs["captions_hyp"], micro_docs["subtitles_hyp"])
     c2s = load_pharaoh(micro_paths["align_c2s"])
     s2c = load_pharaoh(micro_paths["align_s2c"])
-    mean, per_pair = corpus_lexical_consistency(
+    mean = consistency_report(
         pairs, list(zip(c2s, s2c)), caption_lang="en", subtitle_lang="fr"
-    )
+    ).lexical
     expected = []
     for pair, a_c2s, a_s2c in zip(pairs, c2s, s2c):
         cap_blocks = list(block_index_map(pair.caption, lang="en").word_to_block)
@@ -291,6 +289,11 @@ def test_line_count_skips_structurally_inconsistent():
 def test_line_count_undefined_without_structural_pairs():
     pairs = [make_pair("a <eob> b <eob>", "c <eob>", "0")]
     assert line_count_consistency(pairs) is None
+
+
+def test_line_count_empty_list():
+    with pytest.raises(DataError, match="^empty pair list$"):
+        line_count_consistency([])
 
 
 def test_char_ratio_nine_tenths():

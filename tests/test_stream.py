@@ -1,6 +1,7 @@
 """`eval` scores one pair at a time: its reports equal those of the
-whole-corpus library functions, its errors and warnings come in pair
-order, and an error exit leaves no diagnostics file."""
+whole-corpus library functions and, on SRT, those of the brute-force
+oracles, its errors and warnings come in pair order, and an error exit
+leaves no diagnostics file."""
 
 import json
 import os
@@ -252,6 +253,7 @@ def test_srt_eval_matches_the_cue_oracles(data, n_pairs, aggregation):
         )
     assert report.wer == oracles.corpus_wer(markers["captions_hyp"], markers["captions_ref"])
     assert report.bleu == oracles.corpus_bleu(markers["subtitles_hyp"], markers["subtitles_ref"])
+
 
 def test_first_error_in_pair_order_is_reported(micro_paths, tmp_path, capsys):
     # A bad reference line at pair 7 and a link out of bounds at pair 3.
