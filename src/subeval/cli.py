@@ -88,7 +88,7 @@ EVAL_OPTIONS: dict[str, tuple[type, Any]] = {
 # Every option of every subcommand: `eval`'s, then the others'.
 OPTIONS: dict[str, tuple[type, Any]] = {
     **EVAL_OPTIONS,
-    **dict.fromkeys(("model-out", "model", "bitext", "hyp-a", "hyp-b", "ref"), _PATH),
+    **dict.fromkeys(("config", "model-out", "model", "bitext", "hyp-a", "hyp-b", "ref"), _PATH),
     **dict.fromkeys(_VALIDATE_INPUTS, _PATH),
     "metric": (str, None),
     "source-lang": (str, "en"),
@@ -127,11 +127,7 @@ def _resolve_options(keys: Sequence[str], args: dict[str, Any]) -> dict[str, Any
     """The value of each option in `keys`: its flag, else `eval`'s config
     file, else its default."""
     path = args.get("config")
-    if isinstance(path, list):  # argparse reads `--config=--` as []
-        raise UsageError("--config expected one argument")
-    _check_text("config", path)
-    if path == "":
-        raise UsageError("--config must be a non-empty path, got ''")
+    _validate_options({"config": path})
     config = dict(stream_file(path, _parse_config_file)) if path else {}
     flags = {key: args[key.replace("-", "_")] for key in keys}
     return {key: config.get(key, OPTIONS[key][1]) if v is None else v for key, v in flags.items()}
@@ -170,11 +166,6 @@ _RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
 _NOT_TEXT = re.compile("[\x00\ud800-\udfff]")
 
 
-def _check_text(key: str, value: Any) -> None:
-    if isinstance(value, str) and _NOT_TEXT.search(value):
-        raise UsageError(f"--{key} must be UTF-8 text without NUL, got {value!r}")
-
-
 def _validate_options(opts: dict[str, Any]) -> None:
     """The usage checks of every subcommand, made before any file is
     read.  Each check applies to the options present."""
@@ -185,7 +176,8 @@ def _validate_options(opts: dict[str, Any]) -> None:
         if key in opts and not opts[key]:
             raise UsageError(f"--{key} is required")
     for key, value in opts.items():
-        _check_text(key, value)
+        if isinstance(value, str) and _NOT_TEXT.search(value):
+            raise UsageError(f"--{key} must be UTF-8 text without NUL, got {value!r}")
     for key, (valid, what) in _RULES.items():
         if key in opts and not valid(opts[key]):
             raise UsageError(f"--{key} must be {what}, got {opts[key]!r}")

@@ -327,19 +327,23 @@ def test_eval_caption_subtitle_count_mismatch_names_both_files(tmp_path, capsys)
         ("align_c2s", 6, "99-0",
          "{align_c2s}:7: alignment link 99-0 out of bounds (utterance '6')"),
         ("pos_captions", 20, "1\tThe", "{pos_captions}:21: expected 10 columns, got 2"),
+        # The last sentence's five token lines and the blank line after them.
+        ("pos_captions", slice(-7, -1), None, "{pos_captions}: 19 sentences for 20 utterances"),
+        ("captions_ref", slice(None), None, "{captions_hyp} vs {captions_ref}: empty corpus"),
     ],
     ids=[
         "pos-tag-count", "pos-tag-count-sentence-2", "pharaoh-line-count",
         "pharaoh-link-bounds", "empty-utterance", "pharaoh-s2c-link-bounds", "pharaoh-s2c-link-bounds-pair-7",
-        "pharaoh-c2s-link-bounds-pair-7", "conllu-line",
+        "pharaoh-c2s-link-bounds-pair-7", "conllu-line", "pos-sentence-count", "empty-reference",
     ],
 )
 def test_eval_input_error_names_file_and_line(micro_paths, tmp_path, capsys, key, at, text,
                                               message):
-    # Line `at` of one micro-corpus file is replaced by `text`, or dropped.
+    # Line `at` (or the lines of slice `at`) of one micro-corpus file is
+    # replaced by `text`, or dropped.
     with open(micro_paths[key], encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    lines[at:at + 1] = [] if text is None else [text]
+    lines[at if isinstance(at, slice) else slice(at, at + 1)] = [] if text is None else [text]
     paths = dict(micro_paths, **{key: str(tmp_path / os.path.basename(micro_paths[key]))})
     with open(paths[key], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
@@ -476,6 +480,15 @@ def test_eval_config_error_names_file_and_line(tmp_path, capsys, line, message):
     code = main(["eval", "--config", str(config)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {config}:4: {message}\n"
+
+
+@pytest.mark.parametrize("word", ["false", "0", "no"])
+def test_eval_config_false_word_turns_a_flag_off(micro_paths, tmp_path, capsys, word):
+    # Turned on, --segmentation without POS files is a usage error.
+    config = tmp_path / "run.cfg"
+    config.write_text(f"segmentation = {word}\n")
+    assert main(eval_args(micro_paths, "--config", str(config))) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["segmentation"] is False
 
 
 def test_eval_config_path_with_nul_is_usage_error(capsys):
@@ -1064,6 +1077,17 @@ def test_validate_lexical_comparison_error_names_its_files(tmp_path, capsys, man
     assert main(args) == 2
     files = "{auto} vs {manual}, {autoj} vs {manualj}".format(**paths)
     assert capsys.readouterr().err == f"error: {files}: {message}\n"
+
+
+def test_validate_lexical_empty_files_name_their_files(tmp_path, capsys):
+    args, paths = ["validate-lexical"], []
+    for flag in ("auto-scores", "manual-scores", "auto-judgements", "manual-judgements"):
+        paths.append(tmp_path / flag)
+        paths[-1].write_text("")
+        args += [f"--{flag}", str(paths[-1])]
+    assert main(args) == 2
+    files = "{} vs {}, {} vs {}".format(*paths)
+    assert capsys.readouterr().err == f"error: {files}: empty validation vectors\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import tempfile
 import threading
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
 from subeval import cli
@@ -35,6 +35,10 @@ FILES = (
     "captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref",
     "pos_captions", "pos_subtitles", "align_c2s", "align_s2c",
 )
+# The `eval` properties skip Hypothesis's explain phase: after shrinking,
+# it records every branch `cli.main` takes, and a failure then takes
+# minutes and hundreds of MB to report.
+_PHASES = [phase for phase in Phase if phase is not Phase.explain]
 # Alphanumeric words first, so that every line can start with one and no
 # reference is empty after WER normalization.
 WORDS = [
@@ -109,7 +113,7 @@ def _pharaoh_lines(data, tokens):
     return alignments, lines
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_PHASES)
 @given(
     data=st.data(),
     n_pairs=st.integers(min_value=1, max_value=4),
@@ -201,7 +205,7 @@ def _timestamp(ms):
 cue = st.tuples(st.lists(line, min_size=1, max_size=3), st.integers(0, 3000), st.integers(1, 9000))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_PHASES)
 @given(
     data=st.data(),
     n_pairs=st.integers(min_value=1, max_value=4),
