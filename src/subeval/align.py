@@ -17,7 +17,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -112,18 +112,26 @@ class TranslationModel:
         # with (source id, target id), so one searchsorted finds any batch.
         # The stride leaves room for the target id of an unknown word.
         stride = len(target_words) + 1
-        keys = sources * stride + targets
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        last = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-        keys = keys[last]
+        keys = sources * stride
+        keys += targets
+        del sources, targets
+        probs = np.asarray(probs, dtype=np.float64)
+        # Entries in model-file order, as `save_model` writes them, need
+        # no sort and have no duplicate.
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            last = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+            keys = keys[last]
+            probs = probs[order[last]]
+            del order, last
         self.offsets = np.searchsorted(keys, np.arange(len(source_words) + 1) * stride)
         self.targets = keys % stride
         # A sentinel above every key ends `_keys`, and OOV_PROB ends
         # `_probs`, of which `probs` is a view.
         self._keys = np.append(keys, np.iinfo(np.int64).max)
-        self._probs = np.append(np.asarray(probs, dtype=np.float64)[order][last], OOV_PROB)
+        self._probs = np.append(probs, OOV_PROB)
         self.probs = self._probs[:-1]
 
     def _lookup(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -152,10 +160,9 @@ def _sorted_vocabulary(words: Sequence[str], ids) -> tuple[list[str], np.ndarray
     return [used_words[i] for i in order], rank[ids]
 
 
-@functools.lru_cache(maxsize=1024)
 def _diagonal_prior(m: int, n: int, tension: float) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal prior of an m-word source and n-word target as two
-    read-only (m, n) arrays: the weight w[i, j] of source position i for
+    (m, n) arrays: the weight w[i, j] of source position i for
     target position j, and h[i, j] - sum_i w[i, j] * h[i, j], the tension
     gradient's term, where h[i, j] = -|(i + 1) / m - (j + 1) / n|."""
     # 1-based position ratios, as in the reparameterized model.
@@ -164,7 +171,6 @@ def _diagonal_prior(m: int, n: int, tension: float) -> tuple[np.ndarray, np.ndar
     weights = raw / _sum_rows(raw)
     h = -np.array(distance)
     centred_h = h - _sum_rows(weights * h)
-    weights.flags.writeable = centred_h.flags.writeable = False
     return weights, centred_h
 
 
@@ -204,43 +210,84 @@ class _Group(NamedTuple):
         return self.first_slot + np.arange(self.m + 1)[:, None]
 
     def prior(self, tension: float) -> tuple[np.ndarray, np.ndarray]:
-        """`_diagonal_prior` of every token of the group, as (m, tokens) arrays."""
+        """`_diagonal_prior` of the group's lengths side by side, as two
+        (m, sum of lengths) arrays; `columns` picks each token's column."""
         parts = [_diagonal_prior(self.m, n, tension) for n in self.lengths]
-        weights = np.concatenate([w for w, _ in parts], axis=1)
-        centred_h = np.concatenate([h for _, h in parts], axis=1)
-        return weights[:, self.columns], centred_h[:, self.columns]
+        return (np.concatenate([w for w, _ in parts], axis=1),
+                np.concatenate([h for _, h in parts], axis=1))
+
+    def e_step(self, posterior: np.ndarray, p0: float, tension: float) -> tuple[np.ndarray, np.ndarray]:
+        """Turn the group's slots of `posterior` from t into posteriors, in
+        place.  Returns each token's z and tension gradient term."""
+        slots = self.slots()
+        scores = posterior[slots]
+        weights, centred_h = self.prior(tension)
+        weights = weights[:, self.columns]
+        weights *= 1.0 - p0
+        scores[0] *= p0
+        scores[1:] *= weights
+        del weights  # each (m, tokens) array is freed before the next is made
+        z = _sum_rows(scores)
+        scores /= z
+        posterior[slots] = scores
+        del slots
+        centred_h = centred_h[:, self.columns]
+        centred_h *= scores[1:]
+        return z, _sum_rows(centred_h)
+
+
+def _corpus_ids(
+    corpus: Sequence[BitextPair],
+    null: int,
+    source_id: Callable[[str], int],
+    target_id: Callable[[str], int],
+) -> tuple[np.ndarray, ...]:
+    """The corpus as int64 arrays: each pair's source ids, `null` and
+    then `source_id` of each source word, flat; each target word's
+    `target_id`, flat; and each pair's source length m and target length n.
+    The ids are asked for in corpus order, source side first."""
+    m = np.fromiter((len(pair.source) for pair in corpus), np.int64, len(corpus))
+    n = np.fromiter((len(pair.target) for pair in corpus), np.int64, len(corpus))
+    sources = np.fromiter(
+        itertools.chain.from_iterable((null, *map(source_id, pair.source)) for pair in corpus),
+        np.int64, len(corpus) + int(m.sum()),
+    )
+    targets = np.fromiter(
+        itertools.chain.from_iterable(map(target_id, pair.target) for pair in corpus),
+        np.int64, int(n.sum()),
+    )
+    return sources, targets, m, n
 
 
 def _group_by_source_length(
-    id_pairs: Iterable[tuple[list[int], list[int]]],
+    sources: np.ndarray, targets: np.ndarray, m: np.ndarray, n: np.ndarray
 ) -> Iterator[tuple[_Group, np.ndarray, np.ndarray]]:
-    """Group the target tokens of a corpus by source length m.  Each pair
-    comes as (source ids, target word ids), where the source ids are
-    NULL's and then the source words'.  Yields, for each m ascending, the
-    `_Group`, the (m + 1, tokens) source ids of its tokens' slots and its
-    tokens' target ids.  Tokens are numbered in corpus order, and each
-    has m + 1 slots: NULL first, then the source positions left to right."""
-    by_length: dict[int, tuple[list, list, list, list, list]] = {}
-    n_tokens = n_slots = 0
-    for sources, targets in id_pairs:
-        m, n = len(sources) - 1, len(targets)
-        tokens, first_slot, lengths, group_sources, group_targets = by_length.setdefault(
-            m, ([], [], [], [], [])
-        )
-        tokens.extend(range(n_tokens, n_tokens + n))
-        first_slot.extend(range(n_slots, n_slots + n * (m + 1), m + 1))
-        lengths.append(n)
-        group_sources.append(sources)
-        group_targets += targets
-        n_tokens += n
-        n_slots += n * (m + 1)
-    for m, (tokens, first_slot, lengths, sources, targets) in sorted(by_length.items()):
-        distinct_n = sorted(set(lengths))
-        n_start = dict(zip(distinct_n, itertools.accumulate(distinct_n, initial=0)))
-        columns = [c for n in lengths for c in range(n_start[n], n_start[n] + n)]
-        group = _Group(m, np.array(tokens), np.array(first_slot), tuple(distinct_n), np.array(columns))
-        yield (group, np.repeat(np.array(sources, dtype=np.int64), lengths, axis=0).T,
-               np.array(targets, dtype=np.int64))
+    """Group the target tokens of a corpus, given as `_corpus_ids`, by
+    source length m.  Yields, for each m, the `_Group`, the (m + 1,
+    tokens) source ids of its tokens' slots and its tokens' target ids.
+    The group with the most slots comes first, so that each later
+    group's temporaries fit in the memory an earlier one freed.  Tokens
+    are numbered in corpus order, and each has m + 1 slots: NULL first,
+    then the source positions left to right."""
+    token_m = np.repeat(m, n)
+    token_n = np.repeat(n, n)
+    # Each token's position j in its pair, and where its pair's source ids start.
+    token_j = np.arange(len(targets)) - np.repeat(np.cumsum(n) - n, n)
+    token_sources = np.repeat(np.cumsum(m + 1) - (m + 1), n)
+    first_slot = np.cumsum(token_m + 1) - (token_m + 1)
+    group_tokens = np.bincount(token_m).tolist()
+    for length in sorted(
+        (length for length, count in enumerate(group_tokens) if count),
+        key=lambda length: (length + 1) * group_tokens[length], reverse=True,
+    ):
+        tokens = np.flatnonzero(token_m == length)
+        lengths = token_n[tokens]
+        distinct_n = np.unique(lengths)
+        n_start = np.cumsum(distinct_n) - distinct_n
+        columns = n_start[np.searchsorted(distinct_n, lengths)] + token_j[tokens]
+        group = _Group(length, tokens, first_slot[tokens], tuple(distinct_n.tolist()), columns)
+        group_sources = sources[token_sources[tokens] + np.arange(length + 1)[:, None]]
+        yield group, group_sources, targets[tokens]
 
 
 class _CooccurrenceIndex:
@@ -258,50 +305,54 @@ class _CooccurrenceIndex:
     def __init__(self, corpus: Sequence[BitextPair]):
         source_ids = {NULL_WORD: 0}
         target_ids: dict[str, int] = {}
-        id_pairs = [
-            ([0] + [source_ids.setdefault(w, len(source_ids)) for w in pair.source],
-             [target_ids.setdefault(w, len(target_ids)) for w in pair.target])
-            for pair in corpus
-        ]
+        ids = _corpus_ids(
+            corpus, 0,
+            lambda word: source_ids.setdefault(word, len(source_ids)),
+            lambda word: target_ids.setdefault(word, len(target_ids)),
+        )
         self.source_words = list(source_ids)
         self.target_words = list(target_ids)
-        self.n_tokens = sum(len(targets) for _, targets in id_pairs)
-        n_slots = sum(len(sources) * len(targets) for sources, targets in id_pairs)
+        _, targets, m, n = ids
+        self.n_tokens = len(targets)
+        n_slots = int((m + 1) @ n)
 
         # Slot codes source id * |target vocabulary| + target id.
         codes = np.empty(n_slots, dtype=np.int64)
         self.groups = []
         n_targets = len(self.target_words)
-        for group, sources, targets in _group_by_source_length(id_pairs):
+        for group, sources, targets in _group_by_source_length(*ids):
             sources *= n_targets
             sources += targets
             codes[group.slots()] = sources
             self.groups.append(group)
-        del id_pairs, sources
+        del ids, sources, targets
 
-        # Distinct codes numbered by first slot.  A stable sort keeps equal
-        # codes in corpus order, so each run of one code starts at its
-        # first slot.  (np.unique with return_index and return_inverse
-        # would hold about six slot-sized arrays at once.)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        run_start = np.empty(n_slots, dtype=bool)
-        run_start[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
-        key_codes = codes[run_start]
+        # Distinct codes, sorted, then numbered by first slot.  At most two
+        # slot-sized arrays are alive at once; np.unique with return_index
+        # and return_inverse would hold about six.
+        sorted_codes = np.sort(codes)
+        distinct = np.empty(n_slots, dtype=bool)
+        distinct[0] = True
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=distinct[1:])
+        key_codes = sorted_codes[distinct]
+        del sorted_codes, distinct
+        ranks = np.searchsorted(key_codes, codes)  # each slot's code's rank
         del codes
-        key_of_run = np.empty(len(key_codes), dtype=np.intp)
-        key_of_run[np.argsort(order[run_start])] = np.arange(len(key_codes))
-        run = np.cumsum(run_start, dtype=np.intp)
-        run -= 1
-        del run_start
-        self.slot_keys = np.empty(n_slots, dtype=np.intp)
-        self.slot_keys[order] = key_of_run[run]
-        del order, run
+        first_slot = np.full(len(key_codes), n_slots)
+        np.minimum.at(first_slot, ranks, np.arange(n_slots))
+        key_of_rank = np.empty(len(key_codes), dtype=np.intp)
+        key_of_rank[np.argsort(first_slot)] = np.arange(len(key_codes))
+        del first_slot
         self.key_source = np.empty(len(key_codes), dtype=np.intp)
-        self.key_target = np.empty(len(key_codes), dtype=np.intp)
-        self.key_source[key_of_run] = key_codes // n_targets
-        self.key_target[key_of_run] = key_codes % n_targets
+        # Read once, when the model is built: half the bytes do.
+        self.key_target = np.empty(len(key_codes), dtype=np.int32)
+        self.key_source[key_of_rank] = key_codes // n_targets
+        self.key_target[key_of_rank] = key_codes % n_targets
+        del key_codes
+        self.slot_keys = key_of_rank[ranks]
+        del ranks
+        # Every E-step's posteriors, in one buffer for the whole run.
+        self._posterior = np.empty(n_slots)
 
     def uniform(self) -> np.ndarray:
         """t(target | source) uniform over each source's co-occurring targets."""
@@ -312,23 +363,17 @@ class _CooccurrenceIndex:
     ) -> tuple[float, np.ndarray, float]:
         """(log-likelihood, expected count per key, tension gradient per
         target token) under t = `prob` per key."""
-        posterior = prob[self.slot_keys]
+        # Every key id is in range; "clip" writes `out` directly, where
+        # the default mode would fill a temporary copy first.
+        posterior = np.take(prob, self.slot_keys, out=self._posterior, mode="clip")
         z = np.empty(self.n_tokens)
         grad = np.zeros(self.n_tokens)
         for group in self.groups:
-            slots = group.slots()
-            scores = posterior[slots]
-            weights, centred_h = group.prior(tension)
-            scores[0] *= p0
-            scores[1:] *= (1.0 - p0) * weights
-            group_z = _sum_rows(scores)
-            scores /= group_z
-            posterior[slots] = scores
-            z[group.tokens] = group_z
-            grad[group.tokens] = _sum_rows(scores[1:] * centred_h)
+            z[group.tokens], grad[group.tokens] = group.e_step(posterior, p0, tension)
         counts = np.bincount(self.slot_keys, weights=posterior, minlength=len(self.key_source))
-        log_likelihood = _left_sum(map(math.log, z.tolist()))
-        return log_likelihood, counts, _left_sum(grad.tolist()) / self.n_tokens
+        # One float at a time, not a list of them all.
+        log_likelihood = _left_sum(map(math.log, z))
+        return log_likelihood, counts, _left_sum(map(float, grad)) / self.n_tokens
 
 
 def train_aligner(
@@ -363,20 +408,23 @@ def train_aligner(
         # A row with no mass (NULL when p0 = 0) is left out of the table,
         # so its keys score OOV_PROB.
         has_mass = totals != 0.0
-        prob = np.full(len(counts), OOV_PROB)
+        prob.fill(OOV_PROB)
         np.divide(counts, totals[index.key_source], out=prob, where=has_mass[index.key_source])
+        del counts  # before the next E-step makes its own
         if use_diagonal_prior and update_tension:
             tension = min(TENSION_BOUNDS[1], max(TENSION_BOUNDS[0], tension + grad))
         logger.info(
             "EM iteration %d/%d: log-likelihood %.6f, tension %.6f",
             iteration, iterations, ll, tension,
         )
-    kept = has_mass[index.key_source]
-    entries = (index.source_words, index.key_source[kept],
-               index.target_words, index.key_target[kept], prob[kept])
-    del index, prob  # the slot-level arrays, before the model's are built
+    source_words, target_words = index.source_words, index.target_words
+    key_source, key_target = index.key_source, index.key_target
+    del index  # the slot-level arrays, before the model's are built
+    kept = has_mass[key_source]
+    sources, targets, probs = key_source[kept], key_target[kept], prob[kept]
+    del key_source, key_target, prob, kept  # and the key-level ones
     model = TranslationModel({}, tension, p0, use_diagonal_prior)
-    model._set_entries(*entries)
+    model._set_entries(source_words, sources, target_words, targets, probs)
     return model
 
 
@@ -391,25 +439,32 @@ def viterbi_align_corpus(
     unknown_source, unknown_target = len(source_ids), len(target_ids)
     null = source_ids.get(NULL_WORD, unknown_source)
     tension = _prior_tension(model.use_diagonal_prior, model.tension)
-    best = np.empty(sum(len(pair.target) for pair in corpus), dtype=np.int64)
-    for group, sources, targets in _group_by_source_length(
-        ([null] + [source_ids.get(w, unknown_source) for w in pair.source],
-         [target_ids.get(w, unknown_target) for w in pair.target])
-        for pair in corpus
-    ):
+    ids = _corpus_ids(
+        corpus, null,
+        lambda word: source_ids.get(word, unknown_source),
+        lambda word: target_ids.get(word, unknown_target),
+    )
+    best = np.empty(len(ids[1]), dtype=np.int64)
+    for group, sources, targets in _group_by_source_length(*ids):
         scores = model._lookup(sources, targets)
+        del sources, targets
+        weights = group.prior(tension)[0][:, group.columns]
+        weights *= 1.0 - model.null_prob
         scores[0] *= model.null_prob
-        scores[1:] *= (1.0 - model.null_prob) * group.prior(tension)[0]
+        scores[1:] *= weights
         source = scores[1:].argmax(axis=0)
         source[scores[0] > scores[1:].max(axis=0)] = -1
         best[group.tokens] = source
+        # Free this group's arrays before the next group makes its own.
+        del scores, weights, source
     best = best.tolist()
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per distinct link
     alignments = []
     end = 0
     for pair in corpus:
         start, end = end, end + len(pair.target)
-        links = frozenset((i, j) for j, i in enumerate(best[start:end]) if i >= 0)
-        alignments.append(SentenceAlignment(links))
+        links = [(i, j) for j, i in enumerate(best[start:end]) if i >= 0]
+        alignments.append(SentenceAlignment(frozenset(map(shared.setdefault, links, links))))
     return alignments
 
 
@@ -420,8 +475,8 @@ def viterbi_align(model: TranslationModel, pair: BitextPair) -> SentenceAlignmen
 
 # Rows per write of `save_model` and characters per read of `load_model`:
 # blocks keep the text of a large model out of memory at once.
-_SAVE_BLOCK_ROWS = 1 << 14
-_LOAD_BLOCK_CHARS = 1 << 20
+_SAVE_BLOCK_ROWS = 1 << 12
+_LOAD_BLOCK_CHARS = 1 << 16
 # Every byte but the model file's cell and row separators.
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
 

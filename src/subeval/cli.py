@@ -205,7 +205,8 @@ def _training_files(opts) -> list[str]:
 
 
 def _file_bitext(paths, source_lang, target_lang) -> list[align_mod.BitextPair]:
-    """The pairs of the bitext files at `paths`, each side tokenized under `mt`."""
+    """The pairs of the bitext files at `paths`, each side tokenized under
+    `mt`.  The pairs share one string per distinct word."""
     from . import align as align_mod
 
     pairs = []
@@ -213,7 +214,7 @@ def _file_bitext(paths, source_lang, target_lang) -> list[align_mod.BitextPair]:
         for src_text, tgt_text in align_mod.load_bitext(path):
             src = tokenize(src_text, Scheme.MT_DETACHED, source_lang).words()
             tgt = tokenize(tgt_text, Scheme.MT_DETACHED, target_lang).words()
-            pairs.append(align_mod.BitextPair(tuple(src), tuple(tgt)))
+            pairs.append(align_mod.BitextPair(tuple(map(sys.intern, src)), tuple(map(sys.intern, tgt))))
     return pairs
 
 

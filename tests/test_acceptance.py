@@ -598,3 +598,63 @@ def test_significance_bleu_memory_grows_by_a_row_per_segment(capsys, tmp_path):
 def test_significance_wer_memory_grows_by_a_row_per_segment(capsys, tmp_path):
     with criterion(capsys, "significance --metric wer under 1 KB per added segment"):
         _assert_significance_memory_per_segment(tmp_path, "wer")
+
+
+def _write_bitext(directory, n_pairs):
+    """A bitext of `n_pairs` pairs written to `directory`, over 1,500 words
+    a side drawn with Zipf weights; most target words translate a source
+    word.  Returns its path and its co-occurrence slot count, the sum of
+    (m + 1) * n over pairs of m source and n target words."""
+    directory.mkdir(parents=True)
+    rng = random.Random(5)
+    ranks = range(1500)
+    weights = [1 / (rank + 1) for rank in ranks]
+    lines = []
+    slots = 0
+    for _ in range(n_pairs):
+        m = rng.randint(3, 15)
+        source = rng.choices(ranks, weights, k=m)
+        target = [word if rng.random() < 0.8 else rng.randrange(1500) for word in source]
+        rng.shuffle(target)
+        target = target[: rng.randint(max(1, m - 3), m)]
+        slots += (m + 1) * len(target)
+        lines.append(" ".join(f"s{w}" for w in source) + " ||| " + " ".join(f"t{w}" for w in target))
+    path = directory / "bitext.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path), slots
+
+
+# The aligner's bounds are on the peaks' growth from 1,000 to 4,000 pairs,
+# per added co-occurrence slot or model row.  `align train` keeps two
+# 8-byte arrays per slot, key ids and posteriors.  `align apply` keeps
+# three per model row, and its alignments grow with the pairs.
+
+
+def test_align_train_memory_per_slot(capsys, tmp_path):
+    with criterion(capsys, "align train under 42 bytes per added co-occurrence slot"):
+        slots = {}
+
+        def train_args(directory, n_pairs):
+            bitext, slots[n_pairs] = _write_bitext(directory, n_pairs)
+            return ["align", "train", "--train-bitext", bitext,
+                    "--model-out", str(directory / "model.tsv")]
+
+        small, large = _peaks(tmp_path, train_args)
+        assert large - small <= 42 * (slots[4_000] - slots[1_000]), (small, large, slots)
+
+
+def test_align_apply_memory_per_model_row(capsys, tmp_path):
+    with criterion(capsys, "align apply under 80 bytes per added model row"):
+        rows = {}
+
+        def apply_args(directory, n_pairs):
+            bitext, _ = _write_bitext(directory, n_pairs)
+            model = str(directory / "model.tsv")
+            assert main(["align", "train", "--train-bitext", bitext, "--model-out", model]) == 0
+            with open(model, encoding="utf-8") as fh:
+                rows[n_pairs] = sum(1 for _ in fh) - 1
+            return ["align", "apply", "--model", model, "--bitext", bitext,
+                    "--out-file", str(directory / "align.out")]
+
+        small, large = _peaks(tmp_path, apply_args)
+        assert large - small <= 80 * (rows[4_000] - rows[1_000]), (small, large, rows)

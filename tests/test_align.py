@@ -483,6 +483,8 @@ def _load_outcome(load, path):
         pytest.param("a\tA\t0.5\r\na\tB\t0.5\r\n", id="crlf"),
         pytest.param("", id="header-only"),
         pytest.param("é\tÉ\t 1_0e-1 \nß\t€\t1e-300\n", id="non-ascii-and-float-syntax"),
+        pytest.param("a\tA\t0.25\na\tB\t0.5\na\tB\t0.75\nb\tA\t1\n", id="sorted-repeated-pair"),
+        pytest.param("a\tA\t0.25\na\tB\t0.5\nb\tA\t1\na\tC\t0.75\n", id="sorted-but-last-row"),
     ],
 )
 def test_load_model_matches_row_loop(tmp_path, monkeypatch, body, block_chars):
@@ -492,7 +494,19 @@ def test_load_model_matches_row_loop(tmp_path, monkeypatch, body, block_chars):
     assert _load_outcome(load_model, path) == _load_outcome(oracles.load_model_loop, path)
 
 
-@pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5", " 1_0.5 "])
+@pytest.mark.parametrize("block_chars", [4, 1 << 20])
+def test_load_model_sorted_repeated_pair_holds_its_last_row_once(tmp_path, monkeypatch, block_chars):
+    # `table` keeps a repeated pair's last row whether or not the arrays
+    # hold the pair twice; `prob` and `probs` see the arrays.
+    monkeypatch.setattr(align_module, "_LOAD_BLOCK_CHARS", block_chars)
+    path = tmp_path / "model.tsv"
+    path.write_text(_HEADER + "a\tA\t0.25\na\tB\t0.5\na\tB\t0.75\nb\tA\t1\n", encoding="utf-8")
+    model = load_model(str(path))
+    assert model.probs.tolist() == [0.25, 0.75, 1.0]
+    assert [model.prob("A", "a"), model.prob("B", "a"), model.prob("A", "b")] == [0.25, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("prob",["nan", "inf", "-inf", "-0.5", "1.5", " 1_0.5 "])
 def test_load_model_rejects_probability_outside_unit_interval(tmp_path, prob):
     path = tmp_path / "model.tsv"
     path.write_text(_HEADER + f"a\tA\t0\na\tB\t{prob}\nb\tA\t2\n", encoding="utf-8")
