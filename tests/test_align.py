@@ -506,7 +506,7 @@ def test_load_model_sorted_repeated_pair_holds_its_last_row_once(tmp_path, monke
     assert [model.prob("A", "a"), model.prob("B", "a"), model.prob("A", "b")] == [0.25, 0.75, 1.0]
 
 
-@pytest.mark.parametrize("prob",["nan", "inf", "-inf", "-0.5", "1.5", " 1_0.5 "])
+@pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5", " 1_0.5 "])
 def test_load_model_rejects_probability_outside_unit_interval(tmp_path, prob):
     path = tmp_path / "model.tsv"
     path.write_text(_HEADER + f"a\tA\t0\na\tB\t{prob}\nb\tA\t2\n", encoding="utf-8")
