@@ -108,6 +108,33 @@ def cue_conformity(
 
 
 # ---------------------------------------------------------------------------
+# Structural, line-count and character-ratio consistency (a loop over the
+# marked-text lines a test wrote)
+
+
+def pair_consistency(
+    caption_lines: Sequence[str], subtitle_lines: Sequence[str]
+) -> tuple[float, Optional[float], float]:
+    """(structural, line-count, character ratio) of caption and subtitle
+    marked-text lines paired by index: the share of pairs with as many
+    blocks on each side, the share of their same-index blocks with as
+    many lines, and all caption characters over all subtitle ones."""
+    same = equal = compared = cap_chars = sub_chars = 0
+    for cap, sub in zip(caption_lines, subtitle_lines):
+        cap_blocks, sub_blocks = split_blocks(cap), split_blocks(sub)
+        if len(cap_blocks) == len(sub_blocks):
+            same += 1
+            for cap_block, sub_block in zip(cap_blocks, sub_blocks):
+                compared += 1
+                if len(split_lines(cap_block)) == len(split_lines(sub_block)):
+                    equal += 1
+        cap_chars += sum(char_count(text) for text in utterance_lines(cap))
+        sub_chars += sum(char_count(text) for text in utterance_lines(sub))
+    line_count = equal / compared if compared else None
+    return same / len(caption_lines), line_count, cap_chars / sub_chars
+
+
+# ---------------------------------------------------------------------------
 # Edit distance (memoized recursion)
 
 

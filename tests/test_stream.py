@@ -1,7 +1,8 @@
 """`eval` scores one pair at a time: its reports equal those of the
-whole-corpus library functions and, on SRT, those of the brute-force
-oracles, its errors and warnings come in pair order, and an error exit
-leaves no diagnostics file."""
+whole-corpus library functions and those of the brute-force oracles (on
+SRT, and for consistency and segmentation on marked text), its errors
+and warnings come in pair order, and an error exit leaves no
+diagnostics file."""
 
 import json
 import os
@@ -257,6 +258,64 @@ def test_srt_eval_matches_the_cue_oracles(data, n_pairs, aggregation):
         )
     assert report.wer == oracles.corpus_wer(markers["captions_hyp"], markers["captions_ref"])
     assert report.bleu == oracles.corpus_bleu(markers["subtitles_hyp"], markers["subtitles_ref"])
+
+
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(
+    data=st.data(),
+    n_pairs=st.integers(min_value=1, max_value=4),
+    breaks=st.sampled_from(list(BreakSelection)),
+    exclude_trailing_eob=st.booleans(),
+    skip_unaligned=st.booleans(),
+)
+def test_eval_consistency_and_segmentation_match_the_loop_oracles(
+    data, n_pairs, breaks, exclude_trailing_eob, skip_unaligned
+):
+    markers = {
+        key: data.draw(st.lists(utterance, min_size=n_pairs, max_size=n_pairs))
+        for key in FILES[:4]
+    }
+    tokens, tagged = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: _write(tmp, key, markers[key]) for key in markers}
+        for key, pos, lang in (("captions_hyp", "pos_captions", "en"),
+                               ("subtitles_hyp", "pos_subtitles", "fr")):
+            tokens[key] = [tokenize(marker, Scheme.MT_DETACHED, lang) for marker in markers[key]]
+            tags = [
+                data.draw(st.lists(st.sampled_from(sorted(UPOS_TAGS)),
+                                   min_size=len(t.words()), max_size=len(t.words())))
+                for t in tokens[key]
+            ]
+            tagged[key] = [attach_tags(t, sentence) for t, sentence in zip(tokens[key], tags)]
+            paths[pos] = _write(tmp, pos, [
+                "".join(f"{i}\t{w}\t_\t{tag}\t_\t_\t0\t_\t_\t_\n"
+                        for i, (w, tag) in enumerate(zip(t.words(), sentence), 1))
+                for t, sentence in zip(tokens[key], tags)
+            ])
+        token_pairs = list(zip(tokens["captions_hyp"], tokens["subtitles_hyp"]))
+        alignments, pharaoh = _pharaoh_lines(data, token_pairs)
+        for key, side in zip(FILES[6:], pharaoh):
+            paths[key] = _write(tmp, key, side)
+        options = ["--breaks", breaks.value, "--out-file", os.path.join(tmp, "report.json")]
+        options += ["--exclude-trailing-eob"] * exclude_trailing_eob
+        options += ["--skip-unaligned"] * skip_unaligned
+        report = _eval_report(paths, *options)
+
+    assert (report.structural, report.line_count, report.char_ratio) == oracles.pair_consistency(
+        markers["captions_hyp"], markers["subtitles_hyp"]
+    )
+    for key, rate in (("captions_hyp", report.segmentation_captions),
+                      ("subtitles_hyp", report.segmentation_subtitles)):
+        assert rate == oracles.segmentation_plausibility(
+            tagged[key], include_trailing_eob=not exclude_trailing_eob, breaks=breaks
+        )
+    # The mean of lex_pair, added in pair order.
+    lex_sum = 0.0
+    for index, (pair_tokens, (c2s, s2c)) in enumerate(zip(token_pairs, alignments)):
+        lex_sum += oracles.lexical_consistency_pair_dict(
+            str(index), pair_tokens, c2s, s2c, skip_unaligned
+        ).lex_pair
+    assert report.lexical == lex_sum / n_pairs
 
 
 def test_first_error_in_pair_order_is_reported(micro_paths, tmp_path, capsys):
