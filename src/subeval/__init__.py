@@ -13,11 +13,8 @@ from .conformity import (
 )
 from .consistency import (
     block_index_map,
-    char_ratio,
     consistency_report,
     lexical_consistency_pair,
-    line_count_consistency,
-    structural_consistency,
     validate_lexical_metric,
 )
 from .errors import DataError, FormatError, SubevalError

@@ -585,11 +585,11 @@ _COMMANDS: dict[str, tuple[str, Optional[Callable], Sequence[str], Sequence[str]
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="subeval", description=__doc__)
+    parser = _Parser(prog="subeval", description=__doc__, allow_abbrev=False)
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for name, (help_text, run, keys, required) in _COMMANDS.items():
         group, _, word = name.rpartition(" ")
-        command = subparsers[group].add_parser(word, help=help_text)
+        command = subparsers[group].add_parser(word, help=help_text, allow_abbrev=False)
         if run is None:
             subparsers[name] = command.add_subparsers(dest=f"{name}_command", required=True)
         if name == "eval":

@@ -44,7 +44,7 @@ class LexicalConsistencyPair:
 @dataclass(frozen=True)
 class ConsistencyReport:
     structural: float
-    lexical: float
+    lexical: Optional[float]
     line_count: Optional[float]
     char_ratio: float
     per_pair: tuple[LexicalConsistencyPair, ...]
@@ -61,20 +61,6 @@ def pair_counts(pair: UtterancePair) -> tuple[int, int, int, int, int, int]:
         same, compared = 1, len(cap_blocks)
         equal = sum(len(c.lines) == len(s.lines) for c, s in zip(cap_blocks, sub_blocks))
     return 1, same, equal, compared, pair.caption.char_count(), pair.subtitle.char_count()
-
-
-def _pair_sums(pairs: Sequence[UtterancePair]) -> list[int]:
-    """The column sums of `pair_counts` over a non-empty pair list."""
-    if not pairs:
-        raise DataError("empty pair list")
-    return column_sums(map(pair_counts, pairs))
-
-
-def structural_consistency(pairs: Sequence[UtterancePair]) -> float:
-    """Fraction of pairs whose caption and subtitle have equal block
-    counts."""
-    n, same, *_ = _pair_sums(pairs)
-    return same / n
 
 
 def block_index_map(utt: Utterance, lang: str = "en") -> BlockIndexMap:
@@ -167,30 +153,6 @@ def lexical_from_tokens(
     )
 
 
-def _line_count_rate(equal: int, compared: int) -> Optional[float]:
-    if compared == 0:
-        log.warning("no structurally consistent pairs; line-count rate undefined")
-        return None
-    return equal / compared
-
-
-def line_count_consistency(pairs: Sequence[UtterancePair]) -> Optional[float]:
-    """Fraction of positionally paired blocks with equal line counts,
-    over structurally consistent pairs only."""
-    return _line_count_rate(*_pair_sums(pairs)[2:4])
-
-
-def _char_ratio(cap_chars: int, sub_chars: int) -> float:
-    if sub_chars == 0:
-        raise DataError("subtitle corpus has zero characters")
-    return cap_chars / sub_chars
-
-
-def char_ratio(pairs: Sequence[UtterancePair]) -> float:
-    """Total caption characters over total subtitle characters."""
-    return _char_ratio(*_pair_sums(pairs)[4:])
-
-
 def subtitle_block_judgements(
     pair: UtterancePair,
     result: LexicalConsistencyPair,
@@ -233,37 +195,57 @@ def validate_lexical_metric(
 
 
 def consistency_from_sums(
-    sums: Sequence[int], lex_sum: float, per_pair: Sequence[LexicalConsistencyPair] = ()
+    sums: Sequence[int], lex_sum: Optional[float], per_pair: Sequence[LexicalConsistencyPair] = ()
 ) -> ConsistencyReport:
     """The report of a corpus from the column sums of `pair_counts` over
-    its pairs and the sum of their lex_pair, added in pair order."""
+    its pairs and the sum of their lex_pair, added in pair order, or None
+    for no lexical rate.  Structural consistency is the share of pairs
+    with equal block counts, line-count consistency that of the blocks of
+    those pairs with equal line counts, and the character ratio is all
+    caption characters over all subtitle ones."""
     if not sums:
         raise DataError("empty pair list")
     n, same, equal, compared, cap_chars, sub_chars = sums
+    if compared == 0:
+        log.warning("no structurally consistent pairs; line-count rate undefined")
+    if sub_chars == 0:
+        raise DataError("subtitle corpus has zero characters")
     return ConsistencyReport(
         structural=same / n,
-        lexical=lex_sum / n,
-        line_count=_line_count_rate(equal, compared),
-        char_ratio=_char_ratio(cap_chars, sub_chars),
+        lexical=None if lex_sum is None else lex_sum / n,
+        line_count=equal / compared if compared else None,
+        char_ratio=cap_chars / sub_chars,
         per_pair=tuple(per_pair),
     )
 
 
 def consistency_report(
     pairs: Sequence[UtterancePair],
-    alignments: Sequence[tuple[SentenceAlignment, SentenceAlignment]],
+    alignments: Optional[Sequence[tuple[SentenceAlignment, SentenceAlignment]]] = None,
     caption_lang: str = "en",
     subtitle_lang: str = "en",
     skip_unaligned: bool = False,
 ) -> ConsistencyReport:
-    """Every consistency rate of a corpus, and the lexical result of each
-    pair; lexical consistency is the unweighted mean of lex_pair.  The
-    pair and alignment counts are checked first, then each pair's links
-    in pair order; an empty pair list is a DataError."""
+    """Every consistency rate of a corpus.  With `alignments`, one (c2s,
+    s2c) per pair, it also gives the lexical result of each pair, and
+    lexical consistency is the unweighted mean of lex_pair; without, the
+    report's `lexical` is None and its `per_pair` empty.  Only the
+    lexical scores read `caption_lang`, `subtitle_lang` and
+    `skip_unaligned`.  The pair and alignment counts are checked first,
+    then an empty pair list is a DataError, then each pair's links in
+    pair order."""
+    sums = column_sums(map(pair_counts, pairs))
+    if alignments is None:
+        return consistency_from_sums(sums, None)
     if len(pairs) != len(alignments):
         raise DataError(f"pair/alignment count mismatch: {len(pairs)} vs {len(alignments)}")
     per_pair = [
         lexical_consistency_pair(pair, c2s, s2c, caption_lang, subtitle_lang, skip_unaligned)
         for pair, (c2s, s2c) in zip(pairs, alignments)
     ]
-    return consistency_from_sums(_pair_sums(pairs), sum(p.lex_pair for p in per_pair), per_pair)
+    # Left to right, as `eval` adds them: from Python 3.12 the built-in
+    # `sum` compensates, and its last bit can differ.
+    lex_sum = 0.0
+    for result in per_pair:
+        lex_sum += result.lex_pair
+    return consistency_from_sums(sums, lex_sum, per_pair)

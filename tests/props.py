@@ -13,7 +13,7 @@ import random
 import unicodedata
 
 from subeval.conformity import ConformityThresholds, conformity_report
-from subeval.consistency import consistency_report, lexical_consistency_pair, structural_consistency
+from subeval.consistency import consistency_report, lexical_consistency_pair
 from subeval.align import SentenceAlignment
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import (
@@ -176,9 +176,9 @@ def check_permutation_invariance(n_cases: int = 1000, seed: int = 4) -> None:
         hyp = [Utterance(id=str(i), blocks=h.blocks) for i, h in enumerate(hyp)]
         base_wer = wer(hyp, ref).wer
         base_bleu = corpus_bleu(hyp, ref).score
-        base_struct = structural_consistency(
+        base_struct = consistency_report(
             [UtterancePair(caption=c, subtitle=s) for c, s in zip(ref, hyp)]
-        )
+        ).structural
         order = list(range(n))
         rng.shuffle(order)
         hyp_p = [hyp[i] for i in order]
@@ -186,9 +186,9 @@ def check_permutation_invariance(n_cases: int = 1000, seed: int = 4) -> None:
         assert wer(hyp_p, ref_p).wer == base_wer
         assert corpus_bleu(hyp_p, ref_p).score == base_bleu
         assert (
-            structural_consistency(
+            consistency_report(
                 [UtterancePair(caption=c, subtitle=s) for c, s in zip(ref_p, hyp_p)]
-            )
+            ).structural
             == base_struct
         )
 

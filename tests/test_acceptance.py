@@ -18,13 +18,7 @@ import props
 from subeval.align import load_pharaoh, train_aligner, viterbi_align
 from subeval.cli import main
 from subeval.conformity import conformity_report, segmentation_plausibility
-from subeval.consistency import (
-    char_ratio,
-    consistency_report,
-    lexical_consistency_pair,
-    line_count_consistency,
-    structural_consistency,
-)
+from subeval.consistency import consistency_report, lexical_consistency_pair
 from subeval.markers import load_marked_text
 from subeval.model import pair_documents
 from subeval.quality import bootstrap_significance, corpus_bleu, wer
@@ -55,7 +49,7 @@ def test_three_block_example_fidelity(capsys, paper_example):
     with criterion(capsys, "three-block example fidelity"):
         start = time.perf_counter()
         pair, align_c2s, align_s2c = paper_example
-        assert structural_consistency([pair]) == 1.0
+        assert consistency_report([pair]).structural == 1.0
         result = lexical_consistency_pair(
             pair, align_c2s, align_s2c, caption_lang="en", subtitle_lang="fr"
         )
@@ -239,7 +233,7 @@ def test_micro_corpus_matches_oracles(capsys, micro_docs, micro_raw, micro_paths
             for c, s in zip(micro_raw["captions_hyp"], micro_raw["subtitles_hyp"])
             if c.count("<eob>") == s.count("<eob>")
         ) / len(pairs)
-        assert rel(structural_consistency(pairs), expected)
+        assert rel(consistency_report(pairs).structural, expected)
 
         # Lexical consistency, with block maps rebuilt from the oracle streams
         cap_streams = _oracle_utterance_streams(
@@ -279,7 +273,7 @@ def test_micro_corpus_matches_oracles(capsys, micro_docs, micro_raw, micro_paths
                 total += 1
                 if len(oracles.split_lines(cb)) == len(oracles.split_lines(sb)):
                     equal += 1
-        assert rel(line_count_consistency(pairs), equal / total)
+        assert rel(consistency_report(pairs).line_count, equal / total)
 
         # Character ratio
         cap_chars = sum(
@@ -292,7 +286,7 @@ def test_micro_corpus_matches_oracles(capsys, micro_docs, micro_raw, micro_paths
             for raw in micro_raw["subtitles_hyp"]
             for text in oracles.utterance_lines(raw)
         )
-        assert rel(char_ratio(pairs), cap_chars / sub_chars)
+        assert rel(consistency_report(pairs).char_ratio, cap_chars / sub_chars)
 
         assert time.perf_counter() - start < 5.0
 

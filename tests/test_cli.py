@@ -135,6 +135,27 @@ def test_option_given_double_dash_is_usage_error(micro_paths, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [("align train", "the following arguments are required: --model-out"),
+     ("eval", "unrecognized arguments: --sys abbrev")],
+    ids=["align-train", "eval"],
+)
+def test_option_prefix_is_usage_error(micro_paths, tmp_path, monkeypatch, capsys, command, message):
+    # argparse reads an unambiguous prefix as the option it starts, unless
+    # told not to: `--model` would be `align train`'s `--model-out`, and
+    # `--sys` `eval`'s `--system-name`.
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "align train": ["align", "train", "--train-bitext", os.path.join(GOLDEN, "bitext.txt"),
+                        "--model", "m.tsv", "--iterations", "1"],
+        "eval": [*eval_args(micro_paths), "--sys", "abbrev", "--out", "tsv"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--out", "xml"), ("--aggregation", "foo"), ("--breaks", "sideways"), ("--format", "vtt"),

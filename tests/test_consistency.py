@@ -1,15 +1,16 @@
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from subeval import consistency
 from subeval.align import SentenceAlignment, parse_pharaoh
 from subeval.consistency import (
     block_index_map,
-    char_ratio,
     consistency_report,
     lexical_consistency_pair,
-    line_count_consistency,
-    structural_consistency,
     subtitle_block_judgements,
     validate_lexical_metric,
 )
@@ -34,7 +35,7 @@ def make_pair(caption_text, subtitle_text, utt_id="0"):
 
 def test_structural_three_block_pair_consistent(paper_example):
     pair, _, _ = paper_example
-    assert structural_consistency([pair]) == 1.0
+    assert consistency_report([pair]).structural == 1.0
 
 
 def test_structural_three_of_four():
@@ -44,17 +45,17 @@ def test_structural_three_of_four():
         make_pair("a <eob> b <eob> c <eob>", "d <eob> e <eob>", "2"),
         make_pair("a <eob>", "b <eob>", "3"),
     ]
-    assert structural_consistency(pairs) == 0.75
+    assert consistency_report(pairs).structural == 0.75
 
 
 def test_structural_all_single_block():
     pairs = [make_pair("a <eob>", "b <eob>", str(i)) for i in range(3)]
-    assert structural_consistency(pairs) == 1.0
+    assert consistency_report(pairs).structural == 1.0
 
 
 def test_structural_empty_list():
     with pytest.raises(DataError, match="empty pair list"):
-        structural_consistency([])
+        consistency_report([]).structural
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,20 @@ def test_corpus_mean_is_unweighted():
     assert report.per_pair[0].lex_pair == 1.0
     assert report.per_pair[1].lex_pair == 0.75
     assert report.lexical == pytest.approx(0.875)
+
+
+def test_corpus_mean_adds_lex_pair_in_pair_order(monkeypatch):
+    # Ten lex_pair of 0.1 added left to right, as `eval` adds them, sum to
+    # 0.9999999999999999; a compensated sum gives 1.0.  From Python 3.12
+    # the built-in `sum` compensates: `math.fsum` stands in for it here.
+    monkeypatch.setattr(consistency, "sum", math.fsum, raising=False)
+    pair = make_pair("a b c d e <eob>", "v w x y z <eob>")
+    report = consistency_report([pair] * 10, [(parse_pharaoh("0-0"), parse_pharaoh(""))] * 10)
+    assert [p.lex_pair for p in report.per_pair] == [0.1] * 10
+    expected = 0.0
+    for _ in range(10):
+        expected += 0.1
+    assert report.lexical == expected / 10
 
 
 def test_corpus_alignment_count_mismatch():
@@ -275,7 +290,7 @@ def test_line_count_two_of_three():
         make_pair("c <eol> d <eob>", "e <eob>", "1"),
         make_pair("f <eol> g <eob>", "h <eol> i <eob>", "2"),
     ]
-    assert line_count_consistency(pairs) == pytest.approx(2 / 3)
+    assert consistency_report(pairs).line_count == pytest.approx(2 / 3)
 
 
 def test_line_count_skips_structurally_inconsistent():
@@ -283,32 +298,32 @@ def test_line_count_skips_structurally_inconsistent():
         make_pair("a <eob> b <eob>", "c <eob>", "0"),
         make_pair("d <eob>", "e <eob>", "1"),
     ]
-    assert line_count_consistency(pairs) == 1.0
+    assert consistency_report(pairs).line_count == 1.0
 
 
 def test_line_count_undefined_without_structural_pairs():
     pairs = [make_pair("a <eob> b <eob>", "c <eob>", "0")]
-    assert line_count_consistency(pairs) is None
+    assert consistency_report(pairs).line_count is None
 
 
 def test_line_count_empty_list():
     with pytest.raises(DataError, match="^empty pair list$"):
-        line_count_consistency([])
+        consistency_report([]).line_count
 
 
 def test_char_ratio_nine_tenths():
     pairs = [make_pair("abcdefghi <eob>", "abcdefghij <eob>")]
-    assert char_ratio(pairs) == pytest.approx(0.9)
+    assert consistency_report(pairs).char_ratio == pytest.approx(0.9)
 
 
 def test_char_ratio_identity():
     pairs = [make_pair("same text <eob>", "same text <eob>")]
-    assert char_ratio(pairs) == 1.0
+    assert consistency_report(pairs).char_ratio == 1.0
 
 
 def test_char_ratio_empty_subtitles():
     with pytest.raises(DataError, match="empty pair list"):
-        char_ratio([])
+        consistency_report([]).char_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +369,13 @@ def test_consistency_report_fields(paper_example):
     assert report.char_ratio > 0
     assert len(report.per_pair) == 1
     assert report.lexical == report.per_pair[0].lex_pair
+
+
+def test_consistency_report_without_alignments(micro_docs, micro_paths):
+    from subeval.align import load_pharaoh
+
+    pairs = pair_documents(micro_docs["captions_hyp"], micro_docs["subtitles_hyp"])
+    alignments = list(zip(load_pharaoh(micro_paths["align_c2s"]),
+                          load_pharaoh(micro_paths["align_s2c"])))
+    aligned = consistency_report(pairs, alignments, caption_lang="en", subtitle_lang="fr")
+    assert consistency_report(pairs) == replace(aligned, lexical=None, per_pair=())
