@@ -28,13 +28,12 @@ from .model import (
     pair_documents,
 )
 from .quality import bootstrap_significance, corpus_bleu, wer
-from .srt import parse_srt, serialize_srt
+from .srt import parse_srt
 from .textproc import (
     Scheme,
     attach_tags,
     classify_chunk_chink,
     normalize_for_wer,
-    parse_conllu,
     tokenize,
 )
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -32,7 +31,7 @@ from .links import (  # noqa: F401  (re-exported)
     parse_pharaoh,
     write_pharaoh,
 )
-from .model import BREAKS, EOB, EOL
+from .model import BREAKS, EOB, EOL, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -187,12 +186,6 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         total += row
     return total
-
-
-def _left_sum(values) -> float:
-    """0.0 + v0 + v1 + ..., left to right; built-in `sum` compensates
-    float sums from Python 3.12 on."""
-    return functools.reduce(operator.add, values, 0.0)
 
 
 class _Group(NamedTuple):
@@ -372,8 +365,8 @@ class _CooccurrenceIndex:
             z[group.tokens], grad[group.tokens] = group.e_step(posterior, p0, tension)
         counts = np.bincount(self.slot_keys, weights=posterior, minlength=len(self.key_source))
         # One float at a time, not a list of them all.
-        log_likelihood = _left_sum(map(math.log, z))
-        return log_likelihood, counts, _left_sum(map(float, grad)) / self.n_tokens
+        log_likelihood = left_sum(map(math.log, z))
+        return log_likelihood, counts, left_sum(map(float, grad)) / self.n_tokens
 
 
 def train_aligner(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import DataError
 from .links import SentenceAlignment
-from .model import EOB, EOL, Utterance, UtterancePair, column_sums
+from .model import EOB, EOL, Utterance, UtterancePair, column_sums, left_sum
 from .textproc import Scheme, TokenizedUtterance, tokenize
 
 log = logging.getLogger(__name__)
@@ -153,22 +153,6 @@ def lexical_from_tokens(
     )
 
 
-def subtitle_block_judgements(
-    pair: UtterancePair,
-    result: LexicalConsistencyPair,
-    subtitle_lang: str = "en",
-) -> list[bool]:
-    """Per subtitle block: True when every token of the block is
-    consistent."""
-    sub_map = block_index_map(pair.subtitle, subtitle_lang)
-    bad_blocks = {
-        sub_map.word_to_block[index]
-        for side, index, _ in result.inconsistent_tokens
-        if side == "subtitle"
-    }
-    return [b not in bad_blocks for b in range(sub_map.blocks)]
-
-
 def validate_lexical_metric(
     automatic: Sequence[float],
     manual: Sequence[float],
@@ -187,7 +171,7 @@ def validate_lexical_metric(
         )
     if not automatic or not auto_judgements:
         raise DataError("empty validation vectors")
-    mae = sum(abs(a - m) for a, m in zip(automatic, manual)) / len(automatic)
+    mae = left_sum(abs(a - m) for a, m in zip(automatic, manual)) / len(automatic)
     agreement = sum(
         1 for a, m in zip(auto_judgements, manual_judgements) if a == m
     ) / len(auto_judgements)
@@ -243,9 +227,5 @@ def consistency_report(
         lexical_consistency_pair(pair, c2s, s2c, caption_lang, subtitle_lang, skip_unaligned)
         for pair, (c2s, s2c) in zip(pairs, alignments)
     ]
-    # Left to right, as `eval` adds them: from Python 3.12 the built-in
-    # `sum` compensates, and its last bit can differ.
-    lex_sum = 0.0
-    for result in per_pair:
-        lex_sum += result.lex_pair
+    lex_sum = left_sum(result.lex_pair for result in per_pair)
     return consistency_from_sums(sums, lex_sum, per_pair)

@@ -14,6 +14,7 @@ constructing them directly validates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -109,6 +110,12 @@ def column_sums(rows: Iterable[Sequence]) -> list:
     for row in rows:
         add_counts(sums, row)
     return sums
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """0.0 + v0 + v1 + ..., left to right.  From Python 3.12 the built-in
+    `sum` compensates float sums, and its last bit can differ."""
+    return reduce(add, values, 0.0)
 
 
 def pair_documents(

@@ -12,7 +12,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .model import Utterance, check_count, column_sums
+from .model import Utterance, check_count, column_sums, left_sum
 from .textproc import Scheme, normalize_for_wer, tokenize
 
 log = logging.getLogger(__name__)
@@ -239,7 +239,7 @@ def bleu_from_stats(
         brevity_penalty = math.exp(1.0 - ref_len / hyp_len)
     else:
         brevity_penalty = 1.0
-    score = 100.0 * brevity_penalty * math.exp(sum(log_precisions) / NGRAM_ORDER)
+    score = 100.0 * brevity_penalty * math.exp(left_sum(log_precisions) / NGRAM_ORDER)
     return BleuScore(
         score=score,
         precisions=tuple(precisions),

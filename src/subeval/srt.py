@@ -1,4 +1,4 @@
-"""SubRip (SRT) parsing and serialization.
+"""SubRip (SRT) parsing.
 
 Each cue becomes one utterance of one SubtitleBlock, which holds the
 cue's timing.
@@ -20,13 +20,6 @@ _TIMING_RE = re.compile(
 
 def _parse_timestamp(h: str, m: str, s: str, ms: str) -> int:
     return ((int(h) * 60 + int(m)) * 60 + int(s)) * 1000 + int(ms)
-
-
-def format_timestamp(ms: int) -> str:
-    h, rest = divmod(ms, 3_600_000)
-    m, rest = divmod(rest, 60_000)
-    s, milli = divmod(rest, 1000)
-    return f"{h:02d}:{m:02d}:{s:02d},{milli:03d}"
 
 
 def _cue_chunks(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, list[str]]]:
@@ -101,26 +94,6 @@ def iter_srt(source: Union[str, Iterable[str]]) -> Iterator[Utterance]:
 def parse_srt(source: Union[str, Iterable[str]]) -> SubtitleDocument:
     """Parse SRT text into a document, as `iter_srt`."""
     return SubtitleDocument(tuple(iter_srt(source)))
-
-
-def serialize_srt(doc: SubtitleDocument) -> str:
-    """Emit standard SRT, cue indices renumbered from 1."""
-    out: list[str] = []
-    cue_index = 1
-    for utt in doc.utterances:
-        for block in utt.blocks:
-            if not block.timed:
-                raise FormatError(
-                    f"utterance {utt.id!r}: block without timing cannot be written as SRT"
-                )
-            header = (
-                f"{cue_index}\n"
-                f"{format_timestamp(block.start_ms)} --> {format_timestamp(block.end_ms)}"
-            )
-            body = "\n".join(block.lines)
-            out.append(f"{header}\n{body}")
-            cue_index += 1
-    return "\n\n".join(out) + ("\n" if out else "")
 
 
 def load_srt(path: str) -> SubtitleDocument:

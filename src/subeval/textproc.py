@@ -253,11 +253,6 @@ def iter_conllu(
         yield first, current
 
 
-def parse_conllu(source: Union[str, TextIO, Iterable[str]]) -> list[list[tuple[str, str]]]:
-    """Read (FORM, UPOS) sequences from CoNLL-U text, as `iter_conllu`."""
-    return [sentence for _, sentence in iter_conllu(source)]
-
-
 def load_conllu(path: str) -> list[list[tuple[str, str]]]:
     return [sentence for _, sentence in stream_file(path, iter_conllu)]
 

@@ -56,6 +56,11 @@ def random_document(rng: random.Random, max_utts: int = 4) -> SubtitleDocument:
     return SubtitleDocument(tuple(utterances))
 
 
+def srt_timestamp(ms: int) -> str:
+    """`ms` as an SRT timestamp, HH:MM:SS,mmm."""
+    return f"{ms // 3_600_000:02d}:{ms // 60_000 % 60:02d}:{ms // 1000 % 60:02d},{ms % 1000:03d}"
+
+
 def check_round_trip(n_cases: int = 1000, seed: int = 0) -> None:
     """parse(serialize(d)) = d for random valid documents."""
     rng = random.Random(seed)

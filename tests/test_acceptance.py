@@ -23,7 +23,6 @@ from subeval.markers import load_marked_text
 from subeval.model import pair_documents
 from subeval.quality import bootstrap_significance, corpus_bleu, wer
 from subeval.report import TSV_COLUMNS
-from subeval.srt import format_timestamp
 from subeval.textproc import Scheme, attach_tags, load_conllu, tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -479,8 +478,8 @@ def _write_as_srt(path):
     cues = []
     for index, line in enumerate(lines, start=1):
         words = " ".join(w for w in line.split() if w not in ("<eob>", "<eol>"))
-        start = format_timestamp(index * 2_000)
-        end = format_timestamp(index * 2_000 + 1_500)
+        start = props.srt_timestamp(index * 2_000)
+        end = props.srt_timestamp(index * 2_000 + 1_500)
         cues.append(f"{index}\n{start} --> {end}\n{words}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(cues))

@@ -1,5 +1,7 @@
+import builtins
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -788,7 +790,7 @@ def test_significance_self_comparison(micro_paths, capsys):
     assert result["seed"] == 42
 
 
-def test_significance_matches_golden(capsys):
+def _check_significance_golden(capsys):
     # significance.{a,b,ref}.srt are `perfbench/gen.py --workload
     # significance-srt --seed 7 --scale 0.015` (150 cues); bleu.json and
     # wer.json are what the CLI printed before the bootstrap scored each
@@ -800,6 +802,10 @@ def test_significance_matches_golden(capsys):
         assert main(args) == 0
         with open(os.path.join(GOLDEN, f"{metric}.json"), encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read(), metric
+
+
+def test_significance_matches_golden(capsys):
+    _check_significance_golden(capsys)
 
 
 def test_significance_zero_resamples_is_usage_error(micro_paths, capsys):
@@ -1109,6 +1115,51 @@ def test_validate_lexical_empty_files_name_their_files(tmp_path, capsys):
     assert main(args) == 2
     files = "{} vs {}, {} vs {}".format(*paths)
     assert capsys.readouterr().err == f"error: {files}: empty validation vectors\n"
+
+
+# ---------------------------------------------------------------------------
+# Float sums: outputs must not depend on how the built-in `sum` rounds
+
+
+_BUILTIN_SUM = sum
+
+
+def _compensated_sum(values, start=0):
+    """The built-in `sum` of Python 3.12 and later: floats are added with
+    Neumaier's compensation, so the result can differ from adding left to
+    right in its last bit."""
+    values = list(values)
+    if not any(isinstance(value, float) for value in values):
+        return _BUILTIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_outputs_do_not_depend_on_how_sum_rounds(micro_paths, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    # Left to right, 1.0 + 1e-16 + 1e-16 is 1.0; compensated, it is one
+    # ulp above, and the MAE would read 0.3333333333333334.
+    texts = {"auto": "1.0\n1e-16\n1e-16\n", "manual": "0\n0\n0\n", "autoj": "1\n", "manualj": "1\n"}
+    args = ["validate-lexical"]
+    for flag, name in (("auto-scores", "auto"), ("manual-scores", "manual"),
+                       ("auto-judgements", "autoj"), ("manual-judgements", "manualj")):
+        (tmp_path / name).write_text(texts[name])
+        args += [f"--{flag}", str(tmp_path / name)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == '{"agreement": 1.0, "mae": 0.3333333333333333}\n'
+    _check_micro_eval_golden(micro_paths, tmp_path, monkeypatch, "report.out", "diag.jsonl")
+    _check_micro_eval_golden(
+        micro_paths, tmp_path, monkeypatch, "report.skip.out", "diag.skip.jsonl",
+        "--skip-unaligned",
+    )
+    _check_significance_golden(capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from subeval.consistency import (
     block_index_map,
     consistency_report,
     lexical_consistency_pair,
-    subtitle_block_judgements,
     validate_lexical_metric,
 )
 from subeval.errors import DataError, SubevalError
@@ -327,16 +326,7 @@ def test_char_ratio_empty_subtitles():
 
 
 # ---------------------------------------------------------------------------
-# Block judgements and metric validation
-
-
-def test_block_judgements_on_paper_example(paper_example):
-    pair, align_c2s, align_s2c = paper_example
-    result = lexical_consistency_pair(
-        pair, align_c2s, align_s2c, caption_lang="en", subtitle_lang="fr"
-    )
-    judgements = subtitle_block_judgements(pair, result, subtitle_lang="fr")
-    assert judgements == [False, False, True]
+# Metric validation
 
 
 def test_validate_identical_vectors():

@@ -9,7 +9,7 @@ import props
 from subeval.errors import SubevalError
 from subeval.markers import parse_marked_text, serialize_marked_text
 from subeval.model import SubtitleBlock, SubtitleDocument, Utterance
-from subeval.srt import format_timestamp, parse_srt
+from subeval.srt import parse_srt
 from subeval.textproc import Scheme, normalize_for_wer, tokenize
 
 N_CASES = 1000
@@ -113,7 +113,7 @@ def srt_texts(draw):
     cues = []
     for i in range(draw(st.integers(0, 4))):
         start, length = draw(st.integers(0, 10**7)), draw(st.integers(1, 5000))
-        timing = f"{format_timestamp(start)} --> {format_timestamp(start + length)}"
+        timing = f"{props.srt_timestamp(start)} --> {props.srt_timestamp(start + length)}"
         lines = [str(i + 1), timing] + draw(st.lists(_SRT_LINE, min_size=1, max_size=3))
         faults = draw(st.sampled_from(
             [()] * 4 + [("index",), ("timing",), ("cut",), ("break",), ("index", "break")]
@@ -123,8 +123,8 @@ def srt_texts(draw):
         if "timing" in faults:
             lines[1] = draw(st.sampled_from([
                 timing.replace(",", ".", 1), f"{timing} ", "junk",
-                f"{format_timestamp(start)} --> {format_timestamp(start)}",
-                f"{format_timestamp(start + length)} --> {format_timestamp(start)}",
+                f"{props.srt_timestamp(start)} --> {props.srt_timestamp(start)}",
+                f"{props.srt_timestamp(start + length)} --> {props.srt_timestamp(start)}",
             ]))
         if "cut" in faults:
             lines = lines[: draw(st.integers(1, 2))]

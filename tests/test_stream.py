@@ -16,6 +16,7 @@ from unittest import mock
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
+import props
 from subeval import cli
 from subeval.conformity import (
     BreakSelection,
@@ -198,10 +199,6 @@ def test_streamed_report_equals_the_whole_corpus_functions(
     ]
 
 
-def _timestamp(ms):
-    return f"{ms // 3_600_000:02d}:{ms // 60_000 % 60:02d}:{ms // 1000 % 60:02d},{ms % 1000:03d}"
-
-
 # A cue's text lines, and its gap from the previous cue and duration in ms.
 cue = st.tuples(st.lists(line, min_size=1, max_size=3), st.integers(0, 3000), st.integers(1, 9000))
 
@@ -223,7 +220,8 @@ def test_srt_eval_matches_the_cue_oracles(data, n_pairs, aggregation):
             ):
                 start, end = end + gap, end + gap + duration
                 cues[key].append((text, start, end))
-                srt += [str(index), f"{_timestamp(start)} --> {_timestamp(end)}", *text, ""]
+                timing = f"{props.srt_timestamp(start)} --> {props.srt_timestamp(end)}"
+                srt += [str(index), timing, *text, ""]
             paths[key] = _write(tmp, key, srt)
             markers[key] = [" <eol> ".join(text) + " <eob>" for text, _, _ in cues[key]]
         tokens = zip(*(

@@ -16,7 +16,6 @@ from subeval.textproc import (
     attach_tags,
     classify_chunk_chink,
     normalize_for_wer,
-    parse_conllu,
     tokenize,
 )
 
@@ -224,12 +223,12 @@ CONLLU = """\
 
 
 def test_parse_conllu_basic():
-    sentences = parse_conllu(CONLLU)
+    sentences = [sentence for _, sentence in textproc.iter_conllu(CONLLU)]
     assert sentences[0] == [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB")]
 
 
 def test_parse_conllu_skips_multiword_ranges():
-    sentences = parse_conllu(CONLLU)
+    sentences = [sentence for _, sentence in textproc.iter_conllu(CONLLU)]
     assert sentences[1] == [("de", "ADP"), ("le", "DET")]
 
 
@@ -255,7 +254,8 @@ def test_iter_conllu_gives_the_line_of_each_first_token():
 def test_parse_conllu_skips_empty_nodes():
     text = "1\tde\t_\tADP\t_\t_\t0\t_\t_\t_\n1.1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" \
         "10\tle\t_\tDET\t_\t_\t0\t_\t_\t_\n"
-    assert parse_conllu(text) == [[("de", "ADP"), ("le", "DET")]]
+    sentences = [sentence for _, sentence in textproc.iter_conllu(text)]
+    assert sentences == [[("de", "ADP"), ("le", "DET")]]
 
 
 @pytest.mark.parametrize(
@@ -264,14 +264,14 @@ def test_parse_conllu_skips_empty_nodes():
 def test_parse_conllu_malformed_token_id(token_id):
     bad = f"1\tde\t_\tADP\t_\t_\t0\t_\t_\t_\n{token_id}\tHello\t_\tINTJ\t_\t_\t_\t_\t_\t_\n"
     with pytest.raises(FormatError) as info:
-        parse_conllu(bad)
+        list(textproc.iter_conllu(bad))
     assert (str(info.value), info.value.line) == (f"malformed token ID {token_id!r}", 2)
 
 
 def test_parse_conllu_unknown_upos():
     bad = "1\tx\t_\tFOO\t_\t_\t0\t_\t_\t_\n"
     with pytest.raises(FormatError, match="unknown UPOS 'FOO'") as info:
-        parse_conllu(bad)
+        list(textproc.iter_conllu(bad))
     assert info.value.line == 1
 
 
