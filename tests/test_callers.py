@@ -1,7 +1,8 @@
 """Every public name of the library has a caller outside the tests.
 
-A public top-level function or class of `src/subeval` must be named, at
-a word boundary, by a demo, a script, perfbench or another part of the
+A public top-level function, class or assigned name (a constant, or a
+record made by a factory call) of `src/subeval` must be named, at a word
+boundary, by a demo, a script, perfbench or another part of the
 library.  Its own definition does not count, nor does `__init__.py`,
 whose text is the package's export lists.  A name that only tests read
 is deleted, or it goes in ALLOWED with the reason it stays.
@@ -33,17 +34,31 @@ def _python_files(directory):
                 yield os.path.join(dirpath, name)
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a def's or class's name,
+    or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def public_definitions():
     """(name, module file, module text without that definition) for each
-    public top-level def and class of the package."""
+    public top-level def, class and assigned name of the package."""
     for path in _python_files(PACKAGE):
         text = _read(path)
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            for name in _defined_names(node):
+                if name.startswith("_"):
+                    continue
+                first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
                 rest = "".join(lines[: first - 1] + lines[node.end_lineno :])
-                yield node.name, path, rest
+                yield name, path, rest
 
 
 def uncalled_names():

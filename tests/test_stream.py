@@ -1,8 +1,8 @@
 """`eval` scores one pair at a time: its reports equal those of the
 whole-corpus library functions and those of the brute-force oracles (on
-SRT, and for consistency and segmentation on marked text), its errors
-and warnings come in pair order, and an error exit leaves no
-diagnostics file."""
+SRT, for consistency and segmentation on marked text, and on the lines
+`--lenient` keeps), its errors and warnings come in pair order, and an
+error exit leaves no diagnostics file."""
 
 import json
 import os
@@ -19,6 +19,7 @@ import oracles
 import props
 from subeval import cli
 from subeval.conformity import (
+    DEFAULT_MAX_CPS,
     BreakSelection,
     ConformityThresholds,
     LengthAggregation,
@@ -314,6 +315,64 @@ def test_eval_consistency_and_segmentation_match_the_loop_oracles(
             str(index), pair_tokens, c2s, s2c, skip_unaligned
         ).lex_pair
     assert report.lexical == lex_sum / n_pairs
+
+
+# A block whose lines may be empty, so that it holds empty segments or,
+# with every line empty, is an empty block: `--lenient` drops both.  Each
+# utterance keeps one block with words between them.
+gappy_block = st.lists(st.one_of(line, st.just("")), min_size=1, max_size=3).map(" <eol> ".join)
+gappy_utterance = st.builds(
+    lambda before, kept, after: " <eob> ".join([*before, kept, *after]) + " <eob>",
+    st.lists(gappy_block, max_size=2), block, st.lists(gappy_block, max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(
+    data=st.data(),
+    n_pairs=st.integers(min_value=1, max_value=4),
+    max_cpl=st.integers(min_value=5, max_value=42),
+    aggregation=st.sampled_from(list(LengthAggregation)),
+)
+def test_lenient_eval_matches_the_oracles_on_the_kept_lines(data, n_pairs, max_cpl, aggregation):
+    raw = {
+        key: data.draw(st.lists(gappy_utterance, min_size=n_pairs, max_size=n_pairs))
+        for key in FILES[:4]
+    }
+    # What the checked parser keeps: each utterance as marker text, and
+    # the text lines of each of its blocks.
+    markers, blocks = {}, {}
+    for key, lines in raw.items():
+        kept = [
+            [[line.text for line in b.lines] for b in utt.blocks]
+            for utt in oracles.parse_marked_text_checked(lines, lenient=True).utterances
+        ]
+        markers[key] = [" <eob> ".join(map(" <eol> ".join, utt)) + " <eob>" for utt in kept]
+        blocks[key] = [lines for utt in kept for lines in utt]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: _write(tmp, key, raw[key]) for key in raw}
+        tokens = zip(*(
+            [tokenize(marker, Scheme.MT_DETACHED, lang) for marker in markers[key]]
+            for key, lang in (("captions_hyp", "en"), ("subtitles_hyp", "fr"))
+        ))
+        for key, side in zip(FILES[6:], _pharaoh_lines(data, tokens)[1]):
+            paths[key] = _write(tmp, key, side)
+        report = _eval_report(
+            paths, "--lenient", "--max-cpl", str(max_cpl), "--aggregation", aggregation.value,
+            "--out-file", os.path.join(tmp, "report.json"),
+        )
+
+    assert report.wer == oracles.corpus_wer(markers["captions_hyp"], markers["captions_ref"])
+    assert report.bleu == oracles.corpus_bleu(markers["subtitles_hyp"], markers["subtitles_ref"])
+    assert (report.structural, report.line_count, report.char_ratio) == oracles.pair_consistency(
+        markers["captions_hyp"], markers["subtitles_hyp"]
+    )
+    # Each block as a one-second cue: only the CPL half is compared.
+    per_block = aggregation is LengthAggregation.PER_BLOCK
+    for key, length in (("captions_hyp", report.length_captions),
+                        ("subtitles_hyp", report.length_subtitles)):
+        cues = [(lines, 0, 1000) for lines in blocks[key]]
+        assert length == oracles.cue_conformity(cues, max_cpl, DEFAULT_MAX_CPS, per_block)[0]
 
 
 def test_first_error_in_pair_order_is_reported(micro_paths, tmp_path, capsys):
