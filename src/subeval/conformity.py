@@ -3,6 +3,7 @@ speed, and segmentation plausibility."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -45,6 +46,12 @@ _SELECTED_BREAKS: dict[BreakSelection, frozenset[str]] = {
 }
 
 
+# The conformity counts of an utterance and its tags, or their sums.
+ConformityCounts = namedtuple(
+    "ConformityCounts", "cpl_hits cpl_units cps_hits timed untimed plausible judged selected"
+)
+
+
 @dataclass(frozen=True)
 class ConformityReport:
     length_rate: Optional[float]
@@ -62,9 +69,8 @@ def _block_counts(
     thresholds: ConformityThresholds,
     aggregation: LengthAggregation = LengthAggregation.PER_LINE,
 ) -> tuple[int, int, int, int, int]:
-    """(lines or blocks within the CPL bound, inclusive, lines or blocks,
-    timed blocks read at or below the CPS bound, timed blocks, untimed
-    blocks) of one utterance.
+    """The `ConformityCounts` fields `cpl_hits` to `untimed` of one
+    utterance; both bounds are inclusive.
 
     Characters of a block are the sum of its trimmed line counts; no
     synthetic inter-line spaces are added.
@@ -92,8 +98,8 @@ def _block_counts(
 def _break_counts(
     utt: TaggedUtterance, index: int, include_trailing_eob: bool, breaks: BreakSelection
 ) -> tuple[int, int, int]:
-    """(plausible, judged, selected) break counts of the utterance at
-    `index`, in one walk.
+    """The `ConformityCounts` fields `plausible`, `judged` and `selected`
+    of the utterance at `index`, in one walk.
 
     A run of selected breaks shares its neighbouring words, so it is
     judged as a whole when the next word arrives, or at the end of the
@@ -139,27 +145,25 @@ def conformity_counts(
     include_trailing_eob: bool = True,
     breaks: BreakSelection = BreakSelection.BOTH,
     index: int = 0,
-) -> tuple[int, ...]:
-    """The conformity counts of the utterance at `index` and of its tags,
-    each when given: CPL hits and units, CPS hits, timed and untimed
-    blocks, and plausible, judged and selected breaks."""
-    segmentation = (
-        (0, 0, 0) if tagged is None
-        else _break_counts(tagged, index, include_trailing_eob, breaks)
+) -> ConformityCounts:
+    """The `ConformityCounts` of the utterance at `index` and of its tags;
+    a missing utterance or missing tags count as empty ones."""
+    return ConformityCounts(
+        *_block_counts(utt or Utterance("", ()), thresholds, aggregation),
+        *_break_counts(tagged or TaggedUtterance(()), index, include_trailing_eob, breaks),
     )
-    return ((0,) * 5 if utt is None else _block_counts(utt, thresholds, aggregation)) + segmentation
 
 
 def conformity_from_sums(sums: Sequence[int]) -> ConformityReport:
     """A document's report from the column sums of `conformity_counts`
     over one or more utterances.  Reading speed is scored only when
     every block is timed."""
-    cpl_hits, cpl_units, cps_hits, timed, untimed, plausible, judged, selected = sums
+    counts = ConformityCounts._make(sums)
     return ConformityReport(
-        length_rate=_rate(cpl_hits, cpl_units),
-        reading_speed_rate=None if untimed else _rate(cps_hits, timed),
-        segmentation_rate=_rate(plausible, judged),
-        breaks=selected,
+        length_rate=_rate(counts.cpl_hits, counts.cpl_units),
+        reading_speed_rate=None if counts.untimed else _rate(counts.cps_hits, counts.timed),
+        segmentation_rate=_rate(counts.plausible, counts.judged),
+        breaks=counts.selected,
     )
 
 
@@ -184,7 +188,7 @@ def conformity_report(
         conformity_counts(utt, thresholds, aggregation, tags, include_trailing_eob, breaks, index)
         for index, (utt, tags) in enumerate(zip_longest(doc.utterances, tagged or ()))
     )
-    return conformity_from_sums(column_sums(rows) or [0] * 8)
+    return conformity_from_sums(column_sums(rows) or conformity_counts(None))
 
 
 def segmentation_plausibility(

@@ -12,6 +12,7 @@ MT tokens (`Scheme.MT_DETACHED`) of each side.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +22,10 @@ from .model import EOB, EOL, Utterance, UtterancePair, column_sums, left_sum
 from .textproc import Scheme, TokenizedUtterance, tokenize
 
 log = logging.getLogger(__name__)
+
+
+# The structural counts of a pair (see `pair_counts`), or their sums.
+PairCounts = namedtuple("PairCounts", "pairs same equal compared cap_chars sub_chars")
 
 
 @dataclass(frozen=True)
@@ -50,17 +55,15 @@ class ConsistencyReport:
     per_pair: tuple[LexicalConsistencyPair, ...]
 
 
-def pair_counts(pair: UtterancePair) -> tuple[int, int, int, int, int, int]:
-    """The structural counts of one pair: 1 (the pair itself), 1 when its
-    block counts are equal, and then its block pairs with equal line
-    counts and its block pairs (else 0 and 0), and its caption and
-    subtitle characters."""
+def pair_counts(pair: UtterancePair) -> PairCounts:
+    """The `PairCounts` of one pair; `equal` and `compared` are 0 unless
+    its block counts are equal."""
     cap_blocks, sub_blocks = pair.caption.blocks, pair.subtitle.blocks
     same = equal = compared = 0
     if len(cap_blocks) == len(sub_blocks):
         same, compared = 1, len(cap_blocks)
         equal = sum(len(c.lines) == len(s.lines) for c, s in zip(cap_blocks, sub_blocks))
-    return 1, same, equal, compared, pair.caption.char_count(), pair.subtitle.char_count()
+    return PairCounts(1, same, equal, compared, pair.caption.char_count(), pair.subtitle.char_count())
 
 
 def block_index_map(utt: Utterance, lang: str = "en") -> BlockIndexMap:
@@ -189,16 +192,16 @@ def consistency_from_sums(
     caption characters over all subtitle ones."""
     if not sums:
         raise DataError("empty pair list")
-    n, same, equal, compared, cap_chars, sub_chars = sums
-    if compared == 0:
+    counts = PairCounts._make(sums)
+    if counts.compared == 0:
         log.warning("no structurally consistent pairs; line-count rate undefined")
-    if sub_chars == 0:
+    if counts.sub_chars == 0:
         raise DataError("subtitle corpus has zero characters")
     return ConsistencyReport(
-        structural=same / n,
-        lexical=None if lex_sum is None else lex_sum / n,
-        line_count=equal / compared if compared else None,
-        char_ratio=cap_chars / sub_chars,
+        structural=counts.same / counts.pairs,
+        lexical=None if lex_sum is None else lex_sum / counts.pairs,
+        line_count=counts.equal / counts.compared if counts.compared else None,
+        char_ratio=counts.cap_chars / counts.sub_chars,
         per_pair=tuple(per_pair),
     )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -21,22 +21,28 @@ NGRAM_ORDER = 4
 _LOG_ZERO = -9999999999.0
 
 
-@dataclass(frozen=True)
-class WerBreakdown:
-    substitutions: int
-    deletions: int
-    insertions: int
-    reference_length: int
-    wer: float
+class WerCounts(namedtuple("WerCounts", "substitutions deletions insertions reference_length")):
+    """The WER counts of an utterance after normalization, or their sums."""
+
+    @property
+    def edits(self) -> int:
+        return self.substitutions + self.deletions + self.insertions
+
+    @property
+    def wer(self) -> float:
+        return 100.0 * self.edits / self.reference_length
+
+
+# BLEU's sufficient statistics: matched and total n-grams per order, then lengths.
+BleuCounts = namedtuple(
+    "BleuCounts", "correct1 correct2 correct3 correct4 total1 total2 total3 total4 hyp_len ref_len"
+)
 
 
 @dataclass(frozen=True)
 class BleuScore:
     score: float
-    precisions: tuple[float, float, float, float]
     brevity_penalty: float
-    hyp_length: int
-    ref_length: int
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,11 @@ def _wer_words(utt: Utterance) -> list[str]:
     return normalize_for_wer(tokenize(utt.text(), Scheme.WHITESPACE))
 
 
-def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[tuple[int, int, int, int]]:
-    """(S, D, I, reference_length) of each hypothesis against one
-    reference, which is normalized once."""
+def _wer_segment(hyps: Sequence[Utterance], ref: Utterance) -> list[WerCounts]:
+    """The `WerCounts` of each hypothesis against one reference, which is
+    normalized once."""
     ref_words = _wer_words(ref)
-    return [(*edit_operations(_wer_words(h), ref_words), len(ref_words)) for h in hyps]
+    return [WerCounts(*edit_operations(_wer_words(h), ref_words), len(ref_words)) for h in hyps]
 
 
 def _warn_empty_reference(edits: int, ref_len: int, ref_id: str) -> None:
@@ -121,38 +127,30 @@ def _warn_empty_reference(edits: int, ref_len: int, ref_id: str) -> None:
         )
 
 
-def wer_counts(hyp: Utterance, ref: Utterance) -> tuple[int, int, int, int]:
-    """(S, D, I, reference_length) of one utterance after WER
-    normalization; warns when only the hypothesis has words."""
-    ((subs, dels, ins, ref_len),) = _wer_segment((hyp,), ref)
-    _warn_empty_reference(subs + dels + ins, ref_len, ref.id)
-    return subs, dels, ins, ref_len
+def wer_counts(hyp: Utterance, ref: Utterance) -> WerCounts:
+    """The `WerCounts` of one utterance after WER normalization; warns
+    when only the hypothesis has words."""
+    (counts,) = _wer_segment((hyp,), ref)
+    _warn_empty_reference(counts.edits, counts.reference_length, ref.id)
+    return counts
 
 
-def wer_segment_stats(
-    hyp: Sequence[Utterance], ref: Sequence[Utterance]
-) -> list[tuple[int, int, int, int]]:
-    """Per-utterance (S, D, I, reference_length) after WER normalization."""
+def wer_segment_stats(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> list[WerCounts]:
+    """The `WerCounts` of each utterance after WER normalization."""
     check_count(len(hyp), len(ref))
     return [wer_counts(h, r) for h, r in zip(hyp, ref)]
 
 
-def wer_from_sums(sums: Sequence[int]) -> WerBreakdown:
-    """Corpus WER from the column sums of `wer_counts` over one or more
-    utterances."""
-    subs, dels, ins, ref_len = sums
-    if ref_len == 0:
+def wer_from_sums(sums: Sequence[int]) -> WerCounts:
+    """The corpus `WerCounts`, whose `wer` is the corpus WER, from the
+    column sums of `wer_counts` over one or more utterances."""
+    counts = WerCounts._make(sums)
+    if counts.reference_length == 0:
         raise DataError("reference corpus is empty after normalization")
-    return WerBreakdown(
-        substitutions=subs,
-        deletions=dels,
-        insertions=ins,
-        reference_length=ref_len,
-        wer=100.0 * (subs + dels + ins) / ref_len,
-    )
+    return counts
 
 
-def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerBreakdown:
+def wer(hyp: Sequence[Utterance], ref: Sequence[Utterance]) -> WerCounts:
     """Corpus WER on unpunctuated, lowercased text, breaks removed."""
     if not ref:
         raise DataError("empty corpus")
@@ -176,11 +174,9 @@ def _ngram_counts(words: Sequence[str]) -> Counter:
     )
 
 
-def _bleu_segment(
-    hyps: Sequence[Utterance], ref: Utterance, keep_breaks: bool
-) -> list[tuple[int, ...]]:
-    """(correct 1..4, total 1..4, hyp_len, ref_len) of each hypothesis
-    against one reference, which is tokenized and counted once."""
+def _bleu_segment(hyps: Sequence[Utterance], ref: Utterance, keep_breaks: bool) -> list[BleuCounts]:
+    """The `BleuCounts` of each hypothesis against one reference, which is
+    tokenized and counted once."""
     ref_words = _bleu_tokens(ref, keep_breaks)
     ref_counts = _ngram_counts(ref_words)
     stats = []
@@ -193,13 +189,12 @@ def _bleu_segment(
             if ref_count:
                 correct[len(gram) - 1] += count if count < ref_count else ref_count
         total = [max(len(hyp_words) - n, 0) for n in range(NGRAM_ORDER)]
-        stats.append((*correct, *total, len(hyp_words), len(ref_words)))
+        stats.append(BleuCounts(*correct, *total, len(hyp_words), len(ref_words)))
     return stats
 
 
-def bleu_counts(hyp: Utterance, ref: Utterance, keep_breaks: bool = True) -> tuple[int, ...]:
-    """(correct 1..4, total 1..4, hyp_len, ref_len) of one utterance
-    under 13a tokenization: BLEU's sufficient statistics."""
+def bleu_counts(hyp: Utterance, ref: Utterance, keep_breaks: bool = True) -> BleuCounts:
+    """The `BleuCounts` of one utterance under 13a tokenization."""
     return _bleu_segment((hyp,), ref, keep_breaks)[0]
 
 
@@ -210,8 +205,8 @@ def bleu_segment_stats(
     statistics under 13a tokenization."""
     check_count(len(hyp), len(ref))
     return [
-        (list(stats[:4]), list(stats[4:8]), stats[8], stats[9])
-        for stats in (bleu_counts(h, r, keep_breaks) for h, r in zip(hyp, ref))
+        (list(c[:NGRAM_ORDER]), list(c[NGRAM_ORDER:2 * NGRAM_ORDER]), c.hyp_len, c.ref_len)
+        for c in (bleu_counts(h, r, keep_breaks) for h, r in zip(hyp, ref))
     ]
 
 
@@ -220,7 +215,6 @@ def bleu_from_stats(
 ) -> BleuScore:
     """BLEU with exponential smoothing of zero-match orders, per the
     standard corpus signature (mixed case, 4-gram, exp smoothing)."""
-    precisions = [0.0] * NGRAM_ORDER
     log_precisions = []
     smooth = 1.0
     for n in range(NGRAM_ORDER):
@@ -229,10 +223,10 @@ def bleu_from_stats(
             continue
         if correct[n] == 0:
             smooth *= 2.0
-            precisions[n] = 1.0 / (smooth * total[n])
+            precision = 1.0 / (smooth * total[n])
         else:
-            precisions[n] = correct[n] / total[n]
-        log_precisions.append(math.log(precisions[n]))
+            precision = correct[n] / total[n]
+        log_precisions.append(math.log(precision))
     if hyp_len == 0:
         brevity_penalty = 0.0
     elif hyp_len < ref_len:
@@ -240,21 +234,20 @@ def bleu_from_stats(
     else:
         brevity_penalty = 1.0
     score = 100.0 * brevity_penalty * math.exp(left_sum(log_precisions) / NGRAM_ORDER)
-    return BleuScore(
-        score=score,
-        precisions=tuple(precisions),
-        brevity_penalty=brevity_penalty,
-        hyp_length=hyp_len,
-        ref_length=ref_len,
-    )
+    return BleuScore(score=score, brevity_penalty=brevity_penalty)
+
+
+def _bleu(c: BleuCounts) -> BleuScore:
+    return bleu_from_stats(c[:NGRAM_ORDER], c[NGRAM_ORDER:2 * NGRAM_ORDER], c.hyp_len, c.ref_len)
 
 
 def bleu_from_sums(sums: Sequence[int]) -> BleuScore:
     """Corpus BLEU from the column sums of `bleu_counts` over one or
     more utterances."""
-    if sums[8] == 0:
+    counts = BleuCounts._make(sums)
+    if counts.hyp_len == 0:
         log.warning("hypothesis corpus is empty; BLEU = 0")
-    return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9])
+    return _bleu(counts)
 
 
 def corpus_bleu(
@@ -311,9 +304,9 @@ def significance_rows(
             for stats in _bleu_segment((a, b), r, keep_breaks):
                 flat.extend(stats)
         else:
-            for s, d, ins, ref_len in _wer_segment((a, b), r):
-                flat.extend((s + d + ins, ref_len))
-            if ref_len == 0:
+            for counts in _wer_segment((a, b), r):
+                flat.extend((counts.edits, counts.reference_length))
+            if counts.reference_length == 0:
                 empty_refs.append((i, r.id))
     return flat, empty_refs
 
@@ -328,10 +321,10 @@ def significance_from_rows(
     # WER is negated so that higher is better for both metrics.  Negation
     # is exact, so every comparison and difference below is unchanged.
     if metric == "bleu":
-        width = 2 * NGRAM_ORDER + 2
+        width = len(BleuCounts._fields)
 
         def score(sums: list[int]) -> float:
-            return bleu_from_stats(sums[:4], sums[4:8], sums[8], sums[9]).score
+            return _bleu(BleuCounts._make(sums)).score
 
     else:
         width = 2
@@ -348,9 +341,9 @@ def significance_from_rows(
     for column in (0, width):
         for i, ref_id in empty_refs:
             _warn_empty_reference(both[i, column], 0, ref_id)
-    full = both.sum(axis=0).tolist()
-    if metric == "wer" and full[1] == 0:
+    if metric == "wer" and len(empty_refs) == n:
         raise DataError("reference corpus is empty after normalization")
+    full = both.sum(axis=0).tolist()
     a_is_better = score(full[:width]) >= score(full[width:])
     # Better system first, one row per statistic, in one copy.  Integer sums
     # are exact, so a resample's sums do not depend on the order of addition.
