@@ -465,11 +465,15 @@ def run_eval(opts: dict[str, Any]) -> int:
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    """Write `text` to the file at `path`, or to stdout without one."""
+    """Write `text` as UTF-8 to the file at `path`, or to stdout without
+    one, whatever stdout's own encoding."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO
         sys.stdout.write(text)
 
 

@@ -521,6 +521,20 @@ def test_eval_config_path_with_nul_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_eval_report_on_stdout_is_utf8_whatever_its_encoding(micro_paths, tmp_path, encoding):
+    # A non-ASCII system name: stdout must carry the bytes --out-file gets.
+    args = eval_args(micro_paths, "--out", "tsv", "--system-name", "sys\u00e9")
+    out = tmp_path / "report.tsv"
+    assert main([*args, "--out-file", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "subeval.cli", *args], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING=encoding),
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout == out.read_bytes()
+
+
 def test_eval_byte_identical_reruns(micro_paths, tmp_path):
     out = tmp_path / "report.json"
     args = eval_args(micro_paths, "--out", "both", "--out-file", str(out))
