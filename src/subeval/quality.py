@@ -295,8 +295,9 @@ def significance_rows(
 ) -> tuple[array, list[tuple[int, str]]]:
     """The statistics of (hypothesis A, hypothesis B, reference) segments,
     each scored as it is read and then dropped: an int64 array holding
-    one row per segment, A's statistics then B's, and under WER the
-    (row, id) of each reference that is empty after normalization."""
+    one row per segment, A's statistics then B's (its `BleuCounts`, or
+    its WER edits and reference length), and under WER the (row, id) of
+    each reference that is empty after normalization."""
     flat = array("q")
     empty_refs = []
     for i, (a, b, r) in enumerate(segments):
