@@ -59,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 _PATH = (str, None)
 _FLAG = (bool, False)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _VALIDATE_INPUTS = ("auto-scores", "manual-scores", "auto-judgements", "manual-judgements")
 
 # `eval`'s options, which its flat key-value config file may also set:
@@ -111,14 +112,10 @@ def _parse_config_file(source) -> Iterator[tuple[str, Any]]:
 
 def _coerce(key: str, raw: str, lineno: int) -> Any:
     typ, _ = OPTIONS[key]
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise FormatError(f"key {key!r}: expected a boolean, got {raw!r}", line=lineno)
     try:
-        return typ(raw)
+        return _BOOL_WORDS[raw.lower()] if typ is bool else typ(raw)
+    except KeyError:
+        raise FormatError(f"key {key!r}: expected a boolean, got {raw!r}", line=lineno) from None
     except ValueError:
         raise FormatError(f"key {key!r}: bad value {raw!r}", line=lineno) from None
 
@@ -518,10 +515,7 @@ def run_significance(opts: dict[str, Any]) -> int:
     return 0
 
 
-_BOOL_WORDS = {
-    "1": True, "true": True, "yes": True, "consistent": True,
-    "0": False, "false": False, "no": False, "inconsistent": False,
-}
+_JUDGEMENT_WORDS = {**_BOOL_WORDS, "consistent": True, "inconsistent": False}
 
 
 def _read_values(source, parse, expected: str) -> Iterator:
@@ -551,7 +545,7 @@ def run_validate_lexical(opts: dict[str, Any]) -> int:
 
     auto, manual, auto_j, manual_j = (opts[key] for key in _VALIDATE_INPUTS)
     scores = read((auto, manual), _finite, "a number")
-    judgements = read((auto_j, manual_j), lambda line: _BOOL_WORDS[line.lower()], "a boolean")
+    judgements = read((auto_j, manual_j), lambda line: _JUDGEMENT_WORDS[line.lower()], "a boolean")
     with located(f"{auto} vs {manual}, {auto_j} vs {manual_j}"):
         mae, agreement = consistency_mod.validate_lexical_metric(*scores, *judgements)
     sys.stdout.write(

@@ -2,6 +2,7 @@
 names the input file in an error, and the UTF-8 opener, line source and
 streaming reader that every input reader uses."""
 
+import io
 from contextlib import contextmanager
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -64,13 +65,10 @@ def numbered_lines(source: Union[str, Iterable[str]]) -> Iterator[tuple[int, str
     """(1-based line, its text without the LF) for each line of `source`:
     a string, or the lines of a file opened by `open_utf8`.  A string
     loses its leading U+FEFF, as the file loses its byte order mark, and
-    is split at each LF alone; a final LF ends the last line and starts
-    no new one, as in a file."""
+    is then read as that file is: split at each LF alone, a final LF
+    ending the last line and starting no new one."""
     if isinstance(source, str):
-        lines = source.lstrip("\ufeff").split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        return enumerate(lines, start=1)
+        source = io.StringIO(source.lstrip("\ufeff"), newline="\n")
     return enumerate(map(str.rstrip, source, repeat("\n")), start=1)
 
 

@@ -88,51 +88,34 @@ def _tokenize_13a_span(span: str) -> list[str]:
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
-    # Each rule below needs its character, so a span without it skips it.
-    if "." in norm or "," in norm:
-        norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-        norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
-    if "-" in norm:
-        norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)
+    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    norm = _13A_DIGIT_DASH_RE.sub(r"\1 \2 ", norm)
     return norm.split()
 
 
-class _DetachablePunct(dict):
-    """`str.translate` table that pads detachable punctuation with spaces.
-
-    Detachable means Unicode category P* or S*, except ``. , ' ’``, which
-    the digit and apostrophe rules handle.  Each character is classified
-    the first time it is looked up, and the result is stored.
-    """
-
-    def __missing__(self, code: int):
-        ch = chr(code)
-        if ch not in ".,'’" and unicodedata.category(ch)[0] in "PS":
-            value = f" {ch} "
-        else:
-            value = code  # maps to itself; None would delete it
-        self[code] = value
-        return value
-
-
-_DETACH_TABLE = _DetachablePunct()
+def _detach(text: str) -> str:
+    """`text` with a space each side of each character of Unicode category
+    P* or S*, except ``. , ' ’``, which the digit and apostrophe rules handle."""
+    return "".join(
+        f" {ch} " if ch not in ".,'’" and unicodedata.category(ch)[0] in "PS" else ch
+        for ch in text
+    )
 
 
 _MT_APOS_EN_RE = re.compile(r"(\w)(['’])(\w)", re.UNICODE)
 
 
 def _tokenize_mt_span(span: str, lang: str) -> list[str]:
-    norm = f" {span} ".translate(_DETACH_TABLE)
-    if "." in norm or "," in norm:
-        norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
-        norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
-    if "'" in norm or "’" in norm:
-        if lang.startswith("fr") or lang.startswith("it"):
-            # Elision attaches left: l'homme -> l' homme
-            norm = _MT_APOS_EN_RE.sub(r"\1\2 \3", norm)
-        else:
-            # English-style: don't -> don 't
-            norm = _MT_APOS_EN_RE.sub(r"\1 \2\3", norm)
+    norm = _detach(f" {span} ")
+    norm = _DOT_COMMA_LEFT_RE.sub(r"\1 \2 ", norm)
+    norm = _DOT_COMMA_RIGHT_RE.sub(r" \1 \2", norm)
+    if lang.startswith("fr") or lang.startswith("it"):
+        # Elision attaches left: l'homme -> l' homme
+        norm = _MT_APOS_EN_RE.sub(r"\1\2 \3", norm)
+    else:
+        # English-style: don't -> don 't
+        norm = _MT_APOS_EN_RE.sub(r"\1 \2\3", norm)
     return norm.split()
 
 
