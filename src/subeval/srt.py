@@ -14,7 +14,7 @@ from .errors import DataError, FormatError, numbered_lines, stream_file
 from .model import EOB, EOL, SubtitleBlock, SubtitleDocument, Utterance
 
 _TIMING_RE = re.compile(
-    r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*$"
+    r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2}):(\d{2}):(\d{2}),(\d{3})\s*$", re.ASCII
 )
 
 

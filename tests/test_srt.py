@@ -99,6 +99,9 @@ def test_round_trip_preserves_timing_fields():
          "expected cue index line, got '\u0661'"),
         ("1_0\n00:00:01,000 --> 00:00:02,000\nhi\n\n+10\n00:00:03,000 --> 00:00:04,000\nhi\n",
          FormatError, "expected cue index line, got '1_0'"),
+        # Timing digits are ASCII too.
+        ("1\n٠٠:٠٠:٠١,٠٠٠ --> ٠٠:٠٠:٠٢,٠٠٠\nhello\n", FormatError,
+         "cue 1: malformed timing line '٠٠:٠٠:٠١,٠٠٠ --> ٠٠:٠٠:٠٢,٠٠٠'"),
     ],
 )
 def test_each_error_text(text, error, message):
