@@ -333,29 +333,39 @@ def _check_links(opts, line: int, pair_id: str, tokens, c2s, s2c) -> None:
                 raise
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 @contextmanager
 def _diagnostics(path: Optional[str]):
     """A function that writes one record as a JSON line, or drops it
     without `path`.
 
-    A regular or missing file, the one a symlink names included, is
-    written through a temporary file beside it that replaces it only if
-    the block ends without an error.  Any other target, such as a pipe
-    or /dev/stdout, or a file in a directory that cannot be written, is
-    written to directly as the records come."""
+    Stdout's own file (that of file descriptor 1), such as /dev/stdout,
+    is written through stdout as the records come, ahead of the report.
+    Another regular or missing file, the one a symlink names included,
+    goes to a temporary file beside it, which replaces it only if the
+    block ends without an error.  Any other target, such as a pipe or a
+    file in an unwritable directory, is written to as the records come."""
     if not path:
         yield lambda record: None
         return
+    try:
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # a missing target, or no stdout
+        to_stdout = False
+    if to_stdout:
+        yield lambda record: _emit(_json_line(record), None)
+        return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
-    staged = (os.path.isfile(target) or not os.path.lexists(target)) and os.access(head, os.W_OK)
+    staged = (os.path.isfile(path) or not os.path.exists(path)) and os.access(head, os.W_OK)
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if staged else path
     fh = open(temporary, "x" if staged else "w", encoding="utf-8")
     try:
         with fh:
-            yield lambda record: fh.write(
-                json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-            )
+            yield lambda record: fh.write(_json_line(record))
         if staged:
             os.replace(temporary, target)
     except BaseException:

@@ -1,9 +1,12 @@
 """`eval` scores one pair at a time: its reports equal those of the
 whole-corpus library functions and those of the brute-force oracles (on
-SRT, for consistency and segmentation on marked text, and on the lines
-`--lenient` keeps), its errors and warnings come in pair order, and an
-error exit leaves no diagnostics file."""
+SRT, for consistency and segmentation on marked text, on the lines
+`--lenient` keeps, and with aligners trained on `--train-bitext`), its
+errors and warnings come in pair order, and an error exit leaves no
+diagnostics file.  `significance`, which also streams its inputs,
+equals the NumPy bootstrap oracle."""
 
+import io
 import json
 import os
 import stat
@@ -11,13 +14,16 @@ import subprocess
 import sys
 import tempfile
 import threading
+from contextlib import redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
 import props
 from subeval import cli
+from subeval.align import BitextPair, train_aligner, viterbi_align_corpus
 from subeval.conformity import (
     DEFAULT_MAX_CPS,
     BreakSelection,
@@ -31,9 +37,11 @@ from subeval.markers import load_marked_text
 from subeval.model import pair_documents
 from subeval.quality import corpus_bleu, wer
 from subeval.report import EvaluationReport
+from subeval.srt import load_srt
 from subeval.textproc import UPOS_TAGS, Scheme, attach_tags, tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 FILES = (
     "captions_hyp", "captions_ref", "subtitles_hyp", "subtitles_ref",
     "pos_captions", "pos_subtitles", "align_c2s", "align_s2c",
@@ -375,6 +383,111 @@ def test_lenient_eval_matches_the_oracles_on_the_kept_lines(data, n_pairs, max_c
         assert length == oracles.cue_conformity(cues, max_cpl, DEFAULT_MAX_CPS, per_block)[0]
 
 
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(
+    data=st.data(),
+    n_segments=st.integers(min_value=2, max_value=5),
+    srt=st.booleans(),
+    metric=st.sampled_from(["bleu", "wer"]),
+    resamples=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streamed_significance_matches_the_numpy_oracle(
+    data, n_segments, srt, metric, resamples, seed
+):
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key in ("hyp-a", "hyp-b", "ref"):
+            if srt:
+                lines, end = [], 0
+                for index, (text, gap, duration) in enumerate(
+                    data.draw(st.lists(cue, min_size=n_segments, max_size=n_segments)), 1
+                ):
+                    start, end = end + gap, end + gap + duration
+                    timing = f"{props.srt_timestamp(start)} --> {props.srt_timestamp(end)}"
+                    lines += [str(index), timing, *text, ""]
+            else:
+                lines = data.draw(st.lists(utterance, min_size=n_segments, max_size=n_segments))
+            paths[key] = _write(tmp, key, lines)
+            docs[key] = (load_srt if srt else load_marked_text)(paths[key]).utterances
+        args = ["significance", "--metric", metric, "--resamples", str(resamples),
+                "--seed", str(seed), "--format", "srt" if srt else "mustcinema"]
+        for key, path in paths.items():
+            args += ["--" + key, path]
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(args) == 0
+    got = json.loads(out.getvalue())
+    want = oracles.bootstrap_numpy(
+        docs["hyp-a"], docs["hyp-b"], docs["ref"], metric=metric, resamples=resamples, seed=seed
+    )
+    assert (got["p_value"], got["delta_mean"], got["better_system"]) == (
+        want.p_value, want.delta_mean, want.better_system,
+    )
+
+
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(
+    data=st.data(),
+    n_pairs=st.integers(min_value=1, max_value=4),
+    n_bitext=st.integers(min_value=1, max_value=4),
+    iterations=st.integers(min_value=0, max_value=5),
+    no_diagonal_prior=st.booleans(),
+    skip_unaligned=st.booleans(),
+)
+def test_trained_eval_matches_the_aligner_and_the_loop_oracle(
+    data, n_pairs, n_bitext, iterations, no_diagonal_prior, skip_unaligned
+):
+    markers = {
+        key: data.draw(st.lists(utterance, min_size=n_pairs, max_size=n_pairs))
+        for key in FILES[:4]
+    }
+    bitext = data.draw(st.lists(st.tuples(line, line), min_size=n_bitext, max_size=n_bitext))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: _write(tmp, key, markers[key]) for key in markers}
+        options = ["--train-bitext", _write(tmp, "bitext", [f"{s} ||| {t}" for s, t in bitext]),
+                   "--iterations", str(iterations),
+                   "--out-file", os.path.join(tmp, "report.json"),
+                   "--diagnostics", os.path.join(tmp, "diag.jsonl")]
+        options += ["--no-diagonal-prior"] * no_diagonal_prior
+        options += ["--skip-unaligned"] * skip_unaligned
+        report = _eval_report(paths, *options)
+        with open(os.path.join(tmp, "diag.jsonl"), encoding="utf-8") as fh:
+            diagnostics = [json.loads(record) for record in fh]
+
+    def pair(source, target):
+        return BitextPair(tuple(source.words()), tuple(target.words()))
+
+    def train(corpus):
+        return train_aligner(corpus, iterations=iterations, use_diagonal_prior=not no_diagonal_prior)
+
+    token_pairs = [
+        (tokenize(c, Scheme.MT_DETACHED, "en"), tokenize(s, Scheme.MT_DETACHED, "fr"))
+        for c, s in zip(markers["captions_hyp"], markers["subtitles_hyp"])
+    ]
+    system = [pair(c, s) for c, s in token_pairs]
+    forward = [
+        pair(tokenize(s, Scheme.MT_DETACHED, "en"), tokenize(t, Scheme.MT_DETACHED, "fr"))
+        for s, t in bitext
+    ] + system
+    backward = [BitextPair(p.target, p.source) for p in forward]
+    c2s = viterbi_align_corpus(train(forward), system)
+    s2c = viterbi_align_corpus(train(backward), backward[n_bitext:])
+    results = [
+        oracles.lexical_consistency_pair_dict(str(index), tokens, *links, skip_unaligned)
+        for index, (tokens, links) in enumerate(zip(token_pairs, zip(c2s, s2c)))
+    ]
+    # The mean of lex_pair, added in pair order.
+    assert report.lexical == sum(result.lex_pair for result in results) / n_pairs
+    assert diagnostics == [
+        {"id": str(index), "blocks_c": marker_c.count("<eob>"),
+         "blocks_s": marker_s.count("<eob>"), **json.loads(json.dumps(vars(result)))}
+        for index, (marker_c, marker_s, result) in enumerate(
+            zip(markers["captions_hyp"], markers["subtitles_hyp"], results)
+        )
+    ]
+
+
 def test_first_error_in_pair_order_is_reported(micro_paths, tmp_path, capsys):
     # A bad reference line at pair 7 and a link out of bounds at pair 3.
     paths = _micro_copy(micro_paths, tmp_path, captions_ref=_replace(6, ""),
@@ -505,3 +618,31 @@ def test_diagnostics_to_a_pipe_are_written_directly(micro_paths, tmp_path, capsy
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert list(tmp_path.iterdir()) == [fifo]
     assert len(received[0].splitlines()) == 20
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_diagnostics_to_stdout_come_before_the_report(micro_paths, tmp_path, stdout):
+    """/dev/stdout, as a pipe or as a regular file, carries the
+    diagnostics lines as the pairs are scored and then the report."""
+    def run(*options, **kwargs):
+        command = [sys.executable, "-m", "subeval.cli", *_args(micro_paths, *options)]
+        return subprocess.run(command, env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+
+    plain = run(stdout=subprocess.PIPE)
+    assert plain.returncode == 0
+    if stdout == "pipe":
+        proc = run("--diagnostics", "/dev/stdout", stdout=subprocess.PIPE)
+        written = proc.stdout
+    else:
+        with open(tmp_path / "out.txt", "wb") as fh:
+            proc = run("--diagnostics", "/dev/stdout", stdout=fh)
+        written = (tmp_path / "out.txt").read_bytes()
+    assert proc.returncode == 0
+    lines = written.decode("utf-8").splitlines(keepends=True)
+    with open(os.path.join(GOLDEN, "diag.jsonl"), encoding="utf-8") as fh:
+        assert lines[:20] == fh.readlines()
+    report = json.loads("".join(lines[20:]))
+    expected = json.loads(plain.stdout)
+    assert report.pop("config")["diagnostics"] == "/dev/stdout"
+    expected.pop("config")
+    assert report == expected
