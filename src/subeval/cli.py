@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -337,26 +338,37 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _std_stream(path: str):
+    """sys.stdout or sys.stderr when `path` names its own file (that of
+    file descriptor 1 or 2), else None."""
+    try:
+        target = os.stat(path)
+    except OSError:  # a missing target
+        return None
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with suppress(OSError):  # no such descriptor
+            if os.path.samestat(target, os.fstat(fd)):
+                return stream
+    return None
+
+
 @contextmanager
 def _diagnostics(path: Optional[str]):
-    """A function that writes one record as a JSON line, or drops it
-    without `path`.
+    """A function that writes JSON lines, or drops them without `path`.
 
-    Stdout's own file (that of file descriptor 1), such as /dev/stdout,
-    is written through stdout as the records come, ahead of the report.
-    Another regular or missing file, the one a symlink names included,
-    goes to a temporary file beside it, which replaces it only if the
-    block ends without an error.  Any other target, such as a pipe or a
-    file in an unwritable directory, is written to as the records come."""
+    Stdout's or stderr's own file (that of file descriptor 1 or 2), such
+    as /dev/stdout, is written through that stream as the lines come, so
+    they come ahead of the report or of the warnings.  Another regular or
+    missing file, the one a symlink names included, goes to a temporary
+    file beside it, which replaces it only if the block ends without an
+    error.  Any other target, such as a pipe or a file in an unwritable
+    directory, is written to as the lines come."""
     if not path:
-        yield lambda record: None
+        yield lambda text: None
         return
-    try:
-        to_stdout = os.path.samestat(os.stat(path), os.fstat(1))
-    except OSError:  # a missing target, or no stdout
-        to_stdout = False
-    if to_stdout:
-        yield lambda record: _emit(_json_line(record), None)
+    stream = _std_stream(path)
+    if stream is not None:
+        yield functools.partial(_write_utf8, stream)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -365,7 +377,7 @@ def _diagnostics(path: Optional[str]):
     fh = open(temporary, "x" if staged else "w", encoding="utf-8")
     try:
         with fh:
-            yield lambda record: fh.write(_json_line(record))
+            yield fh.write
         if staged:
             os.replace(temporary, target)
     except BaseException:
@@ -375,17 +387,50 @@ def _diagnostics(path: Optional[str]):
         raise
 
 
+@contextmanager
+def _holding(records: list):
+    """Keep in `records` what any subeval logger logs in the block, and
+    pass none of it on."""
+    logger = logging.getLogger("subeval")
+    holder = logging.Handler()
+    holder.emit = records.append
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [holder], False
+    try:
+        yield
+    finally:
+        logger.handlers, logger.propagate = saved
+
+
 # The two sides `eval` scores: the keys of the POS file and language
 # options, and the per-utterance counts of the side's quality metric.
+# Neither logs: `eval` warns of an empty WER reference once the pair's
+# block is added to the sums.
 _SIDES = (
-    ("pos-captions", "caption-lang", quality_mod.wer_counts),
+    ("pos-captions", "caption-lang", lambda hyp, ref: quality_mod._wer_segment((hyp,), ref)[0]),
     ("pos-subtitles", "subtitle-lang", quality_mod.bleu_counts),
 )
 
+# The pairs `eval` scores at once: each layer runs over a block of this
+# many pairs before the next layer starts.  A block of 16 pairs keeps
+# fewer new objects alive than the 700 that start a garbage collection.
+# At 64, collections run every block and, in time, a full one, which
+# empties the interpreter's free lists; refilling them costs up to 1 MB.
+_BLOCK_PAIRS = 16
+
 
 def run_eval(opts: dict[str, Any]) -> int:
-    """Score the pairs one at a time, adding each pair's counts to
-    running sums, and compute the rates from the sums at the end."""
+    """Score the pairs in blocks of `_BLOCK_PAIRS`, each layer over the
+    whole block before the next, add a block's counts to running sums
+    once every check has passed, and compute the rates from the sums at
+    the end.
+
+    Errors and warnings come in pair order.  When reading or scoring a
+    block raises, the pairs already read are scored as blocks of one,
+    and then the error is raised again: the first error in pair order is
+    the one raised.  What reading a pair logs is held until its block is
+    added to the sums, and then passed on, followed by the pair's WER
+    empty-reference warning."""
     conformity = functools.partial(
         conformity_mod.conformity_counts,
         thresholds=ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"]),
@@ -393,9 +438,9 @@ def run_eval(opts: dict[str, Any]) -> int:
         include_trailing_eob=not opts["exclude-trailing-eob"],
         breaks=BreakSelection(opts["breaks"]),
     )
-    quality_sums: list[list] = [[] for _ in _SIDES]
-    conformity_sums: list[list] = [[] for _ in _SIDES]
-    pair_sums: list = []
+    # The running sums of the captions' WER and conformity counts, the
+    # subtitles' BLEU and conformity counts, and the pair counts.
+    sums: list[list] = [[] for _ in range(5)]
     lexical = 0.0
     # Without Pharaoh files: each pair's id, block counts and MT tokens,
     # scored once the aligners are trained.
@@ -404,46 +449,98 @@ def run_eval(opts: dict[str, Any]) -> int:
     counts: list = []
     with _diagnostics(opts["diagnostics"]) as write:
 
-        def score_lexical(pair_id, blocks, tokens, c2s, s2c) -> float:
-            result = consistency_mod.lexical_from_tokens(tokens, c2s, s2c, opts["skip-unaligned"])
-            write({"id": pair_id, "blocks_c": blocks[0], "blocks_s": blocks[1], **vars(result)})
-            return result.lex_pair
-
-        for index, items in enumerate(_lockstep(streams, counts)):
-            # One MT tokenization per hypothesis utterance feeds tagging,
-            # the system bitext and lexical consistency.
-            tokens = []
-            for (pos_key, lang_key, quality_counts), (hyp, ref, pos), q_sums, c_sums in zip(
-                _SIDES, (items[0:3], items[3:6]), quality_sums, conformity_sums
+        def add_lexical(ids, blocks, tokens, alignments) -> str:
+            """Score each pair's lexical consistency, add its lex_pair to
+            the sum, in pair order, and return the diagnostics lines."""
+            nonlocal lexical
+            lines = []
+            for pair_id, (blocks_c, blocks_s), pair, (c2s, s2c) in zip(
+                ids, blocks, tokens, alignments
             ):
-                add_counts(q_sums, quality_counts(hyp, ref))
-                mt = tokenize(hyp.text(), Scheme.MT_DETACHED, opts[lang_key])
-                tagged = None if pos is None else _tag(mt, pos, opts[pos_key], hyp.id)
-                add_counts(c_sums, conformity(hyp, tagged=tagged, index=index))
+                result = consistency_mod.lexical_from_tokens(pair, c2s, s2c, opts["skip-unaligned"])
+                lexical += result.lex_pair
+                record = {"id": pair_id, "blocks_c": blocks_c, "blocks_s": blocks_s}
+                lines.append(_json_line({**record, **vars(result)}))
+            return "".join(lines)
+
+        def score(start: int, block: list, held: list) -> str:
+            """Score `block`, the items of the pairs from index `start`
+            on, given the log records held from reading each; then add
+            it to the sums and return its diagnostics lines."""
+            columns = list(zip(*block))
+            indices = range(start, start + len(block))
+            layers: list[list] = []
+            tokens = []
+            for (pos_key, lang_key, quality_counts), (hyps, refs, pos) in zip(
+                _SIDES, (columns[0:3], columns[3:6])
+            ):
+                layers.append(list(map(quality_counts, hyps, refs)))
+                # One MT tokenization per hypothesis utterance feeds
+                # tagging, the system bitext and lexical consistency.
+                mt = [tokenize(hyp.text(), Scheme.MT_DETACHED, opts[lang_key]) for hyp in hyps]
+                tagged = [
+                    None if sentence is None else _tag(side, sentence, opts[pos_key], hyp.id)
+                    for side, sentence, hyp in zip(mt, pos, hyps)
+                ]
+                layers.append([
+                    conformity(hyp, tagged=tags, index=index)
+                    for hyp, tags, index in zip(hyps, tagged, indices)
+                ])
                 tokens.append(mt)
-            caption, _, _, subtitle, _, _, c2s, s2c = items
+            captions, _, _, subtitles, _, _, c2s, s2c = columns
+            with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
+                pairs = list(map(UtterancePair, captions, subtitles))
+            layers.append(list(map(consistency_mod.pair_counts, pairs)))
+            ids = [pair.id for pair in pairs]
+            blocks = [(len(c.blocks), len(s.blocks)) for c, s in zip(captions, subtitles)]
+            tokens = list(zip(*tokens))
+            if c2s[0] is not None:
+                for index, pair_id, pair, c2s_i, s2c_i in zip(indices, ids, tokens, c2s, s2c):
+                    _check_links(opts, index + 1, pair_id, pair, c2s_i, s2c_i)
+            # Every check has passed.  The counts are integers, so a
+            # block's column sums add up to what its pairs would.
+            for total, rows in zip(sums, layers):
+                add_counts(total, [sum(column) for column in zip(*rows)])
+            for records, wer, ref in zip(held, layers[0], columns[1]):
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
+                quality_mod._warn_empty_reference(wer.edits, wer.reference_length, ref.id)
+            if c2s[0] is None:
+                kept.extend(zip(ids, blocks, tokens))
+                return ""
+            return add_lexical(ids, blocks, tokens, zip(c2s, s2c))
+
+        pairs = _lockstep(streams, counts)
+        for start in itertools.count(0, _BLOCK_PAIRS):
+            block: list = []
+            records: list = []
+            held: list = []  # the records of reading each pair
             try:
-                pair = UtterancePair(caption, subtitle)
-            except DataError:
-                with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
-                    raise
-            add_counts(pair_sums, consistency_mod.pair_counts(pair))
-            blocks = (len(caption.blocks), len(subtitle.blocks))
-            if c2s is None:
-                kept.append((pair.id, blocks, tokens))
-                continue
-            _check_links(opts, index + 1, pair.id, tokens, c2s, s2c)
-            lexical += score_lexical(pair.id, blocks, tokens, c2s, s2c)
+                with _holding(records):
+                    for items in itertools.islice(pairs, _BLOCK_PAIRS):
+                        block.append(items)
+                        held.append(records[:])
+                        records.clear()
+                if not block:
+                    break
+                lines = score(start, block, held)
+            except Exception:
+                for i in range(len(block)):
+                    write(score(start + i, block[i:i + 1], held[i:i + 1]))
+                raise
+            write(lines)
 
         _check_counts(opts, counts)
+        wer_sums, conf_captions, bleu_sums, conf_subtitles, pair_sums = sums
         with located(f"{opts['captions-hyp']} vs {opts['captions-ref']}"):
-            wer = quality_mod.wer_from_sums(quality_sums[0]).wer
-        bleu = quality_mod.bleu_from_sums(quality_sums[1]).score
-        conf_captions, conf_subtitles = map(conformity_mod.conformity_from_sums, conformity_sums)
+            wer = quality_mod.wer_from_sums(wer_sums).wer
+        bleu = quality_mod.bleu_from_sums(bleu_sums).score
+        conf_captions, conf_subtitles = map(
+            conformity_mod.conformity_from_sums, (conf_captions, conf_subtitles)
+        )
         if not opts["align-c2s"]:
-            alignments = _trained_alignments(opts, [tokens for *_, tokens in kept])
-            for (pair_id, blocks, tokens), (c2s, s2c) in zip(kept, alignments):
-                lexical += score_lexical(pair_id, blocks, tokens, c2s, s2c)
+            ids, blocks, tokens = zip(*kept)
+            write(add_lexical(ids, blocks, tokens, _trained_alignments(opts, tokens)))
         cons = consistency_mod.consistency_from_sums(pair_sums, lexical)
 
         report = EvaluationReport(
@@ -471,17 +568,24 @@ def run_eval(opts: dict[str, Any]) -> int:
     return 0
 
 
+def _write_utf8(stream, text: str) -> None:
+    """Write `text` to `stream` as UTF-8, whatever the stream's own
+    encoding."""
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO
+        stream.write(text)
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     """Write `text` as UTF-8 to the file at `path`, or to stdout without
-    one, whatever stdout's own encoding."""
+    one."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    else:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
+    else:
+        _write_utf8(sys.stdout, text)
 
 
 def run_align_train(opts: dict[str, Any]) -> int:

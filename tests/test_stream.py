@@ -1,9 +1,9 @@
-"""`eval` scores one pair at a time: its reports equal those of the
+"""`eval` scores blocks of pairs: its reports equal those of the
 whole-corpus library functions and those of the brute-force oracles (on
 SRT, for consistency and segmentation on marked text, on the lines
 `--lenient` keeps, and with aligners trained on `--train-bitext`), its
-errors and warnings come in pair order, and an error exit leaves no
-diagnostics file.  `significance`, which also streams its inputs,
+outputs, errors and warnings are those of scoring one pair at a time,
+in pair order, and an error exit leaves no diagnostics file.  `significance`, which also streams its inputs,
 equals the NumPy bootstrap oracle."""
 
 import io
@@ -14,13 +14,14 @@ import subprocess
 import sys
 import tempfile
 import threading
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
+import test_cli
 import props
 from subeval import cli
 from subeval.align import BitextPair, train_aligner, viterbi_align_corpus
@@ -646,3 +647,228 @@ def test_diagnostics_to_stdout_come_before_the_report(micro_paths, tmp_path, std
     assert report.pop("config")["diagnostics"] == "/dev/stdout"
     expected.pop("config")
     assert report == expected
+
+
+@pytest.mark.parametrize("stderr", ["pipe", "file"])
+def test_diagnostics_to_stderr_are_written_through_it(micro_paths, tmp_path, stderr):
+    """/dev/stderr, as a pipe or as a regular file, carries the
+    diagnostics lines after what it held, and the file stays stderr's."""
+    command = [sys.executable, "-m", "subeval.cli",
+               *_args(micro_paths, "--diagnostics", "/dev/stderr")]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if stderr == "pipe":
+        proc = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        written = proc.stderr
+    else:
+        err = tmp_path / "err.txt"
+        err.write_bytes(b"earlier\n")
+        with open(err, "ab") as fh:
+            proc = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=fh)
+        written = err.read_bytes()
+        assert written.startswith(b"earlier\n")
+        written = written[len(b"earlier\n"):]
+        assert list(tmp_path.iterdir()) == [err]
+    assert proc.returncode == 0
+    with open(os.path.join(GOLDEN, "diag.jsonl"), "rb") as fh:
+        assert written == fh.read()
+    assert json.loads(proc.stdout)["config"]["diagnostics"] == "/dev/stderr"
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: `eval` scores `cli._BLOCK_PAIRS` pairs at once, and
+# every output, error and warning is that of scoring one pair at a time.
+
+@pytest.mark.parametrize("block_pairs", [1, 3, 7])
+@pytest.mark.parametrize("golden", ["micro", "skip", "trained", "srt"])
+def test_goldens_hold_at_any_block_size(
+    golden, block_pairs, micro_paths, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", block_pairs)
+    if golden == "micro":
+        test_cli._check_micro_eval_golden(
+            micro_paths, tmp_path, monkeypatch, "report.out", "diag.jsonl"
+        )
+    elif golden == "skip":
+        test_cli._check_micro_eval_golden(
+            micro_paths, tmp_path, monkeypatch, "report.skip.out", "diag.skip.jsonl",
+            "--skip-unaligned",
+        )
+    elif golden == "trained":
+        test_cli.test_eval_with_trained_aligner_matches_golden(micro_paths, tmp_path, monkeypatch)
+    else:
+        test_cli.test_eval_srt_matches_golden(tmp_path, monkeypatch, capsys)
+
+
+def _conllu_sentences(lines):
+    """The CoNLL-U `lines` as sentences, each a list of token lines."""
+    return [sentence.split("\n") for sentence in "\n".join(lines).split("\n\n") if sentence]
+
+
+def _conllu_lines(sentences):
+    return [line for sentence in sentences for line in [*sentence, ""]]
+
+
+def _drop_second_token(index):
+    """Drop the second token line of sentence `index` of a CoNLL-U file."""
+    def edit(lines):
+        sentences = _conllu_sentences(lines)
+        sentences[index] = sentences[index][:1] + sentences[index][2:]
+        return _conllu_lines(sentences)
+    return edit
+
+
+def _pos_args(paths, *extra):
+    return _args(paths, "--pos-captions", paths["pos_captions"],
+                 "--pos-subtitles", paths["pos_subtitles"], *extra)
+
+
+def test_first_error_comes_first_across_blocks(micro_paths, tmp_path, monkeypatch, capsys):
+    # At 3 pairs a block, the link out of bounds at pair 3 is in the first
+    # block and the bad reference line at pair 7 in the third.
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", 3)
+    paths = _micro_copy(micro_paths, tmp_path, captions_ref=_replace(6, ""),
+                        align_c2s=_replace(2, "99-99"))
+    assert cli.main(_args(paths)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['align_c2s']}:3: alignment link 99-99 out of bounds (utterance '2')\n"
+    )
+
+
+def test_pair_error_comes_before_a_read_error_in_its_block(
+    micro_paths, tmp_path, monkeypatch, capsys
+):
+    # Pairs 4 to 6 are one block: pair 4 has one tag too few, and reading
+    # pair 5 fails on its empty reference line.
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", 3)
+    paths = _micro_copy(micro_paths, tmp_path, pos_captions=_drop_second_token(3),
+                        captions_ref=_replace(4, ""))
+    assert cli.main(_pos_args(paths)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['pos_captions']}:31: utterance '3': 8 word tokens but 7 tags\n"
+    )
+    # Without the bad tags, the read error is reported.
+    paths = _micro_copy(micro_paths, tmp_path, captions_ref=_replace(4, ""))
+    assert cli.main(_pos_args(paths)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['captions_ref']}:5: empty utterance (utterance 4)\n"
+    )
+
+
+def test_last_partial_block_is_scored_before_the_rest_of_a_longer_file(
+    micro_paths, tmp_path, monkeypatch, capsys
+):
+    # At 3 pairs a block, pairs 19 and 20 make the last block, and pair 20
+    # has a link out of bounds.  The reference file has a 21st line, which
+    # is read once the hypotheses end, and is bad.
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", 3)
+    paths = _micro_copy(micro_paths, tmp_path, align_s2c=_replace(19, "99-99"),
+                        captions_ref=lambda lines: lines + [""])
+    assert cli.main(_args(paths)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths['align_s2c']}:20: alignment link 99-99 out of bounds (utterance '19')\n"
+    )
+
+
+def test_warnings_come_in_pair_order_across_blocks(micro_paths, tmp_path, monkeypatch, capsys):
+    # Pairs 0 to 2 and 3 to 5 are blocks.  A block is read, logging its
+    # parsing warnings, before its WER warnings are known; each pair's
+    # parsing warnings, then its WER warning, still come before the next
+    # pair's.
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", 3)
+
+    def empty_segments(lines):
+        return [line.replace(" <eob>", " <eol> <eob>") if i in (1, 2, 4) else line
+                for i, line in enumerate(lines)]
+
+    paths = _micro_copy(micro_paths, tmp_path, captions_hyp=empty_segments,
+                        captions_ref=lambda lines: [
+                            "... <eob>" if i in (0, 2, 3) else line for i, line in enumerate(lines)
+                        ])
+    assert cli.main(_args(paths, "--lenient", "--out-file", str(tmp_path / "r.json"))) == 0
+    wer = "utterance {}: empty reference after normalization; hypothesis words counted as insertions"
+    # Utterance 2 has two blocks, so two empty segments.
+    dropped = "dropping empty segment in utterance {}"
+    assert capsys.readouterr().err.splitlines() == [
+        wer.format(0), dropped.format(1), dropped.format(2), dropped.format(2), wer.format(2),
+        wer.format(3), dropped.format(4),
+    ]
+
+
+def _kept_markers(lines):
+    """Each marked-text line as `--lenient` keeps it, in marker form."""
+    return [
+        " <eob> ".join(" <eol> ".join(line.text for line in b.lines) for b in utt.blocks) + " <eob>"
+        for utt in oracles.parse_marked_text_checked(lines, lenient=True).utterances
+    ]
+
+
+@settings(max_examples=40, deadline=None, phases=_PHASES)
+@given(
+    data=st.data(),
+    n_pairs=st.integers(min_value=2, max_value=7),
+    lenient=st.sampled_from([True, True, True, False]),
+    faulty=st.booleans(),
+)
+def test_blocks_of_pairs_score_as_single_pairs(data, n_pairs, lenient, faulty):
+    """On a corpus that may hold lines `--lenient` drops (an input error
+    without it), empty WER references and, when `faulty`, two to four
+    wrong tag counts or links out of bounds, `eval` 3 pairs a block
+    exits, prints and writes what it does 1 pair a block."""
+    raw = {
+        key: data.draw(st.lists(st.one_of(utterance, gappy_utterance),
+                                min_size=n_pairs, max_size=n_pairs))
+        for key in FILES[:4]
+    }
+    empty_refs = data.draw(st.lists(st.booleans(), min_size=n_pairs, max_size=n_pairs))
+    raw["captions_ref"] = [
+        "... <eob>" if empty else line for line, empty in zip(raw["captions_ref"], empty_refs)
+    ]
+    # (what, on which side, at which pair): a tag too many or too few,
+    # or a link out of bounds.
+    fault = st.tuples(
+        st.sampled_from(["tags", "link"]), st.integers(0, 1), st.integers(0, n_pairs - 1)
+    )
+    faults = data.draw(st.lists(fault, min_size=2, max_size=4)) if faulty else []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: _write(tmp, key, raw[key]) for key in raw}
+        tokens = []
+        for side, (key, lang) in enumerate((("captions_hyp", "en"), ("subtitles_hyp", "fr"))):
+            tokens.append([tokenize(marker, Scheme.MT_DETACHED, lang)
+                           for marker in _kept_markers(raw[key])])
+            sentences = [[(w, "NOUN") for w in t.words()] for t in tokens[side]]
+            for what, fault_side, index in faults:
+                if (what, fault_side) == ("tags", side):
+                    sentence = sentences[index]
+                    sentences[index] = sentence[1:] if len(sentence) > 1 else sentence * 2
+            paths[FILES[4 + side]] = _write(tmp, FILES[4 + side], [
+                "".join(f"{i}\t{w}\t_\t{tag}\t_\t_\t0\t_\t_\t_\n"
+                        for i, (w, tag) in enumerate(sentence, 1))
+                for sentence in sentences
+            ])
+        for side, lines in enumerate(_pharaoh_lines(data, zip(*tokens))[1]):
+            for what, fault_side, index in faults:
+                if (what, fault_side) == ("link", side):
+                    lines[index] = "99-99"
+            paths[FILES[6 + side]] = _write(tmp, FILES[6 + side], lines)
+        outputs = [os.path.join(tmp, "report.json"), os.path.join(tmp, "diag.jsonl")]
+        args = _args(paths, "--pos-captions", paths["pos_captions"],
+                     "--pos-subtitles", paths["pos_subtitles"],
+                     "--out-file", outputs[0], "--diagnostics", outputs[1])
+        args += ["--lenient"] * lenient
+
+        def run(block_pairs):
+            """The exit code, stderr and output files of `eval`, which
+            are removed."""
+            with mock.patch.object(cli, "_BLOCK_PAIRS", block_pairs), \
+                    redirect_stderr(io.StringIO()) as err:
+                code = cli.main(args)
+            written = []
+            for path in outputs:
+                written.append(None)
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        written[-1] = fh.read()
+                    os.remove(path)
+            return code, err.getvalue(), written
+
+        assert run(3) == run(1)
