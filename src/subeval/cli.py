@@ -412,10 +412,10 @@ _SIDES = (
 )
 
 # The pairs `eval` scores at once: each layer runs over a block of this
-# many pairs before the next layer starts.  A block of 16 pairs keeps
-# fewer new objects alive than the 700 that start a garbage collection.
-# At 64, collections run every block and, in time, a full one, which
-# empties the interpreter's free lists; refilling them costs up to 1 MB.
+# many pairs before the next layer starts.  Larger blocks score a little
+# faster, but from about 24 pairs a block keeps enough objects alive to
+# start garbage collections, which in time empty the interpreter's free
+# lists, and the tier-1 memory tests read their refill as growth.
 _BLOCK_PAIRS = 16
 
 
@@ -470,7 +470,7 @@ def run_eval(opts: dict[str, Any]) -> int:
             columns = list(zip(*block))
             indices = range(start, start + len(block))
             layers: list[list] = []
-            tokens = []
+            mt_sides = []
             for (pos_key, lang_key, quality_counts), (hyps, refs, pos) in zip(
                 _SIDES, (columns[0:3], columns[3:6])
             ):
@@ -486,14 +486,14 @@ def run_eval(opts: dict[str, Any]) -> int:
                     conformity(hyp, tagged=tags, index=index)
                     for hyp, tags, index in zip(hyps, tagged, indices)
                 ])
-                tokens.append(mt)
+                mt_sides.append(mt)
             captions, _, _, subtitles, _, _, c2s, s2c = columns
             with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
                 pairs = list(map(UtterancePair, captions, subtitles))
             layers.append(list(map(consistency_mod.pair_counts, pairs)))
             ids = [pair.id for pair in pairs]
             blocks = [(len(c.blocks), len(s.blocks)) for c, s in zip(captions, subtitles)]
-            tokens = list(zip(*tokens))
+            tokens = list(zip(*mt_sides))
             if c2s[0] is not None:
                 for index, pair_id, pair, c2s_i, s2c_i in zip(indices, ids, tokens, c2s, s2c):
                     _check_links(opts, index + 1, pair_id, pair, c2s_i, s2c_i)
@@ -510,14 +510,14 @@ def run_eval(opts: dict[str, Any]) -> int:
                 return ""
             return add_lexical(ids, blocks, tokens, zip(c2s, s2c))
 
-        pairs = _lockstep(streams, counts)
+        reader = _lockstep(streams, counts)
         for start in itertools.count(0, _BLOCK_PAIRS):
             block: list = []
             records: list = []
             held: list = []  # the records of reading each pair
             try:
                 with _holding(records):
-                    for items in itertools.islice(pairs, _BLOCK_PAIRS):
+                    for items in itertools.islice(reader, _BLOCK_PAIRS):
                         block.append(items)
                         held.append(records[:])
                         records.clear()
@@ -525,6 +525,8 @@ def run_eval(opts: dict[str, Any]) -> int:
                     break
                 lines = score(start, block, held)
             except Exception:
+                # The pairs read so far, one at a time: the first error
+                # in pair order propagates, else the one caught.
                 for i in range(len(block)):
                     write(score(start + i, block[i:i + 1], held[i:i + 1]))
                 raise

@@ -699,21 +699,11 @@ def test_goldens_hold_at_any_block_size(
         test_cli.test_eval_srt_matches_golden(tmp_path, monkeypatch, capsys)
 
 
-def _conllu_sentences(lines):
-    """The CoNLL-U `lines` as sentences, each a list of token lines."""
-    return [sentence.split("\n") for sentence in "\n".join(lines).split("\n\n") if sentence]
-
-
-def _conllu_lines(sentences):
-    return [line for sentence in sentences for line in [*sentence, ""]]
-
-
 def _drop_second_token(index):
     """Drop the second token line of sentence `index` of a CoNLL-U file."""
     def edit(lines):
-        sentences = _conllu_sentences(lines)
-        sentences[index] = sentences[index][:1] + sentences[index][2:]
-        return _conllu_lines(sentences)
+        first = ([0] + [i + 1 for i, line in enumerate(lines) if not line])[index]
+        return lines[:first + 1] + lines[first + 2:]
     return edit
 
 
