@@ -387,29 +387,9 @@ def _diagnostics(path: Optional[str]):
         raise
 
 
-@contextmanager
-def _holding(records: list):
-    """Keep in `records` what any subeval logger logs in the block, and
-    pass none of it on."""
-    logger = logging.getLogger("subeval")
-    holder = logging.Handler()
-    holder.emit = records.append
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [holder], False
-    try:
-        yield
-    finally:
-        logger.handlers, logger.propagate = saved
-
-
-# The two sides `eval` scores: the keys of the POS file and language
-# options, and the per-utterance counts of the side's quality metric.
-# Neither logs: `eval` warns of an empty WER reference once the pair's
-# block is added to the sums.
-_SIDES = (
-    ("pos-captions", "caption-lang", lambda hyp, ref: quality_mod._wer_segment((hyp,), ref)[0]),
-    ("pos-subtitles", "subtitle-lang", quality_mod.bleu_counts),
-)
+# The two sides `eval` scores: the keys of their POS file and language
+# options.
+_SIDES = (("pos-captions", "caption-lang"), ("pos-subtitles", "subtitle-lang"))
 
 # The pairs `eval` scores at once: each layer runs over a block of this
 # many pairs before the next layer starts.  Larger blocks score a little
@@ -420,17 +400,16 @@ _BLOCK_PAIRS = 16
 
 
 def run_eval(opts: dict[str, Any]) -> int:
-    """Score the pairs in blocks of `_BLOCK_PAIRS`, each layer over the
-    whole block before the next, add a block's counts to running sums
-    once every check has passed, and compute the rates from the sums at
-    the end.
+    """Count each pair's WER as it is read, score the pairs in blocks of
+    `_BLOCK_PAIRS`, each layer over the whole block before the next, add
+    a block's counts to running sums once every check has passed, and
+    compute the rates from the sums at the end.
 
-    Errors and warnings come in pair order.  When reading or scoring a
-    block raises, the pairs already read are scored as blocks of one,
-    and then the error is raised again: the first error in pair order is
-    the one raised.  What reading a pair logs is held until its block is
-    added to the sums, and then passed on, followed by the pair's WER
-    empty-reference warning."""
+    Errors and warnings come in pair order.  What reading a pair logs,
+    then the pair's WER empty-reference warning, is logged before the
+    next pair is read.  When reading or scoring a block raises, the
+    pairs already read are scored as blocks of one, and then the error
+    is raised again: the first error in pair order is the one raised."""
     conformity = functools.partial(
         conformity_mod.conformity_counts,
         thresholds=ConformityThresholds(max_cpl=opts["max-cpl"], max_cps=opts["max-cps"]),
@@ -438,8 +417,8 @@ def run_eval(opts: dict[str, Any]) -> int:
         include_trailing_eob=not opts["exclude-trailing-eob"],
         breaks=BreakSelection(opts["breaks"]),
     )
-    # The running sums of the captions' WER and conformity counts, the
-    # subtitles' BLEU and conformity counts, and the pair counts.
+    # The running sums of the captions' WER counts, the subtitles' BLEU
+    # counts, each side's conformity counts, and the pair counts.
     sums: list[list] = [[] for _ in range(5)]
     lexical = 0.0
     # Without Pharaoh files: each pair's id, block counts and MT tokens,
@@ -463,18 +442,16 @@ def run_eval(opts: dict[str, Any]) -> int:
                 lines.append(_json_line({**record, **vars(result)}))
             return "".join(lines)
 
-        def score(start: int, block: list, held: list) -> str:
-            """Score `block`, the items of the pairs from index `start`
-            on, given the log records held from reading each; then add
-            it to the sums and return its diagnostics lines."""
-            columns = list(zip(*block))
+        def score(start: int, block: list) -> str:
+            """Score `block`, the items and WER counts of the pairs from
+            index `start` on; then add it to the sums and return its
+            diagnostics lines."""
+            *columns, wers = zip(*block)
+            captions, _, _, subtitles, subtitle_refs, _, c2s, s2c = columns
             indices = range(start, start + len(block))
-            layers: list[list] = []
+            layers = [wers, list(map(quality_mod.bleu_counts, subtitles, subtitle_refs))]
             mt_sides = []
-            for (pos_key, lang_key, quality_counts), (hyps, refs, pos) in zip(
-                _SIDES, (columns[0:3], columns[3:6])
-            ):
-                layers.append(list(map(quality_counts, hyps, refs)))
+            for (pos_key, lang_key), (hyps, _, pos) in zip(_SIDES, (columns[0:3], columns[3:6])):
                 # One MT tokenization per hypothesis utterance feeds
                 # tagging, the system bitext and lexical consistency.
                 mt = [tokenize(hyp.text(), Scheme.MT_DETACHED, opts[lang_key]) for hyp in hyps]
@@ -487,7 +464,6 @@ def run_eval(opts: dict[str, Any]) -> int:
                     for hyp, tags, index in zip(hyps, tagged, indices)
                 ])
                 mt_sides.append(mt)
-            captions, _, _, subtitles, _, _, c2s, s2c = columns
             with located(f"{opts['captions-hyp']} vs {opts['subtitles-hyp']}"):
                 pairs = list(map(UtterancePair, captions, subtitles))
             layers.append(list(map(consistency_mod.pair_counts, pairs)))
@@ -501,10 +477,6 @@ def run_eval(opts: dict[str, Any]) -> int:
             # block's column sums add up to what its pairs would.
             for total, rows in zip(sums, layers):
                 add_counts(total, [sum(column) for column in zip(*rows)])
-            for records, wer, ref in zip(held, layers[0], columns[1]):
-                for record in records:
-                    logging.getLogger(record.name).handle(record)
-                quality_mod._warn_empty_reference(wer.edits, wer.reference_length, ref.id)
             if c2s[0] is None:
                 kept.extend(zip(ids, blocks, tokens))
                 return ""
@@ -513,27 +485,22 @@ def run_eval(opts: dict[str, Any]) -> int:
         reader = _lockstep(streams, counts)
         for start in itertools.count(0, _BLOCK_PAIRS):
             block: list = []
-            records: list = []
-            held: list = []  # the records of reading each pair
             try:
-                with _holding(records):
-                    for items in itertools.islice(reader, _BLOCK_PAIRS):
-                        block.append(items)
-                        held.append(records[:])
-                        records.clear()
+                for items in itertools.islice(reader, _BLOCK_PAIRS):
+                    block.append((*items, quality_mod.wer_counts(items[0], items[1])))
                 if not block:
                     break
-                lines = score(start, block, held)
+                lines = score(start, block)
             except Exception:
                 # The pairs read so far, one at a time: the first error
                 # in pair order propagates, else the one caught.
                 for i in range(len(block)):
-                    write(score(start + i, block[i:i + 1], held[i:i + 1]))
+                    write(score(start + i, block[i:i + 1]))
                 raise
             write(lines)
 
         _check_counts(opts, counts)
-        wer_sums, conf_captions, bleu_sums, conf_subtitles, pair_sums = sums
+        wer_sums, bleu_sums, conf_captions, conf_subtitles, pair_sums = sums
         with located(f"{opts['captions-hyp']} vs {opts['captions-ref']}"):
             wer = quality_mod.wer_from_sums(wer_sums).wer
         bleu = quality_mod.bleu_from_sums(bleu_sums).score

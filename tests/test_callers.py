@@ -6,6 +6,9 @@ boundary, by a demo, a script, perfbench or another part of the
 library.  Its own definition does not count, nor does `__init__.py`,
 whose text is the package's export lists.  A name that only tests read
 is deleted, or it goes in ALLOWED with the reason it stays.
+
+Nor does any module of the library read another module's private name:
+what one module needs of another is public.
 """
 
 import ast
@@ -80,3 +83,36 @@ def uncalled_names():
 def test_every_public_name_has_a_program_caller():
     # Equal, not a subset: a name that gains a caller leaves ALLOWED.
     assert uncalled_names() == sorted(ALLOWED)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads():
+    """(module, line, name) for each read of another module's private
+    name in the package: a `from .m import _x`, or an attribute `_x` of
+    a module bound by a relative import, such as `from . import m`.  An
+    attribute of any other object is that object's business."""
+    found = []
+    for path in _python_files(PACKAGE):
+        tree = ast.parse(_read(path))
+        module = os.path.basename(path)
+        imports = [
+            node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        ]
+        modules = {
+            alias.asname or alias.name
+            for node in imports if node.module is None for alias in node.names
+        }
+        for node in imports:
+            found += [(module, node.lineno, a.name) for a in node.names if _private(a.name)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                found.append((module, node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert private_reads() == []

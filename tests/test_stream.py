@@ -784,6 +784,45 @@ def test_warnings_come_in_pair_order_across_blocks(micro_paths, tmp_path, monkey
     ]
 
 
+def test_warnings_come_in_pair_order_at_the_shipped_block_size(
+    micro_paths, tmp_path, monkeypatch, capsys
+):
+    # The micro corpus twice over is 40 pairs, and the first block of 16
+    # ends at pair 15.  Pairs 15 to 17 hold empty segments, which
+    # `--lenient` drops with a warning, and empty WER references.
+    assert cli._BLOCK_PAIRS == 16
+
+    def twice(indices=(), edit=None):
+        """The lines twice over, `edit` applied to those at `indices`."""
+        return lambda lines: [edit(line) if i in indices else line
+                              for i, line in enumerate(lines * 2)]
+
+    def empty_segments(line):
+        return line.replace(" <eob>", " <eol> <eob>")
+
+    edits = {key: twice() for key in ("subtitles_ref", "align_c2s", "align_s2c")}
+    paths = _micro_copy(
+        micro_paths, tmp_path, **edits,
+        captions_hyp=twice((15, 17), empty_segments),
+        subtitles_hyp=twice((16,), empty_segments),
+        captions_ref=twice((15, 16, 17), lambda line: "... <eob>"),
+    )
+    del paths["pos_captions"], paths["pos_subtitles"]
+    args = _args(paths, "--lenient", "--out-file", str(tmp_path / "r.json"))
+    assert cli.main(args) == 0
+    err = capsys.readouterr().err
+    wer = "utterance {}: empty reference after normalization; hypothesis words counted as insertions"
+    dropped = "dropping empty segment in utterance {}"
+    # Subtitle 16 has two blocks, so two empty segments.
+    assert err.splitlines() == [
+        dropped.format(15), wer.format(15), dropped.format(16), dropped.format(16),
+        wer.format(16), dropped.format(17), wer.format(17),
+    ]
+    monkeypatch.setattr(cli, "_BLOCK_PAIRS", 1)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == err
+
+
 def _kept_markers(lines):
     """Each marked-text line as `--lenient` keeps it, in marker form."""
     return [
