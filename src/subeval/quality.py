@@ -56,13 +56,20 @@ class SignificanceResult:
 
 def edit_operations(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
     """Levenshtein operations (S, D, I) turning `ref` into `hyp`, unit
-    costs, ties resolved toward substitutions.
+    costs, ties resolved toward substitution, then deletion, then
+    insertion.
+
+    One forward DP keeps two rows.  Each cell holds (cost, S, D, I) for
+    the path a backtrace from it would take: to the diagonal on equal
+    words, which has the same cost, else to the cheapest neighbour in
+    the tie order.  A backtrace chooses from the costs of a cell and its
+    neighbours only, so carrying its choice forward gives its triple.
 
     The DP runs only between the common prefix and the common suffix,
-    which the full DP's backtrace takes as matches: with equal last
-    words a cell equals its diagonal, stripping a common prefix changes
-    no cell after it, and from the stripped block's edge only deletions
-    or only insertions remain.  So the triple is the full DP's."""
+    which the backtrace takes as matches: with equal last words a cell
+    equals its diagonal, stripping a common prefix changes no cell
+    after it, and from the stripped block's edge only deletions or only
+    insertions remain."""
     shorter = min(len(hyp), len(ref))
     start = 0
     while start < shorter and hyp[start] == ref[start]:
@@ -72,38 +79,22 @@ def edit_operations(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, i
         end += 1
     hyp = hyp[start:len(hyp) - end]
     ref = ref[start:len(ref) - end]
-    rows = [list(range(len(hyp) + 1))]
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
     for i, ref_word in enumerate(ref, 1):
-        prev = rows[-1]
-        cur = [i]
+        cur = [(i, 0, i, 0)]
         for j, hyp_word in enumerate(hyp):
-            cost = prev[j]
+            cell = prev[j]
             if ref_word != hyp_word:
-                if prev[j + 1] < cost:
-                    cost = prev[j + 1]
-                if cur[j] < cost:
-                    cost = cur[j]
-                cost += 1
-            cur.append(cost)
-        rows.append(cur)
-    subs = dels = ins = 0
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        cost = rows[i][j]
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and cost == rows[i - 1][j - 1]:
-            i -= 1
-            j -= 1
-        elif i > 0 and j > 0 and cost == rows[i - 1][j - 1] + 1:
-            subs += 1
-            i -= 1
-            j -= 1
-        elif i > 0 and cost == rows[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return subs, dels, ins
+                up, left = prev[j + 1], cur[j]
+                if cell[0] <= up[0] and cell[0] <= left[0]:
+                    cell = (cell[0] + 1, cell[1] + 1, cell[2], cell[3])
+                elif up[0] <= left[0]:
+                    cell = (up[0] + 1, up[1], up[2] + 1, up[3])
+                else:
+                    cell = (left[0] + 1, left[1], left[2], left[3] + 1)
+            cur.append(cell)
+        prev = cur
+    return prev[-1][1:]
 
 
 def _wer_words(utt: Utterance) -> list[str]:

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from subeval.quality import (
     corpus_bleu,
     edit_operations,
     wer,
+    wer_counts,
     wer_segment_stats,
 )
 
@@ -127,6 +129,42 @@ def _pairs_sharing_ends(draw):
 def test_edit_operations_match_full_dp_oracle(pair):
     hyp, ref = pair
     assert edit_operations(hyp, ref) == oracles.edit_operations_full(hyp, ref)
+
+
+def _long_pairs():
+    """Seeded pairs of 200 to 400 words over three words, so cost ties
+    are everywhere, then one pair whose differing middles sit between a
+    long common prefix and suffix."""
+    rng = random.Random(32)
+    for _ in range(4):
+        yield tuple(
+            [rng.choice("abc") for _ in range(rng.randint(200, 400))] for _ in range(2)
+        )
+    prefix = [rng.choice("abc") for _ in range(150)]
+    suffix = [rng.choice("abc") for _ in range(150)]
+    hyp_mid, ref_mid = ([rng.choice("abc") for _ in range(n)] for n in (40, 60))
+    yield prefix + hyp_mid + suffix, prefix + ref_mid + suffix
+
+
+@pytest.mark.parametrize("pair", list(_long_pairs()))
+def test_edit_operations_match_matrix_oracle_on_long_pairs(pair):
+    hyp, ref = pair
+    assert edit_operations(hyp, ref) == oracles.edit_operations_matrix(hyp, ref)
+
+
+def test_wer_counts_memory_is_linear_in_the_pair():
+    # 500 words on each side and none shared: a 501 x 501 DP with
+    # nothing to trim.  A kept matrix would hold 251,001 cells.
+    (hyp,), (ref,) = (utts(" ".join(f"{side}{k}" for k in range(500))) for side in "hr")
+    wer_counts(hyp, ref)  # fills the tokenizer's word memo unmeasured
+    tracemalloc.start()
+    try:
+        counts = wer_counts(hyp, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (500, 0, 0, 500)
+    assert peak < 2**20
 
 
 def test_corpus_wer_matches_oracle(micro_docs, micro_raw):
