@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, located, numbered_lines, open_utf8
+from .errors import DataError, FormatError, located, numbered_lines, open_utf8, output_file
 from .links import (  # noqa: F401  (re-exported)
     DEFAULT_ITERATIONS,
     DEFAULT_P0,
@@ -480,8 +480,8 @@ def save_model(model: TranslationModel, path: str) -> None:
     source_words = list(model.source_ids)
     target_words = list(model.target_ids)
     sources = np.repeat(np.arange(len(source_words)), np.diff(model.offsets))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
+    with output_file(path) as write:
+        write(
             f"tension\t{model.tension!r}\tp0\t{model.null_prob!r}"
             f"\tdiagonal\t{int(model.use_diagonal_prior)}\n"
         )
@@ -491,7 +491,7 @@ def save_model(model: TranslationModel, path: str) -> None:
             cells[0::6] = map(source_words.__getitem__, sources[block].tolist())
             cells[2::6] = map(target_words.__getitem__, model.targets[block].tolist())
             cells[4::6] = map(float.__repr__, model.probs[block].tolist())
-            fh.write("".join(cells))
+            write("".join(cells))
 
 
 def load_model(path: str) -> TranslationModel:

@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from . import conformity as conformity_mod
@@ -30,7 +30,9 @@ from .conformity import (
     ConformityThresholds,
     LengthAggregation,
 )
-from .errors import DataError, FormatError, SubevalError, located, numbered_lines, stream_file
+from .errors import (
+    DataError, FormatError, SubevalError, located, numbered_lines, output_file, stream_file
+)
 from .markers import iter_marked_text
 from .model import UtterancePair, add_counts, check_count
 from .report import EvaluationReport, report_to_json, report_to_tsv
@@ -338,55 +340,6 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _std_stream(path: str):
-    """sys.stdout or sys.stderr when `path` names its own file (that of
-    file descriptor 1 or 2), else None."""
-    try:
-        target = os.stat(path)
-    except OSError:  # a missing target
-        return None
-    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
-        with suppress(OSError):  # no such descriptor
-            if os.path.samestat(target, os.fstat(fd)):
-                return stream
-    return None
-
-
-@contextmanager
-def _diagnostics(path: Optional[str]):
-    """A function that writes JSON lines, or drops them without `path`.
-
-    Stdout's or stderr's own file (that of file descriptor 1 or 2), such
-    as /dev/stdout, is written through that stream as the lines come, so
-    they come ahead of the report or of the warnings.  Another regular or
-    missing file, the one a symlink names included, goes to a temporary
-    file beside it, which replaces it only if the block ends without an
-    error.  Any other target, such as a pipe or a file in an unwritable
-    directory, is written to as the lines come."""
-    if not path:
-        yield lambda text: None
-        return
-    stream = _std_stream(path)
-    if stream is not None:
-        yield functools.partial(_write_utf8, stream)
-        return
-    target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    staged = (os.path.isfile(path) or not os.path.exists(path)) and os.access(head, os.W_OK)
-    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if staged else path
-    fh = open(temporary, "x" if staged else "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh.write
-        if staged:
-            os.replace(temporary, target)
-    except BaseException:
-        if staged:
-            with suppress(OSError):
-                os.remove(temporary)
-        raise
-
-
 # The two sides `eval` scores: the keys of their POS file and language
 # options.
 _SIDES = (("pos-captions", "caption-lang"), ("pos-subtitles", "subtitle-lang"))
@@ -426,7 +379,8 @@ def run_eval(opts: dict[str, Any]) -> int:
     kept = []
     streams = [_open_stream(opts, key) for key in _STREAMS]
     counts: list = []
-    with _diagnostics(opts["diagnostics"]) as write:
+    diagnostics = opts["diagnostics"]
+    with output_file(diagnostics) if diagnostics else nullcontext(lambda text: None) as write:
 
         def add_lexical(ids, blocks, tokens, alignments) -> str:
             """Score each pair's lexical consistency, add its lex_pair to
@@ -533,28 +487,9 @@ def run_eval(opts: dict[str, Any]) -> int:
             chunks.append(report_to_json(report))
         if opts["out"] in ("tsv", "both"):
             chunks.append(report_to_tsv(report))
-        _emit("".join(chunks), opts["out-file"])
+        with output_file(opts["out-file"]) as write_report:
+            write_report("".join(chunks))
     return 0
-
-
-def _write_utf8(stream, text: str) -> None:
-    """Write `text` to `stream` as UTF-8, whatever the stream's own
-    encoding."""
-    if hasattr(stream, "buffer"):
-        stream.flush()
-        stream.buffer.write(text.encode("utf-8"))
-    else:  # a text-only stream, such as io.StringIO
-        stream.write(text)
-
-
-def _emit(text: str, path: Optional[str]) -> None:
-    """Write `text` as UTF-8 to the file at `path`, or to stdout without
-    one."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _write_utf8(sys.stdout, text)
 
 
 def run_align_train(opts: dict[str, Any]) -> int:
@@ -574,7 +509,8 @@ def run_align_apply(opts: dict[str, Any]) -> int:
     model = align_mod.load_model(opts["model"])
     pairs = _file_bitext([opts["bitext"]], opts["source-lang"], opts["target-lang"])
     alignments = align_mod.viterbi_align_corpus(model, pairs)
-    _emit("".join(links.write_pharaoh(a) + "\n" for a in alignments), opts["out-file"])
+    with output_file(opts["out-file"]) as write:
+        write("".join(links.write_pharaoh(a) + "\n" for a in alignments))
     return 0
 
 
@@ -594,7 +530,8 @@ def run_significance(opts: dict[str, Any]) -> int:
         result = quality_mod.significance_from_rows(
             stats, opts["metric"], opts["resamples"], opts["seed"]
         )
-    sys.stdout.write(json.dumps(vars(result), sort_keys=True) + "\n")
+    with output_file(None) as write:
+        write(_json_line(vars(result)))
     return 0
 
 
@@ -631,9 +568,8 @@ def run_validate_lexical(opts: dict[str, Any]) -> int:
     judgements = read((auto_j, manual_j), lambda line: _JUDGEMENT_WORDS[line.lower()], "a boolean")
     with located(f"{auto} vs {manual}, {auto_j} vs {manual_j}"):
         mae, agreement = consistency_mod.validate_lexical_metric(*scores, *judgements)
-    sys.stdout.write(
-        json.dumps({"mae": mae, "agreement": agreement}, sort_keys=True) + "\n"
-    )
+    with output_file(None) as write:
+        write(_json_line({"mae": mae, "agreement": agreement}))
     return 0
 
 

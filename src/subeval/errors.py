@@ -1,9 +1,13 @@
 """Exception hierarchy shared by all subeval modules, `located`, which
-names the input file in an error, and the UTF-8 opener, line source and
-streaming reader that every input reader uses."""
+names the input file in an error, the UTF-8 opener, line source and
+streaming reader that every input reader uses, and `output_file`, which
+writes every output file."""
 
+import functools
 import io
-from contextlib import contextmanager
+import os
+import sys
+from contextlib import contextmanager, suppress
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
@@ -59,6 +63,64 @@ def open_utf8(path: str):
                 line = raw.count(b"\n", 0, exc.start) + 1
                 raise FormatError(f"{path}:{line}: not valid UTF-8") from None
             raise
+
+
+def _std_stream(path: str):
+    """sys.stdout or sys.stderr when `path` names its own file (that of
+    file descriptor 1 or 2), else None."""
+    try:
+        target = os.stat(path)
+    except OSError:  # a missing target
+        return None
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with suppress(OSError):  # no such descriptor
+            if os.path.samestat(target, os.fstat(fd)):
+                return stream
+    return None
+
+
+def _write_utf8(stream, text: str) -> None:
+    """Write `text` to `stream` as UTF-8, whatever the stream's own
+    encoding."""
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO
+        stream.write(text)
+
+
+@contextmanager
+def output_file(path: Optional[str]):
+    """A function that writes text as UTF-8 to the file at `path`, or to
+    stdout without one.
+
+    Stdout's or stderr's own file (that of file descriptor 1 or 2), such
+    as /dev/stdout, is written through that stream as the text comes, so
+    it keeps what it held and its order with what else the stream
+    carries.  Another regular or missing file, the one a symlink names
+    included, goes to a temporary file beside it, which replaces it only
+    if the block ends without an error.  Any other target, such as a pipe
+    or a file in an unwritable directory, is written to as the text
+    comes."""
+    stream = _std_stream(path) if path else sys.stdout
+    if stream is not None:
+        yield functools.partial(_write_utf8, stream)
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    staged = (os.path.isfile(path) or not os.path.exists(path)) and os.access(head, os.W_OK)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if staged else path
+    fh = open(temporary, "x" if staged else "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh.write
+        if staged:
+            os.replace(temporary, target)
+    except BaseException:
+        if staged:
+            with suppress(OSError):
+                os.remove(temporary)
+        raise
 
 
 def numbered_lines(source: Union[str, Iterable[str]]) -> Iterator[tuple[int, str]]:

@@ -1,6 +1,7 @@
 """Every input becomes numbered lines one way (`errors.numbered_lines`):
 a file or string loses a leading byte order mark, and lines end at each
-LF alone."""
+LF alone.  Every output file is written one way (`errors.output_file`):
+a regular file is replaced only when its writer ends without an error."""
 
 import io
 import os
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subeval import cli
-from subeval.align import load_bitext, load_model
-from subeval.errors import FormatError, numbered_lines, stream_file
+from subeval.align import load_bitext, load_model, save_model
+from subeval.errors import FormatError, numbered_lines, output_file, stream_file
 from subeval.links import load_pharaoh
 from subeval.markers import load_marked_text
 from subeval.srt import _add_index, load_srt, parse_srt
@@ -87,3 +88,19 @@ def test_add_index_is_a_set_add(indices):
         # Each run ends before the next starts, so no two runs touch.
         assert all(a < b for a, b in zip(runs, runs[1:]))
         assert {i for s, e in zip(runs[::2], runs[1::2]) for i in range(s, e)} == seen
+
+
+def test_output_file_replaces_its_target_only_on_success(tmp_path):
+    target = tmp_path / "model.tsv"
+    target.write_bytes(b"earlier\n")
+    with pytest.raises(RuntimeError):
+        with output_file(str(target)) as write:
+            write("partial\n")
+            raise RuntimeError
+    # The target is as it was, and no temporary file is left beside it.
+    assert target.read_bytes() == b"earlier\n"
+    assert list(tmp_path.iterdir()) == [target]
+    save_model(load_model(os.path.join(GOLDEN, "model.tsv")), str(target))
+    assert list(tmp_path.iterdir()) == [target]
+    with open(os.path.join(GOLDEN, "model.tsv"), "rb") as fh:
+        assert target.read_bytes() == fh.read()

@@ -3,7 +3,9 @@ whole-corpus library functions and those of the brute-force oracles (on
 SRT, for consistency and segmentation on marked text, on the lines
 `--lenient` keeps, and with aligners trained on `--train-bitext`), its
 outputs, errors and warnings are those of scoring one pair at a time,
-in pair order, and an error exit leaves no diagnostics file.  `significance`, which also streams its inputs,
+in pair order, and an error exit leaves no diagnostics file.  Each output
+file named /dev/stdout or /dev/stderr is written through that stream,
+after what it held.  `significance`, which also streams its inputs,
 equals the NumPy bootstrap oracle."""
 
 import io
@@ -621,24 +623,73 @@ def test_diagnostics_to_a_pipe_are_written_directly(micro_paths, tmp_path, capsy
     assert len(received[0].splitlines()) == 20
 
 
-@pytest.mark.parametrize("stdout", ["pipe", "file"])
-def test_diagnostics_to_stdout_come_before_the_report(micro_paths, tmp_path, stdout):
-    """/dev/stdout, as a pipe or as a regular file, carries the
-    diagnostics lines as the pairs are scored and then the report."""
-    def run(*options, **kwargs):
-        command = [sys.executable, "-m", "subeval.cli", *_args(micro_paths, *options)]
-        return subprocess.run(command, env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+# Each option that names an output file, as "COMMAND --OPTION", with a
+# target that is a pipe or a regular file.  The --diagnostics cases keep
+# the plain ids "pipe" and "file".
+_OUTPUTS = ["eval --diagnostics", "eval --out-file", "align apply --out-file", "align train --model-out"]
+_TARGETS = [
+    pytest.param(kind, output, id=kind if output == _OUTPUTS[0] else f"{kind}-{output}")
+    for output in _OUTPUTS for kind in ("pipe", "file")
+]
 
-    plain = run(stdout=subprocess.PIPE)
-    assert plain.returncode == 0
+
+def _run(command, **kwargs):
+    return subprocess.run([sys.executable, "-m", "subeval.cli", *command],
+                          env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+
+
+def _output_command(micro_paths, output, target):
+    """A command that writes `output` to `target`, and the bytes it
+    writes there, or None for `eval --diagnostics`, which writes the
+    diagnostics lines there and the report on stdout."""
+    if output == _OUTPUTS[0]:
+        return _args(micro_paths, "--diagnostics", target), None
+    if output == "eval --out-file":
+        plain = _run(_args(micro_paths, "--out", "tsv"), stdout=subprocess.PIPE)
+        assert plain.returncode == 0
+        return _args(micro_paths, "--out", "tsv", "--out-file", target), plain.stdout
+    if output == "align apply --out-file":
+        command = ["align", "apply", "--model", os.path.join(GOLDEN, "model.tsv"),
+                   "--bitext", os.path.join(GOLDEN, "bitext.txt"), "--out-file", target]
+        golden = "align.out"
+    else:
+        command = ["align", "train", "--train-bitext", os.path.join(GOLDEN, "bitext.txt"),
+                   "--model-out", target]
+        golden = "model.tsv"
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        return command, fh.read()
+
+
+def _appended(path, run):
+    """The run `run(fh)` and what it writes to `fh`, the file at `path`
+    opened to append to after a line `earlier`, which the file keeps."""
+    path.write_bytes(b"earlier\n")
+    with open(path, "ab") as fh:
+        proc = run(fh)
+    written = path.read_bytes()
+    assert written.startswith(b"earlier\n")
+    return proc, written[len(b"earlier\n"):]
+
+
+@pytest.mark.parametrize("stdout, output", _TARGETS)
+def test_diagnostics_to_stdout_come_before_the_report(micro_paths, tmp_path, stdout, output):
+    """/dev/stdout, as a pipe or as a regular file, carries the output
+    after what it held: for --diagnostics, the lines as the pairs are
+    scored and then the report."""
+    command, expected = _output_command(micro_paths, output, "/dev/stdout")
     if stdout == "pipe":
-        proc = run("--diagnostics", "/dev/stdout", stdout=subprocess.PIPE)
+        proc = _run(command, stdout=subprocess.PIPE)
         written = proc.stdout
     else:
-        with open(tmp_path / "out.txt", "wb") as fh:
-            proc = run("--diagnostics", "/dev/stdout", stdout=fh)
-        written = (tmp_path / "out.txt").read_bytes()
+        out = tmp_path / "out.txt"
+        proc, written = _appended(out, lambda fh: _run(command, stdout=fh))
+        assert list(tmp_path.iterdir()) == [out]
     assert proc.returncode == 0
+    if expected is not None:
+        assert written == expected
+        return
+    plain = _run(_args(micro_paths), stdout=subprocess.PIPE)
+    assert plain.returncode == 0
     lines = written.decode("utf-8").splitlines(keepends=True)
     with open(os.path.join(GOLDEN, "diag.jsonl"), encoding="utf-8") as fh:
         assert lines[:20] == fh.readlines()
@@ -649,29 +700,49 @@ def test_diagnostics_to_stdout_come_before_the_report(micro_paths, tmp_path, std
     assert report == expected
 
 
-@pytest.mark.parametrize("stderr", ["pipe", "file"])
-def test_diagnostics_to_stderr_are_written_through_it(micro_paths, tmp_path, stderr):
-    """/dev/stderr, as a pipe or as a regular file, carries the
-    diagnostics lines after what it held, and the file stays stderr's."""
-    command = [sys.executable, "-m", "subeval.cli",
-               *_args(micro_paths, "--diagnostics", "/dev/stderr")]
-    env = dict(os.environ, PYTHONPATH=SRC)
+@pytest.mark.parametrize("stderr, output", _TARGETS)
+def test_diagnostics_to_stderr_are_written_through_it(micro_paths, tmp_path, stderr, output):
+    """/dev/stderr, as a pipe or as a regular file, carries the output
+    after what it held, and the file stays stderr's."""
+    command, expected = _output_command(micro_paths, output, "/dev/stderr")
     if stderr == "pipe":
-        proc = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = _run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         written = proc.stderr
     else:
         err = tmp_path / "err.txt"
-        err.write_bytes(b"earlier\n")
-        with open(err, "ab") as fh:
-            proc = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=fh)
-        written = err.read_bytes()
-        assert written.startswith(b"earlier\n")
-        written = written[len(b"earlier\n"):]
+        proc, written = _appended(
+            err, lambda fh: _run(command, stdout=subprocess.PIPE, stderr=fh)
+        )
         assert list(tmp_path.iterdir()) == [err]
     assert proc.returncode == 0
+    if expected is not None:
+        assert written == expected
+        assert proc.stdout == b""
+        return
     with open(os.path.join(GOLDEN, "diag.jsonl"), "rb") as fh:
         assert written == fh.read()
     assert json.loads(proc.stdout)["config"]["diagnostics"] == "/dev/stderr"
+
+
+def test_report_to_stderr_comes_before_the_warnings(micro_paths, tmp_path):
+    """`--out-file /dev/stderr` on stderr sent to a regular file, as by
+    `2> f`: the report, then the warning, with neither over the other."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths = _micro_copy(micro_paths, inputs, captions_hyp=lambda lines: [
+        lines[0] + " <eob>", *lines[1:]
+    ])
+    plain = _run(_args(paths, "--lenient", "--out", "tsv"), capture_output=True)
+    assert plain.returncode == 0
+    warning = b"dropping empty block in utterance 0\n"
+    assert plain.stderr == warning
+    err = tmp_path / "err.txt"
+    with open(err, "wb") as fh:
+        proc = _run(_args(paths, "--lenient", "--out", "tsv", "--out-file", "/dev/stderr"),
+                    stdout=subprocess.PIPE, stderr=fh)
+    assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert err.read_bytes() == plain.stdout + warning
 
 
 # ---------------------------------------------------------------------------
